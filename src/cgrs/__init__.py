@@ -17,7 +17,7 @@ from .backend import (
     ToyBackend,
     ToyModelSpec,
     UnsupportedOperationError,
-    apply_remote_suppression,
+    ban_bias,
     overthinking_spec,
     reconstruct_distribution,
 )
@@ -92,7 +92,7 @@ __all__ = [
     "TriggerWord",
     "UnsupportedOperationError",
     "Vocabulary",
-    "apply_remote_suppression",
+    "ban_bias",
     "build_from_traces",
     "build_trigger_set",
     "certainty_score",

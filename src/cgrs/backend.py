@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .certainty import TokenDistribution
-from .lexicon import TriggerTokenSet, Vocabulary
+from .lexicon import Vocabulary
 
 #: Wire-level bias that effectively bans a token on OpenAI-compatible servers.
 LOGIT_BIAS_BAN = -100.0
@@ -239,7 +239,7 @@ class ToyBackend(ModelBackend):
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
         vec, _ = self._match(context)
-        return TokenDistribution(probs=vec.copy(), log_space_available=True)
+        return TokenDistribution(probs=vec.copy())
 
     def reachable_rule_names(self, seed_contexts: Iterable[Sequence[int]]) -> set[str]:
         """Rules that can ever fire starting from the given contexts.
@@ -352,32 +352,14 @@ def reconstruct_distribution(
     full = full / full.sum()
     return TokenDistribution(
         probs=full,
-        log_space_available=True,
         truncated=True,
         outcome_token_ids=tuple(ids),
     )
 
 
-def apply_remote_suppression(
-    request: Mapping,
-    triggers: TriggerTokenSet | Iterable[int],
-    capabilities: BackendCapabilities | None = None,
-) -> dict:
-    """Return a copy of a wire request with every trigger id banned.
-
-    Raises:
-        UnsupportedOperationError: the backend advertises no logit_bias
-            support; callers fall back to reject-and-resample.
-    """
-    if capabilities is not None and not capabilities.logit_bias:
-        raise UnsupportedOperationError("backend does not support logit_bias")
-    ids = triggers.token_ids if isinstance(triggers, TriggerTokenSet) else triggers
-    out = dict(request)
-    bias = dict(out.get("logit_bias") or {})
-    for token_id in sorted(ids):
-        bias[str(int(token_id))] = LOGIT_BIAS_BAN
-    out["logit_bias"] = bias
-    return out
+def ban_bias(trigger_ids: Iterable[int]) -> dict[int, float]:
+    """Wire ``logit_bias`` map that bans every trigger id."""
+    return {int(i): LOGIT_BIAS_BAN for i in sorted(trigger_ids)}
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +514,3 @@ class RemoteBackend(ModelBackend):
         if token_id is None:
             raise BackendError(f"sampled surface not in vocabulary: {text!r}")
         return token_id
-
-    def ban_bias(self, triggers: TriggerTokenSet) -> dict[int, float]:
-        """logit_bias map that bans every trigger id."""
-        return {int(i): LOGIT_BIAS_BAN for i in sorted(triggers.token_ids)}

@@ -34,7 +34,6 @@ class TokenDistribution:
     """
 
     probs: np.ndarray
-    log_space_available: bool = False
     truncated: bool = False
     outcome_token_ids: tuple[int, ...] | None = None
 

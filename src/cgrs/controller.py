@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import ModelBackend, UnsupportedOperationError
+from .backend import ModelBackend, UnsupportedOperationError, ban_bias
 from .certainty import CertaintyScore, TokenDistribution, certainty_score
 from .lexicon import TriggerTokenSet
 from .rng import derive_seed, sampling_uniform
@@ -316,9 +316,8 @@ class GenerationSession:
         self._ctx: list[int] = backend.fork(self._prompt_ids)
         self._tokens: list[int] = []
         self._pieces: list[str] = []
-        self._state: SuppressionState = initial_state(
-            config.delta, config.seed, fixed_p=config.fixed_p
-        )
+        self._state: SuppressionState = initial_state(config.delta, fixed_p=config.fixed_p)
+        self._ban = ban_bias(triggers.token_ids)
         self._detector = CheckpointDetector(config.checkpoint_marker)
         self._think_end = (
             CheckpointDetector(config.think_end_marker) if config.restrict_to_thinking else None
@@ -353,7 +352,7 @@ class GenerationSession:
     def _draw_decision(self, step: int) -> bool:
         if not self._suppression_active():
             return False
-        decision, self._state = should_suppress(self._state)
+        decision = should_suppress(self._state, self.config.seed, step)
         self.suppression_decisions.append(
             SuppressionDecision(step=step, r=decision, p=self._state.p)
         )
@@ -369,16 +368,13 @@ class GenerationSession:
 
     def _sample_remote(self, masked: bool, step: int) -> int | None:
         cfg = self.config
-        bias = (
-            {int(i): -100.0 for i in sorted(self.triggers.token_ids)} if masked else None
-        )
         try:
             return self.backend.sample_token(
                 self._ctx,
                 cfg.temperature,
                 cfg.top_p,
                 derive_seed(cfg.seed, step * 16),
-                logit_bias=bias,
+                logit_bias=self._ban if masked else None,
             )
         except UnsupportedOperationError:
             if not masked:

@@ -57,6 +57,9 @@ class Vocabulary:
     """Bijective token-id table with greedy longest-match text encoding."""
 
     def __init__(self, tokens: Sequence[str]):
+        if "" in tokens:
+            # an empty surface matches everywhere and never advances encode()
+            raise ValueError(f"vocabulary token {list(tokens).index('')} is the empty string")
         if len(set(tokens)) != len(tokens):
             dupes = sorted({t for t in tokens if list(tokens).count(t) > 1})
             raise ValueError(f"vocabulary tokens must be unique, duplicates: {dupes!r}")

@@ -7,7 +7,7 @@ score:
 
 Below the threshold ``delta`` nothing is suppressed; above it, the Bernoulli
 masking probability climbs linearly and reaches 1 at full certainty.  Masking
-itself pushes the trigger logits to a large negative value, which drives their
+itself sets the trigger logits to a large negative value, which drives their
 post-softmax probability to zero while leaving the relative probabilities of
 all other tokens untouched.
 """
@@ -22,25 +22,21 @@ import numpy as np
 from .certainty import CertaintyScore
 from .rng import decision_uniform
 
-#: Default logit value written into masked positions.
+#: Logit value written into masked positions.
 MASK_NEG_VALUE = -1e9
 
 
 @dataclass(frozen=True)
 class SuppressionState:
-    """Current suppression probability plus the RNG bookkeeping behind it.
+    """Current suppression probability and the ramp threshold behind it.
 
-    ``p`` is 0 until a probe has produced a certainty score (``fixed`` marks
-    the ablation mode where ``p`` is pinned externally and no certainty is
-    ever attached).  ``rng_stream_position`` advances by one per Bernoulli
-    draw, so a state plus its seed replays identically.
+    ``p`` is 0 until a probe has produced a certainty score; ``fixed`` marks
+    the ablation mode where ``p`` is pinned externally and probes never move
+    it.  The state changes only at checkpoints, never per step.
     """
 
     p: float
     delta: float
-    last_certainty: CertaintyScore | None = None
-    rng_seed: int = 0
-    rng_stream_position: int = 0
     fixed: bool = False
 
     def __post_init__(self) -> None:
@@ -48,17 +44,13 @@ class SuppressionState:
             raise ValueError(f"suppression probability must lie in [0, 1], got {self.p}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.rng_stream_position < 0:
-            raise ValueError("rng_stream_position must be nonnegative")
-        if self.last_certainty is None and not self.fixed and self.p != 0.0:
-            raise ValueError("p must be 0 until a certainty score is observed")
 
 
-def initial_state(delta: float, seed: int, fixed_p: float | None = None) -> SuppressionState:
+def initial_state(delta: float, fixed_p: float | None = None) -> SuppressionState:
     """State at the start of a run: p = 0, or pinned to ``fixed_p`` for ablations."""
     if fixed_p is not None:
-        return SuppressionState(p=fixed_p, delta=delta, rng_seed=seed, fixed=True)
-    return SuppressionState(p=0.0, delta=delta, rng_seed=seed)
+        return SuppressionState(p=fixed_p, delta=delta, fixed=True)
+    return SuppressionState(p=0.0, delta=delta)
 
 
 def suppression_probability(certainty: float, delta: float) -> float:
@@ -79,32 +71,21 @@ def update_state(state: SuppressionState, certainty: CertaintyScore) -> Suppress
     """Fold a fresh probe result into the state (certainty-guided mode only)."""
     if state.fixed:
         return state
-    return replace(
-        state,
-        p=suppression_probability(certainty.value, state.delta),
-        last_certainty=certainty,
-    )
+    return replace(state, p=suppression_probability(certainty.value, state.delta))
 
 
-def should_suppress(state: SuppressionState) -> tuple[bool, SuppressionState]:
-    """Draw the per-step Bernoulli suppression decision.
+def should_suppress(state: SuppressionState, seed: int, step: int) -> bool:
+    """The Bernoulli suppression decision for one decode step.
 
-    The draw is a pure function of (rng_seed, rng_stream_position, p): the
-    counter-based stream guarantees the identical decision on replay, and the
-    returned state has its stream position advanced by one.
+    A pure function of (seed, step, p): the counter-based stream gives every
+    step its own uniform, so any step's decision can be drawn in any order
+    and replays identically.
     """
-    u = decision_uniform(state.rng_seed, state.rng_stream_position)
-    decision = u < state.p
-    return decision, replace(state, rng_stream_position=state.rng_stream_position + 1)
+    return decision_uniform(seed, step) < state.p
 
 
-def mask_triggers(
-    logits: np.ndarray,
-    triggers: Iterable[int],
-    neg_value: float = MASK_NEG_VALUE,
-    allow_full_mask: bool = False,
-) -> np.ndarray:
-    """Return a copy of ``logits`` with trigger positions forced to ``neg_value``.
+def mask_triggers(logits: np.ndarray, triggers: Iterable[int]) -> np.ndarray:
+    """Return a copy of ``logits`` with trigger positions set to ``MASK_NEG_VALUE``.
 
     Non-trigger entries are bit-identical to the input, so post-softmax the
     unmasked tokens keep their exact relative probabilities while every masked
@@ -112,7 +93,7 @@ def mask_triggers(
 
     Raises:
         ValueError: non-finite logits, a trigger id out of range, or a mask
-            covering the whole vocabulary (unless ``allow_full_mask``).
+            covering the whole vocabulary.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size == 0:
@@ -123,8 +104,8 @@ def mask_triggers(
     for t in trigger_ids:
         if not 0 <= t < logits.size:
             raise ValueError(f"trigger id {t} out of range for vocabulary of {logits.size}")
-    if len(trigger_ids) == logits.size and not allow_full_mask:
+    if len(trigger_ids) == logits.size:
         raise ValueError("mask would cover the entire vocabulary")
     masked = logits.copy()
-    masked[trigger_ids] = neg_value
+    masked[trigger_ids] = MASK_NEG_VALUE
     return masked

@@ -10,7 +10,6 @@ import pytest
 
 from cgrs.backend import (
     LOGIT_BIAS_BAN,
-    BackendCapabilities,
     BackendError,
     EmissionRule,
     RemoteBackend,
@@ -18,7 +17,7 @@ from cgrs.backend import (
     ToyBackend,
     ToyModelSpec,
     UnsupportedOperationError,
-    apply_remote_suppression,
+    ban_bias,
     overthinking_spec,
     reconstruct_distribution,
 )
@@ -272,26 +271,13 @@ class TestReconstructDistribution:
 
 
 class TestApplyRemoteSuppression:
-    def test_bans_every_trigger(self, overthinking_backend, overthinking_triggers):
-        request = {"prompt": "x", "max_tokens": 1}
-        out = apply_remote_suppression(request, overthinking_triggers)
+    """The wire ban map the session sends on masked remote steps."""
+
+    def test_bans_every_trigger(self, overthinking_triggers):
+        bias = ban_bias(overthinking_triggers.token_ids)
+        assert set(bias) == set(overthinking_triggers.token_ids)
         for token_id in overthinking_triggers.token_ids:
-            assert out["logit_bias"][str(token_id)] == LOGIT_BIAS_BAN == -100.0
-
-    def test_original_request_untouched(self):
-        request = {"prompt": "x"}
-        apply_remote_suppression(request, {1, 2})
-        assert "logit_bias" not in request
-
-    def test_merges_existing_bias(self):
-        request = {"logit_bias": {"9": 5.0}}
-        out = apply_remote_suppression(request, {1})
-        assert out["logit_bias"] == {"9": 5.0, "1": -100.0}
-
-    def test_capability_gate(self):
-        caps = BackendCapabilities(full_distribution=False, logit_bias=False)
-        with pytest.raises(UnsupportedOperationError):
-            apply_remote_suppression({}, {1}, capabilities=caps)
+            assert bias[token_id] == LOGIT_BIAS_BAN == -100.0
 
 
 class TestRemoteBackend:
@@ -337,7 +323,7 @@ class TestRemoteBackend:
             remote = RemoteBackend(vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>")
             triggers = build_trigger_set(["Wait"], toy.vocabulary)
             ctx = toy.vocabulary.encode("Solve 6*7. Let me compute. \n\n")
-            bias = remote.ban_bias(triggers)
+            bias = ban_bias(triggers.token_ids)
             for seed in range(30):
                 tok = remote.sample_token(ctx, temperature=1.0, top_p=1.0, seed=seed, logit_bias=bias)
                 assert toy.vocabulary.id_to_token[tok] == "So the answer: \\boxed"

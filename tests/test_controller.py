@@ -19,6 +19,7 @@ from cgrs.controller import (
     run_probe,
 )
 from cgrs.lexicon import TriggerTokenSet, build_trigger_set, default_trigger_words
+from cgrs.rng import decision_uniform
 
 from conftest import TOY_PROMPT
 from remote_stub import toy_completion_server
@@ -32,6 +33,22 @@ def toy_config(**overrides) -> GenerationConfig:
     base = dict(temperature=1.0, top_p=1.0, delta=0.9, max_tokens=200, seed=0)
     base.update(overrides)
     return GenerationConfig(**base)
+
+
+def think_spec() -> ToyModelSpec:
+    """Reflects inside a think block; a post-think Wait is forced once."""
+    return ToyModelSpec(
+        tokens=("<eos>", "Q", "</think>", "\n\n", "Wait", "done"),
+        eos_token="<eos>",
+        rules=(
+            EmissionRule("q", ("Q",), {"\n\n": 1.0}),
+            EmissionRule("loop", ("\n\n",), {"Wait": 0.4, "</think>": 0.6}),
+            EmissionRule("reflect", ("\n\n", "Wait"), {"\n\n": 1.0}),
+            EmissionRule("post", ("</think>",), {"Wait": 1.0}),
+            EmissionRule("post_wait", ("</think>", "Wait"), {"done": 1.0}),
+            EmissionRule("d", ("done",), {"<eos>": 1.0}),
+        ),
+    )
 
 
 class TestGenerationConfig:
@@ -296,6 +313,38 @@ class TestGenerationLoop:
         assert steps == list(range(len(steps)))
         assert len(steps) >= trace.token_count
 
+    @pytest.mark.parametrize(
+        "think, overrides",
+        [
+            (False, {"suppression_enabled": False}),
+            (False, {"fixed_p": 0.5}),
+            (False, {"fixed_p": 1.0}),
+            (False, {}),
+            (True, {"fixed_p": 0.5, "restrict_to_thinking": True}),
+            (True, {"fixed_p": 1.0, "restrict_to_thinking": True}),
+        ],
+        ids=["vanilla", "fixed-0.5", "fixed-1", "cgrs", "think-0.5", "think-1"],
+    )
+    def test_decisions_replay_from_seed_and_step(
+        self, think, overrides, overthinking_backend, overthinking_triggers
+    ):
+        # each decision is the seed's decision uniform at its step against the
+        # recorded p, and decision steps form a prefix 0..k-1 of the steps
+        backend, triggers, prompt = overthinking_backend, overthinking_triggers, TOY_PROMPT
+        if think:
+            backend = ToyBackend(think_spec())
+            triggers = build_trigger_set(["Wait"], backend.vocabulary)
+            prompt = "Q"
+        for seed in range(40):
+            cfg = toy_config(seed=seed, **overrides)
+            trace = generate(backend, prompt, cfg, triggers)
+            decisions = trace.suppression_decisions
+            assert [d.step for d in decisions] == list(range(len(decisions)))
+            for d in decisions:
+                assert d.r == (decision_uniform(seed, d.step) < d.p)
+            if not cfg.suppression_enabled:
+                assert decisions == []
+
     def test_truncation_by_max_tokens(self, overthinking_backend, overthinking_triggers):
         cfg = toy_config(max_tokens=3, suppression_enabled=False)
         trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
@@ -405,19 +454,7 @@ class TestGenerationLoop:
         assert trace.finish_reason == "eos"
 
     def test_restrict_to_thinking(self):
-        spec = ToyModelSpec(
-            tokens=("<eos>", "Q", "</think>", "\n\n", "Wait", "done"),
-            eos_token="<eos>",
-            rules=(
-                EmissionRule("q", ("Q",), {"\n\n": 1.0}),
-                EmissionRule("loop", ("\n\n",), {"Wait": 0.4, "</think>": 0.6}),
-                EmissionRule("reflect", ("\n\n", "Wait"), {"\n\n": 1.0}),
-                EmissionRule("post", ("</think>",), {"Wait": 1.0}),
-                EmissionRule("post_wait", ("</think>", "Wait"), {"done": 1.0}),
-                EmissionRule("d", ("done",), {"<eos>": 1.0}),
-            ),
-        )
-        backend = ToyBackend(spec)
+        backend = ToyBackend(think_spec())
         vocab = backend.vocabulary
         triggers = build_trigger_set(["Wait"], vocab)
         cfg = toy_config(fixed_p=1.0, restrict_to_thinking=True, seed=0)

@@ -67,6 +67,11 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="unique"):
             Vocabulary(["a", "b", "a"])
 
+    def test_empty_token_rejected(self):
+        # an empty surface would match at every offset and stall encode()
+        with pytest.raises(ValueError, match="token 1 is the empty string"):
+            Vocabulary(["a", "", "b"])
+
     def test_from_token_to_id_requires_dense_ids(self):
         with pytest.raises(ValueError, match="range"):
             Vocabulary.from_token_to_id({"a": 0, "b": 2})

@@ -94,72 +94,60 @@ def make_score(value: float, vocab_size: int = 11) -> CertaintyScore:
 
 class TestStateTransitions:
     def test_initial_state_p_zero(self):
-        st = initial_state(delta=0.9, seed=42)
+        st = initial_state(delta=0.9)
         assert st.p == 0.0
-        assert st.last_certainty is None
-        assert st.rng_stream_position == 0
         assert not st.fixed
 
     def test_update_applies_ramp(self):
-        st = initial_state(delta=0.9, seed=1)
+        st = initial_state(delta=0.9)
         st2 = update_state(st, make_score(0.95))
         assert abs(st2.p - 0.5) < 1e-12
-        assert st2.last_certainty.value == 0.95
         # original untouched (frozen value semantics)
         assert st.p == 0.0
 
     def test_fixed_state_ignores_updates(self):
-        st = initial_state(delta=0.9, seed=1, fixed_p=0.25)
+        st = initial_state(delta=0.9, fixed_p=0.25)
         assert st.fixed and st.p == 0.25
         st2 = update_state(st, make_score(1.0))
         assert st2.p == 0.25
 
-    def test_invariant_p_zero_before_first_certainty(self):
-        with pytest.raises(ValueError):
-            SuppressionState(
-                p=0.5,
-                delta=0.9,
-                last_certainty=None,
-                rng_seed=0,
-                rng_stream_position=0,
-                fixed=False,
-            )
+    def test_state_ranges_validated(self):
+        for p in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError):
+                SuppressionState(p=p, delta=0.9)
+        for delta in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                SuppressionState(p=0.0, delta=delta)
 
-    def test_should_suppress_advances_position(self):
-        st = initial_state(delta=0.9, seed=9, fixed_p=1.0)
-        fired, st2 = should_suppress(st)
-        assert fired
-        assert st2.rng_stream_position == 1
-        assert st.rng_stream_position == 0
+    def test_decisions_are_random_access(self):
+        st = initial_state(delta=0.9, fixed_p=0.5)
+        forward = [should_suppress(st, 9, step) for step in range(200)]
+        order = np.random.default_rng(3).permutation(200)
+        shuffled = {int(step): should_suppress(st, 9, int(step)) for step in order}
+        assert forward == [shuffled[step] for step in range(200)]
+        assert forward == [decision_uniform(9, step) < 0.5 for step in range(200)]
 
     def test_p_zero_never_fires(self):
-        st = initial_state(delta=0.9, seed=123)
-        for _ in range(100):
-            fired, st = should_suppress(st)
-            assert not fired
+        st = initial_state(delta=0.9)
+        for step in range(100):
+            assert not should_suppress(st, 123, step)
 
     def test_p_one_always_fires(self):
-        st = initial_state(delta=0.9, seed=123, fixed_p=1.0)
-        for _ in range(100):
-            fired, st = should_suppress(st)
-            assert fired
+        st = initial_state(delta=0.9, fixed_p=1.0)
+        for step in range(100):
+            assert should_suppress(st, 123, step)
 
     def test_empirical_rate_half(self):
-        st = initial_state(delta=0.9, seed=42, fixed_p=0.5)
-        fires = 0
+        st = initial_state(delta=0.9, fixed_p=0.5)
         n = 10_000
-        for _ in range(n):
-            fired, st = should_suppress(st)
-            fires += fired
+        fires = sum(should_suppress(st, 42, step) for step in range(n))
         assert abs(fires / n - 0.5) < 0.02
 
     def test_decisions_are_replayable(self):
-        st_a = initial_state(delta=0.9, seed=7, fixed_p=0.5)
-        st_b = initial_state(delta=0.9, seed=7, fixed_p=0.5)
-        for _ in range(50):
-            fa, st_a = should_suppress(st_a)
-            fb, st_b = should_suppress(st_b)
-            assert fa == fb
+        st_a = initial_state(delta=0.9, fixed_p=0.5)
+        st_b = initial_state(delta=0.9, fixed_p=0.5)
+        for step in range(50):
+            assert should_suppress(st_a, 7, step) == should_suppress(st_b, 7, step)
 
 
 class TestMaskTriggers:
@@ -176,7 +164,7 @@ class TestMaskTriggers:
             logits = rng.normal(size=n) * 10.0
             k = int(rng.integers(0, n))
             triggers = set(map(int, rng.choice(n, size=k, replace=False)))
-            masked = mask_triggers(logits, triggers, allow_full_mask=True)
+            masked = mask_triggers(logits, triggers)
             for i in range(n):
                 if i in triggers:
                     assert masked[i] == -1e9
@@ -223,8 +211,6 @@ class TestMaskTriggers:
         logits = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="mask"):
             mask_triggers(logits, {0, 1})
-        masked = mask_triggers(logits, {0, 1}, allow_full_mask=True)
-        assert list(masked) == [-1e9, -1e9]
 
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(ValueError):
