@@ -53,7 +53,6 @@ class BackendCapabilities:
 
     full_distribution: bool
     logit_bias: bool
-    top_k_logprobs: int | None = None
 
 
 class ModelBackend(abc.ABC):
@@ -224,14 +223,15 @@ class ToyBackend(ModelBackend):
         """Name of the rule that fires for this context (longest suffix wins)."""
         return self._match(context)[1]
 
+    def _tail(self, context: Sequence[int]) -> tuple[int, ...]:
+        """The last max_order tokens: everything a rule can match against."""
+        return tuple(context[-self._max_order:]) if self._max_order else ()
+
     def _match(self, context: Sequence[int]) -> tuple[np.ndarray, str]:
-        ctx = tuple(context)
+        tail = self._tail(context)
         for suffix, vec, name in self._rules:
-            if len(suffix) > len(ctx):
-                continue
-            if ctx[len(ctx) - len(suffix):] == suffix:
+            if len(suffix) <= len(tail) and tail[len(tail) - len(suffix):] == suffix:
                 return vec, name
-        tail = ctx[-self._max_order:] if self._max_order else ()
         raise BackendError(
             f"no emission rule matches context tail "
             f"{[self._vocab.id_to_token[i] for i in tail]!r}"
@@ -250,7 +250,7 @@ class ToyBackend(ModelBackend):
         eos = self.eos_token_id
         seen_tails: set[tuple[int, ...]] = set()
         fired: set[str] = set()
-        frontier = [tuple(ctx)[-self._max_order:] for ctx in seed_contexts]
+        frontier = [self._tail(ctx) for ctx in seed_contexts]
         while frontier:
             tail = frontier.pop()
             if tail in seen_tails:
@@ -264,7 +264,7 @@ class ToyBackend(ModelBackend):
             for token_id in np.flatnonzero(vec > 0):
                 if int(token_id) == eos:
                     continue
-                frontier.append((tail + (int(token_id),))[-self._max_order:])
+                frontier.append(self._tail(tail + (int(token_id),)))
         return fired
 
 
@@ -388,7 +388,6 @@ class RemoteBackend(ModelBackend):
         model: str | None = None,
         eos_token: str | None = None,
         top_k: int = 20,
-        logit_bias_supported: bool = True,
         timeout: float = 60.0,
         max_retries: int = 2,
         retry_backoff: float = 0.2,
@@ -402,7 +401,6 @@ class RemoteBackend(ModelBackend):
         self._vocab = vocab
         self._eos_id = vocab.token_to_id[eos_token] if eos_token else None
         self._top_k = top_k
-        self._logit_bias_supported = logit_bias_supported
         self._timeout = timeout
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff
@@ -417,11 +415,7 @@ class RemoteBackend(ModelBackend):
 
     @property
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            full_distribution=False,
-            logit_bias=self._logit_bias_supported,
-            top_k_logprobs=self._top_k,
-        )
+        return BackendCapabilities(full_distribution=False, logit_bias=True)
 
     @property
     def eos_token_id(self) -> int | None:
@@ -503,8 +497,6 @@ class RemoteBackend(ModelBackend):
             "seed": int(seed),
         }
         if logit_bias:
-            if not self._logit_bias_supported:
-                raise UnsupportedOperationError("backend does not support logit_bias")
             payload["logit_bias"] = {str(int(i)): float(b) for i, b in logit_bias.items()}
         choice = self._first_choice(self._post(payload))
         text = choice.get("text", "")

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .backend import ModelBackend, UnsupportedOperationError, ban_bias
+from .backend import ModelBackend, ban_bias
 from .certainty import CertaintyScore, TokenDistribution, certainty_score
 from .lexicon import TriggerTokenSet
 from .rng import derive_seed, sampling_uniform
@@ -33,11 +33,6 @@ from .suppression import (
     should_suppress,
     update_state,
 )
-
-#: Attempt budget of the reject-and-resample fallback when the backend cannot
-#: apply logit_bias server-side.
-SOFT_SUPPRESSION_ATTEMPTS = 8
-
 
 class ProbeEmptyError(RuntimeError):
     """The probe produced no answer tokens; the caller keeps the previous p."""
@@ -140,17 +135,18 @@ def detect_checkpoint(recent_text: str, marker: str) -> bool:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Outcome of probing the tentative final answer at a checkpoint."""
+    """Outcome of probing the tentative final answer at a checkpoint.
+
+    Only the answer and its certainty evidence are kept; the per-token
+    distributions are scored in run_probe and then dropped.
+    """
 
     answer_tokens: tuple[int, ...]
     answer_text: str
-    distributions: tuple[TokenDistribution, ...]
     certainty: CertaintyScore
     stop_reason: str  # "stop_string" | "max_tokens" | "eos"
 
     def __post_init__(self) -> None:
-        if len(self.distributions) != len(self.answer_tokens):
-            raise ValueError("one distribution per answer token required")
         if self.stop_reason not in ("stop_string", "max_tokens", "eos"):
             raise ValueError(f"unknown stop_reason: {self.stop_reason!r}")
 
@@ -158,7 +154,6 @@ class ProbeResult:
         return {
             "answer_tokens": list(self.answer_tokens),
             "answer_text": self.answer_text,
-            "distributions": [d.probs.tolist() for d in self.distributions],
             "certainty": {
                 "value": self.certainty.value,
                 "mean_entropy": self.certainty.mean_entropy,
@@ -190,22 +185,6 @@ class SuppressionDecision:
         return {"step": self.step, "r": self.r, "p": self.p}
 
 
-@dataclass(frozen=True)
-class SoftSuppressionEvent:
-    """Reject-and-resample fallback record (remote logit_bias unavailable)."""
-
-    step: int
-    attempts: int
-    accepted_trigger: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "attempts": self.attempts,
-            "accepted_trigger": self.accepted_trigger,
-        }
-
-
 @dataclass
 class DecodeTrace:
     """Full record of one generation."""
@@ -219,7 +198,6 @@ class DecodeTrace:
     config: GenerationConfig
     truncated: bool
     finish_reason: str  # "eos" | "length"
-    soft_suppression_events: list[SoftSuppressionEvent] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -228,7 +206,6 @@ class DecodeTrace:
             "text": self.text,
             "checkpoint_events": [e.to_json_dict() for e in self.checkpoint_events],
             "suppression_decisions": [d.to_json_dict() for d in self.suppression_decisions],
-            "soft_suppression_events": [e.to_json_dict() for e in self.soft_suppression_events],
             "token_count": self.token_count,
             "truncated": self.truncated,
             "finish_reason": self.finish_reason,
@@ -288,7 +265,6 @@ def run_probe(
     return ProbeResult(
         answer_tokens=tuple(answer_tokens),
         answer_text=answer_text,
-        distributions=tuple(distributions),
         certainty=score,
         stop_reason=stop_reason,
     )
@@ -326,7 +302,6 @@ class GenerationSession:
         self._last_probe_step: int | None = None
         self.checkpoint_events: list[CheckpointEvent] = []
         self.suppression_decisions: list[SuppressionDecision] = []
-        self.soft_suppression_events: list[SoftSuppressionEvent] = []
         self.finished = False
         self.finish_reason = "length"
 
@@ -368,38 +343,13 @@ class GenerationSession:
 
     def _sample_remote(self, masked: bool, step: int) -> int | None:
         cfg = self.config
-        try:
-            return self.backend.sample_token(
-                self._ctx,
-                cfg.temperature,
-                cfg.top_p,
-                derive_seed(cfg.seed, step * 16),
-                logit_bias=self._ban if masked else None,
-            )
-        except UnsupportedOperationError:
-            if not masked:
-                raise
-        # soft suppression: resample rejecting triggers, then accept
-        token: int | None = None
-        attempts = 0
-        for attempt in range(SOFT_SUPPRESSION_ATTEMPTS):
-            attempts = attempt + 1
-            token = self.backend.sample_token(
-                self._ctx,
-                cfg.temperature,
-                cfg.top_p,
-                derive_seed(cfg.seed, step * 16 + attempt),
-            )
-            if token is None or token not in self.triggers:
-                break
-        self.soft_suppression_events.append(
-            SoftSuppressionEvent(
-                step=step,
-                attempts=attempts,
-                accepted_trigger=token is not None and token in self.triggers,
-            )
+        return self.backend.sample_token(
+            self._ctx,
+            cfg.temperature,
+            cfg.top_p,
+            derive_seed(cfg.seed, step * 16),
+            logit_bias=self._ban if masked else None,
         )
-        return token
 
     def next_token(self) -> int | None:
         """Advance one step; returns the sampled token id, or None at EOS."""
@@ -459,7 +409,6 @@ class GenerationSession:
             text="".join(self._pieces),
             checkpoint_events=list(self.checkpoint_events),
             suppression_decisions=list(self.suppression_decisions),
-            soft_suppression_events=list(self.soft_suppression_events),
             token_count=len(self._tokens),
             config=self.config,
             truncated=truncated,

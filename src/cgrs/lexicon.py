@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -60,13 +61,13 @@ class Vocabulary:
         if "" in tokens:
             # an empty surface matches everywhere and never advances encode()
             raise ValueError(f"vocabulary token {list(tokens).index('')} is the empty string")
-        if len(set(tokens)) != len(tokens):
-            dupes = sorted({t for t in tokens if list(tokens).count(t) > 1})
+        counts = Counter(tokens)
+        if len(counts) != len(tokens):
+            dupes = sorted(t for t, n in counts.items() if n > 1)
             raise ValueError(f"vocabulary tokens must be unique, duplicates: {dupes!r}")
         self._id_to_token: tuple[str, ...] = tuple(tokens)
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(tokens)}
-        # longest first so encode() prefers the longest matching surface
-        self._by_length: list[str] = sorted(tokens, key=len, reverse=True)
+        self._max_len: int = max(map(len, tokens), default=0)
 
     @classmethod
     def from_token_to_id(cls, mapping: Mapping[str, int]) -> "Vocabulary":
@@ -121,10 +122,12 @@ class Vocabulary:
         out: list[int] = []
         pos = 0
         while pos < len(text):
-            for tok in self._by_length:
-                if text.startswith(tok, pos):
-                    out.append(self._token_to_id[tok])
-                    pos += len(tok)
+            # longest candidate surface first, one dict probe per length
+            for length in range(min(self._max_len, len(text) - pos), 0, -1):
+                token_id = self._token_to_id.get(text[pos:pos + length])
+                if token_id is not None:
+                    out.append(token_id)
+                    pos += length
                     break
             else:
                 raise ValueError(

@@ -108,6 +108,24 @@ class TestToyBackend:
         forked.append(0)
         assert base == [1, 2]
 
+    def test_sample_token_unsupported(self):
+        # in-engine sampling backends inherit the raising default
+        with pytest.raises(UnsupportedOperationError):
+            ToyBackend(tiny_spec()).sample_token([1], 1.0, 1.0, seed=0)
+
+    def test_order_zero_model(self, deadline):
+        # an empty suffix ignores the context, so the tail state is always ()
+        spec = ToyModelSpec(
+            tokens=("<eos>", "a", "b"),
+            eos_token="<eos>",
+            rules=(EmissionRule("any", (), {"a": 0.5, "b": 0.25, "<eos>": 0.25}),),
+        )
+        backend = ToyBackend(spec)
+        assert backend.max_order == 0
+        assert backend.match_rule([1, 2, 1]) == "any"
+        with deadline(2):
+            assert backend.reachable_rule_names([[1, 2, 1], []]) == {"any"}
+
     def test_eos_must_be_in_vocab(self):
         with pytest.raises(ValueError, match="eos"):
             ToyBackend(
@@ -303,7 +321,6 @@ class TestRemoteBackend:
             caps = remote.capabilities
             assert not caps.full_distribution
             assert caps.logit_bias
-            assert caps.top_k_logprobs == 7
 
     def test_sample_token_greedy(self):
         with toy_completion_server(overthinking_spec()) as (base_url, toy):
@@ -336,17 +353,6 @@ class TestRemoteBackend:
             b = [remote.sample_token(ctx, 1.0, 1.0, seed=s) for s in range(10)]
             assert a == b
             assert len(set(a)) > 1  # seed actually steers the draw
-
-    def test_logit_bias_unsupported_raises(self):
-        with toy_completion_server(overthinking_spec()) as (base_url, toy):
-            remote = RemoteBackend(
-                vocab=toy.vocabulary,
-                base_url=base_url,
-                eos_token="<eos>",
-                logit_bias_supported=False,
-            )
-            with pytest.raises(UnsupportedOperationError):
-                remote.sample_token([8], 1.0, 1.0, seed=0, logit_bias={3: -100.0})
 
     def test_transient_500_retried(self):
         with toy_completion_server(overthinking_spec(), fail_first=1) as (base_url, toy):

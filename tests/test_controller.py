@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestRunProbe:
         probe = run_probe(overthinking_backend, ctx, cfg)
         assert probe.answer_text == "{42"
         assert probe.stop_reason == "stop_string"
-        assert len(probe.distributions) == len(probe.answer_tokens) == 2
+        assert probe.certainty.n_tokens == len(probe.answer_tokens) == 2
         assert abs(probe.certainty.value - PROBE_CERTAINTY) < 1e-12
 
     def test_probe_leaves_context_untouched(self, overthinking_backend):
@@ -219,6 +220,19 @@ class TestRunProbe:
         cfg = toy_config(probe_prompt="P", probe_stop_strings=("}",))
         with pytest.raises(ProbeEmptyError):
             run_probe(backend, backend.vocabulary.encode("Q"), cfg)
+
+    def test_probe_record_does_not_grow_with_vocab(self):
+        # same rules plus 50,000 unused filler tokens: a probe record holds
+        # its answer and certainty evidence, whose size does not depend on V
+        spec = overthinking_spec()
+        fillers = tuple(f"<filler {i}>" for i in range(50_000))
+        backend = ToyBackend(dataclasses.replace(spec, tokens=spec.tokens + fillers))
+        triggers = build_trigger_set(default_trigger_words(), backend.vocabulary)
+        trace = generate(backend, TOY_PROMPT, toy_config(seed=0), triggers)
+        assert trace.checkpoint_events
+        for event in trace.checkpoint_events:
+            assert event.probe.certainty.vocab_size == 50_011
+            assert len(json.dumps(event.probe.to_json_dict())) < 1024
 
 
 class TestGenerationLoop:
@@ -377,7 +391,6 @@ class TestGenerationLoop:
             "text",
             "checkpoint_events",
             "suppression_decisions",
-            "soft_suppression_events",
             "token_count",
             "truncated",
             "finish_reason",
@@ -491,26 +504,6 @@ class TestRemoteGeneration:
                     remote, TOY_PROMPT, toy_config(fixed_p=1.0, seed=seed), overthinking_triggers
                 )
                 assert wait_id not in trace.tokens
-                assert trace.soft_suppression_events == []
-
-    def test_remote_soft_suppression_fallback(self, overthinking_triggers):
-        with toy_completion_server(overthinking_spec()) as (base_url, toy):
-            remote = RemoteBackend(
-                vocab=toy.vocabulary,
-                base_url=base_url,
-                eos_token="<eos>",
-                logit_bias_supported=False,
-            )
-            wait_id = toy.vocabulary.token_to_id["Wait"]
-            trace = generate(
-                remote, TOY_PROMPT, toy_config(fixed_p=1.0, seed=7), overthinking_triggers
-            )
-            assert trace.soft_suppression_events  # fallback actually engaged
-            accepted = sum(e.accepted_trigger for e in trace.soft_suppression_events)
-            assert sum(t == wait_id for t in trace.tokens) == accepted
-            assert all(
-                1 <= e.attempts <= 8 for e in trace.soft_suppression_events
-            )
 
     def test_remote_run_deterministic(self, overthinking_triggers):
         with toy_completion_server(overthinking_spec()) as (base_url, toy):

@@ -56,6 +56,23 @@ class TestExpandVariants:
             expand_variants(bad)
 
 
+def scan_encode(tokens: list[str], text: str) -> list[int]:
+    """Oracle: the former encoder, which scans every token longest-first."""
+    by_length = sorted(tokens, key=len, reverse=True)
+    ids = {t: i for i, t in enumerate(tokens)}
+    out: list[int] = []
+    pos = 0
+    while pos < len(text):
+        for tok in by_length:
+            if text.startswith(tok, pos):
+                out.append(ids[tok])
+                pos += len(tok)
+                break
+        else:
+            raise ValueError(f"text not encodable at offset {pos}: {text[pos:pos + 20]!r}")
+    return out
+
+
 class TestVocabulary:
     def test_bijection(self):
         vocab = Vocabulary(["a", "b", "c"])
@@ -66,6 +83,12 @@ class TestVocabulary:
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             Vocabulary(["a", "b", "a"])
+
+    def test_duplicate_named_in_large_vocabulary(self, deadline):
+        tokens = [f"t{i}" for i in range(20_000)] + ["t1234"]
+        with deadline(5), pytest.raises(ValueError) as exc:
+            Vocabulary(tokens)
+        assert str(exc.value).endswith("duplicates: ['t1234']")
 
     def test_empty_token_rejected(self):
         # an empty surface would match at every offset and stall encode()
@@ -87,6 +110,36 @@ class TestVocabulary:
         vocab = Vocabulary(["a"])
         with pytest.raises(ValueError, match="offset"):
             vocab.encode("ax")
+
+    def test_encode_matches_scan_oracle(self):
+        # short surfaces over a 3-letter alphabet overlap heavily as prefixes;
+        # "d" is never a token, so texts containing it cannot be encoded
+        rng = random.Random(23)
+        encoded = failed = 0
+        for _ in range(150):
+            surfaces = {
+                "".join(rng.choice("abc") for _ in range(rng.randint(1, 5)))
+                for _ in range(rng.randint(1, 30))
+            }
+            tokens = rng.sample(sorted(surfaces), len(surfaces))
+            vocab = Vocabulary(tokens)
+            for _ in range(10):
+                pieces = [
+                    rng.choice(tokens) if rng.random() < 0.9 else rng.choice("abcd")
+                    for _ in range(rng.randint(0, 12))
+                ]
+                text = "".join(pieces)
+                try:
+                    expected = scan_encode(tokens, text)
+                except ValueError as oracle_exc:
+                    with pytest.raises(ValueError) as exc:
+                        vocab.encode(text)
+                    assert str(exc.value) == str(oracle_exc)
+                    failed += 1
+                else:
+                    assert vocab.encode(text) == expected
+                    encoded += 1
+        assert encoded > 500 and failed > 200
 
     def test_from_json_file_formats(self, tmp_path):
         p1 = tmp_path / "list.json"
