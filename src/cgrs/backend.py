@@ -18,6 +18,7 @@ from __future__ import annotations
 import abc
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -377,7 +378,8 @@ class RemoteBackend(ModelBackend):
     The server does the sampling; this client reconstructs distributions from
     returned top-k log-probs for certainty probes and passes ``logit_bias``
     through for trigger masking.  A vocabulary file for the served tokenizer
-    must be supplied so surfaces map onto stable ids.
+    must be supplied so surfaces map onto stable ids.  Each calling thread
+    gets its own HTTP session, so one client may serve a parallel benchmark.
     """
 
     def __init__(
@@ -406,8 +408,16 @@ class RemoteBackend(ModelBackend):
         self._retry_backoff = retry_backoff
         import requests  # local import keeps toy-only use dependency-light
 
-        self._session = requests.Session()
         self._requests = requests
+        self._local = threading.local()
+
+    @property
+    def _session(self):
+        """This thread's HTTP session; ``requests.Session`` is not thread-safe."""
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = self._requests.Session()
+        return session
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -446,14 +456,22 @@ class RemoteBackend(ModelBackend):
                 continue
             if resp.status_code != 200:
                 raise BackendError(f"request failed ({resp.status_code}): {resp.text[:200]}")
-            return resp.json()
+            try:
+                return resp.json()
+            except ValueError as exc:
+                raise BackendError(
+                    f"malformed completion response: body is not JSON: {resp.text[:200]!r}"
+                ) from exc
         raise RetryableBackendError(f"transport failure after retries: {last_exc}")
 
     def _first_choice(self, data: dict) -> dict:
         try:
-            return data["choices"][0]
-        except (KeyError, IndexError) as exc:
+            choice = data["choices"][0]
+        except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {data!r:.200}") from exc
+        if not isinstance(choice, Mapping):
+            raise BackendError(f"malformed completion response: choice {choice!r:.200}")
+        return choice
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
         """One-step distribution, reconstructed from top-k log-probs.
@@ -469,17 +487,23 @@ class RemoteBackend(ModelBackend):
             "logprobs": self._top_k,
         }
         choice = self._first_choice(self._post(payload))
-        logprobs = (choice.get("logprobs") or {}).get("top_logprobs") or []
-        if not logprobs:
-            raise BackendError("response carries no top_logprobs")
+        try:
+            top = choice["logprobs"]["top_logprobs"][0]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BackendError("response carries no top_logprobs") from exc
+        if not isinstance(top, Mapping):
+            raise BackendError(f"malformed completion response: top_logprobs entry {top!r:.200}")
         by_id: dict[int, float] = {}
-        for surface, lp in logprobs[0].items():
-            token_id = self._vocab.token_to_id.get(surface)
-            if token_id is not None:
-                by_id[token_id] = float(lp)
-        if not by_id:
-            raise BackendError("no top-k surface maps into the configured vocabulary")
-        return reconstruct_distribution(by_id, self._vocab.size)
+        try:
+            for surface, lp in top.items():
+                token_id = self._vocab.token_to_id.get(surface)
+                if token_id is not None:
+                    by_id[token_id] = float(lp)
+            if not by_id:
+                raise BackendError("no top-k surface maps into the configured vocabulary")
+            return reconstruct_distribution(by_id, self._vocab.size)
+        except (TypeError, ValueError) as exc:
+            raise BackendError(f"malformed completion response: {exc}") from exc
 
     def sample_token(
         self,

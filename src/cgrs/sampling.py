@@ -13,6 +13,9 @@ import numpy as np
 #: probability vector to logits; exp() of it underflows to exactly 0.
 LOG_ZERO = -1e30
 
+#: Head size of the first partial selection in :func:`nucleus_filter`.
+_HEAD_START = 64
+
 
 def distribution_to_logits(probs: np.ndarray) -> np.ndarray:
     """Log-probabilities with zero entries floored to a huge negative value."""
@@ -37,15 +40,32 @@ def nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
     Tokens are ranked by probability (stable order on ties, so lower ids win);
     the token that crosses the threshold is kept.  Returns a renormalized
     vector.
+
+    The ranking never sorts the whole vocabulary.  A partial selection finds
+    the k-th largest probability; the head is every positive entry at or above
+    it, so ties with the pivot all enter and the head is an exact prefix of
+    the full stable ranking.  Only the head is sorted.  While its mass stays
+    below ``top_p`` the head grows fourfold.  ``np.cumsum`` adds left to right,
+    so the head's prefix sums, the cutoff and the returned vector equal those
+    of a full stable sort, bit for bit.
     """
     if not 0.0 < top_p <= 1.0:
         raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
     if top_p == 1.0:
         return probs
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
+    n = probs.size
+    k = min(_HEAD_START, n)
+    while True:
+        pivot = np.partition(probs, n - k)[n - k]
+        head = np.flatnonzero(probs >= pivot) if pivot > 0.0 else np.flatnonzero(probs > 0.0)
+        head = head[np.argsort(-probs[head], kind="stable")]
+        csum = np.cumsum(probs[head])
+        # a zero pivot means the head already holds every positive entry
+        if pivot <= 0.0 or k == n or csum[-1] >= top_p:
+            break
+        k = min(4 * k, n)
     cutoff = int(np.searchsorted(csum, top_p, side="left"))
-    keep = order[: cutoff + 1]
+    keep = head[: cutoff + 1]
     out = np.zeros_like(probs)
     out[keep] = probs[keep]
     return out / out.sum()

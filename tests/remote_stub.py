@@ -6,6 +6,11 @@ wire-format behavior is testable without a real endpoint.  ``logit_bias``
 adds to the model logits before sampling, matching server conventions where
 -100 effectively bans a token; ``top_logprobs`` report the post-bias model
 distribution.
+
+Fault injection: the first ``fail_first`` requests get the ``fault`` instead
+of a normal reply.  ``"http_500"`` answers with a server error,
+``"non_json"`` with a 200 whose body is not JSON, and ``"multi_token"`` with a
+completion that ignores ``max_tokens`` and returns one token more than asked.
 """
 
 from __future__ import annotations
@@ -79,8 +84,12 @@ def _serve_completion(backend: ToyBackend, payload: dict) -> dict:
     return {"object": "text_completion", "choices": [choice]}
 
 
-def _make_handler(backend: ToyBackend, fail_first: int = 0):
+FAULTS = ("http_500", "non_json", "multi_token")
+
+
+def _make_handler(backend: ToyBackend, fail_first: int, fault: str):
     state = {"failures_left": fail_first}
+    lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):  # keep test output clean
@@ -90,15 +99,24 @@ def _make_handler(backend: ToyBackend, fail_first: int = 0):
             if self.path != "/v1/completions":
                 self.send_error(404)
                 return
-            if state["failures_left"] > 0:
-                state["failures_left"] -= 1
+            with lock:
+                faulty = state["failures_left"] > 0
+                if faulty:
+                    state["failures_left"] -= 1
+            if faulty and fault == "http_500":
                 self.send_error(500, "transient failure")
                 return
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length))
-            body = json.dumps(_serve_completion(backend, payload)).encode()
+            if faulty and fault == "multi_token":
+                payload["max_tokens"] = int(payload.get("max_tokens", 16)) + 1
+            if faulty and fault == "non_json":
+                body, content_type = b"<html>502 Bad Gateway</html>", "text/html"
+            else:
+                body = json.dumps(_serve_completion(backend, payload)).encode()
+                content_type = "application/json"
             self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
@@ -107,10 +125,12 @@ def _make_handler(backend: ToyBackend, fail_first: int = 0):
 
 
 @contextmanager
-def toy_completion_server(spec: ToyModelSpec, fail_first: int = 0):
+def toy_completion_server(spec: ToyModelSpec, fail_first: int = 0, fault: str = "http_500"):
     """Yield (base_url, toy_backend) for a live stub server."""
+    if fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; expected one of {FAULTS}")
     backend = ToyBackend(spec)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(backend, fail_first))
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(backend, fail_first, fault))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

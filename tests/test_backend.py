@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -378,6 +381,73 @@ class TestRemoteBackend:
             )
             with pytest.raises(RetryableBackendError):
                 remote.next_distribution(toy.vocabulary.encode("Solve 6*7. "))
+
+    def test_non_json_body_is_a_backend_error(self):
+        with toy_completion_server(overthinking_spec(), fail_first=2, fault="non_json") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>")
+            ctx = toy.vocabulary.encode("Solve 6*7. ")
+            with pytest.raises(BackendError, match="malformed completion response") as err:
+                remote.next_distribution(ctx)
+            assert not isinstance(err.value, RetryableBackendError)
+            with pytest.raises(BackendError, match="body is not JSON"):
+                remote.sample_token(ctx, temperature=0.0, top_p=1.0, seed=0)
+            # the fault was not sticky: the next reply parses again
+            tok = remote.sample_token(ctx, temperature=0.0, top_p=1.0, seed=0)
+            assert toy.vocabulary.id_to_token[tok] == "Let me compute. "
+
+    @pytest.mark.parametrize(
+        "logprobs, message",
+        [
+            ({"top_logprobs": [["Wait", -0.1]]}, "malformed completion response: top_logprobs"),
+            ({"top_logprobs": [{"Wait": "x"}]}, "malformed completion response"),
+            ({"top_logprobs": [{"Wait": 0.0, "<eos>": 0.0}]}, "sum to 2.0"),
+            ({"top_logprobs": []}, "no top_logprobs"),
+            ([{"Wait": -0.1}], "no top_logprobs"),
+            (None, "no top_logprobs"),
+        ],
+    )
+    def test_malformed_top_logprobs(self, monkeypatch, logprobs, message):
+        remote = RemoteBackend(vocab=Vocabulary(["<eos>", "Wait"]), base_url="http://unused")
+        reply = {"choices": [{"text": "Wait", "logprobs": logprobs}]}
+        monkeypatch.setattr(remote, "_post", lambda payload: reply)
+        with pytest.raises(BackendError, match=message):
+            remote.next_distribution([1])
+
+    @pytest.mark.parametrize("data", [[], {"choices": "x"}, {"choices": [None]}])
+    def test_malformed_choices_are_backend_errors(self, monkeypatch, data):
+        remote = RemoteBackend(vocab=Vocabulary(["<eos>", "Wait"]), base_url="http://unused")
+        monkeypatch.setattr(remote, "_post", lambda payload: data)
+        with pytest.raises(BackendError, match="malformed completion response"):
+            remote.sample_token([1], temperature=1.0, top_p=1.0, seed=0)
+
+    def test_multi_token_text_names_the_surface(self):
+        with toy_completion_server(overthinking_spec(), fail_first=1, fault="multi_token") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>")
+            ctx = toy.vocabulary.encode("Solve 6*7. ")
+            surface = repr("Let me compute. \n\n")
+            with pytest.raises(BackendError, match=f"not in vocabulary: {re.escape(surface)}"):
+                remote.sample_token(ctx, temperature=0.0, top_p=1.0, seed=0)
+
+    def test_each_thread_gets_its_own_session(self):
+        remote = RemoteBackend(vocab=Vocabulary(["<eos>"]), base_url="http://unused")
+        here = remote._session
+        assert remote._session is here  # reused within a thread
+        barrier = threading.Barrier(4)
+
+        def grab(_):
+            barrier.wait(timeout=10)  # four threads at once, none reused
+            return remote._session
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            sessions = list(pool.map(grab, range(4)))
+        assert len({id(s) for s in sessions}) == 4
+        assert all(s is not here for s in sessions)
 
     def test_env_configuration(self, monkeypatch):
         with toy_completion_server(overthinking_spec()) as (base_url, toy):

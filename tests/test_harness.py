@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
 import pytest
 
@@ -23,7 +24,10 @@ from cgrs.harness import (
     write_reports,
 )
 
+from cgrs.backend import RemoteBackend, overthinking_spec
+
 from conftest import TOY_PROMPT
+from remote_stub import toy_completion_server
 
 
 def write_jsonl(path, records):
@@ -322,6 +326,35 @@ class TestRunBenchmark:
         report = reports["vanilla"]
         assert report.backend_failures == 1
         assert report.length_distribution[1] == 0
+
+    def test_malformed_remote_reply_counted_as_backend_failure(self, toy_problems):
+        with toy_completion_server(overthinking_spec(), fail_first=1, fault="non_json") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>")
+            reports = self.run(remote, toy_problems, modes=[ModeSpec("vanilla")], seeds=[0])
+        report = reports["vanilla"]
+        assert report.backend_failures == 1
+        assert report.length_distribution[0] == 0
+        assert report.accuracy == pytest.approx(200.0 / 3)
+
+    def test_remote_parallel_equals_serial(self, toy_problems):
+        with toy_completion_server(overthinking_spec()) as (base_url, toy):
+            remote = RemoteBackend(
+                vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>", top_k=11
+            )
+            serial = self.run(remote, toy_problems, seeds=(0, 1))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # more thread switches inside each request
+            try:
+                parallel = self.run(remote, toy_problems, seeds=(0, 1), parallelism=4)
+            finally:
+                sys.setswitchinterval(interval)
+        assert serial["vanilla"].backend_failures == 0
+        assert {k: v.to_json_dict() for k, v in serial.items()} == {
+            k: v.to_json_dict() for k, v in parallel.items()
+        }
 
     def test_duplicate_mode_labels_rejected(self, overthinking_backend, toy_problems):
         with pytest.raises(ValueError, match="duplicate"):
