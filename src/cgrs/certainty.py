@@ -42,9 +42,11 @@ class TokenDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite and nonnegative")
+        # a NaN or negative entry fails the min test; +inf or an overflow, the sum
+        lo = probs.min()
         total = float(probs.sum())
+        if not (lo >= 0.0 and np.isfinite(total)):
+            raise ValueError("probs must be finite and nonnegative, with a finite sum")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probs must sum to 1 within {NORMALIZATION_ATOL}, got {total}")
         if self.truncated:

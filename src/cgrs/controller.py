@@ -25,14 +25,12 @@ from .backend import ModelBackend, ban_bias
 from .certainty import CertaintyScore, TokenDistribution, certainty_score
 from .lexicon import TriggerTokenSet
 from .rng import derive_seed, sampling_uniform
-from .sampling import distribution_to_logits, sample_from_logits
-from .suppression import (
-    SuppressionState,
-    initial_state,
-    mask_triggers,
-    should_suppress,
-    update_state,
-)
+from .sampling import sample_from_probs
+from .suppression import SuppressionState, initial_state, should_suppress, update_state
+
+# Unused; perfbench test_traced_run_restores_every_wrapped_attribute needs them (ROADMAP item 1).
+from .sampling import distribution_to_logits, sample_from_logits  # noqa: F401
+from .suppression import mask_triggers  # noqa: F401
 
 class ProbeEmptyError(RuntimeError):
     """The probe produced no answer tokens; the caller keeps the previous p."""
@@ -282,11 +280,15 @@ class GenerationSession:
     ):
         self.backend = backend
         self.config = config
-        self.triggers = triggers
         vocab = backend.vocabulary
         for token_id in triggers.token_ids:
             if not 0 <= token_id < vocab.size:
                 raise ValueError(f"trigger id {token_id} outside vocabulary of {vocab.size}")
+        if len(triggers.token_ids) == vocab.size:
+            raise ValueError(
+                f"trigger set covers the entire vocabulary of {vocab.size} tokens;"
+                " a masked step would leave nothing to sample"
+            )
         self.prompt = prompt
         self._prompt_ids = vocab.encode(prompt)
         self._ctx: list[int] = backend.fork(self._prompt_ids)
@@ -294,6 +296,7 @@ class GenerationSession:
         self._pieces: list[str] = []
         self._state: SuppressionState = initial_state(config.delta, fixed_p=config.fixed_p)
         self._ban = ban_bias(triggers.token_ids)
+        self._banned = np.array(sorted(triggers.token_ids), dtype=np.int64)
         self._detector = CheckpointDetector(config.checkpoint_marker)
         self._think_end = (
             CheckpointDetector(config.think_end_marker) if config.restrict_to_thinking else None
@@ -335,11 +338,14 @@ class GenerationSession:
 
     def _sample_in_engine(self, masked: bool, step: int) -> int:
         dist = self.backend.next_distribution(self._ctx)
-        logits = distribution_to_logits(dist.probs)
-        if masked:
-            logits = mask_triggers(logits, self.triggers.token_ids)
         u = sampling_uniform(self.config.seed, step)
-        return sample_from_logits(logits, self.config.temperature, self.config.top_p, u)
+        return sample_from_probs(
+            dist.probs,
+            self.config.temperature,
+            self.config.top_p,
+            u,
+            self._banned if masked else None,
+        )
 
     def _sample_remote(self, masked: bool, step: int) -> int | None:
         cfg = self.config

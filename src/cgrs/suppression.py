@@ -6,10 +6,11 @@ score:
     p = max(0, (certainty - delta) / (1 - delta)),   0 <= delta < 1
 
 Below the threshold ``delta`` nothing is suppressed; above it, the Bernoulli
-masking probability climbs linearly and reaches 1 at full certainty.  Masking
-itself sets the trigger logits to a large negative value, which drives their
-post-softmax probability to zero while leaving the relative probabilities of
-all other tokens untouched.
+masking probability climbs linearly and reaches 1 at full certainty.  The
+engine's sampler masks by zeroing the trigger probabilities
+(:func:`cgrs.sampling.sample_from_probs`); :func:`mask_triggers` is the same
+mask in logit space, setting the trigger logits to a large negative value.
+Either way the relative probabilities of all other tokens are untouched.
 """
 
 from __future__ import annotations

@@ -72,6 +72,22 @@ class TestTokenDistribution:
         with pytest.raises(ValueError):
             TokenDistribution(probs=np.array([np.inf, 1.0]))
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [np.nan, 1.0],
+            [np.inf, 1.0],
+            [-np.inf, 1.0],
+            [1.1, -0.1],
+            [1e308, 1e308],
+        ],
+        ids=["nan", "pos_inf", "neg_inf", "negative", "sum_overflows"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rejects_non_finite_or_negative(self, probs):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TokenDistribution(probs=np.array(probs))
+
     def test_rejects_non_1d(self):
         with pytest.raises(ValueError):
             TokenDistribution(probs=np.ones((2, 2)) / 4.0)

@@ -20,7 +20,7 @@ from cgrs.controller import (
     run_probe,
 )
 from cgrs.lexicon import TriggerTokenSet, build_trigger_set, default_trigger_words
-from cgrs.rng import decision_uniform
+from cgrs.rng import decision_uniform, sampling_uniform
 
 from conftest import TOY_PROMPT
 from remote_stub import toy_completion_server
@@ -408,6 +408,37 @@ class TestGenerationLoop:
         )
         with pytest.raises(ValueError, match="trigger id"):
             GenerationSession(overthinking_backend, TOY_PROMPT, toy_config(), bogus)
+
+    def test_trigger_set_covering_vocabulary_rejected(self, overthinking_backend):
+        vocab = overthinking_backend.vocabulary
+        every = TriggerTokenSet(
+            token_ids=frozenset(range(vocab.size)),
+            provenance={i: (vocab.id_to_token[i], "x") for i in range(vocab.size)},
+        )
+        with pytest.raises(ValueError, match="entire vocabulary of 11 tokens"):
+            GenerationSession(overthinking_backend, TOY_PROMPT, toy_config(), every)
+
+    def test_ban_leaving_no_mass_keeps_model_odds(self):
+        # after "Q" only the triggers carry mass; a p = 1 ban then draws them at
+        # the model's 0.7 : 0.3, not uniformly
+        spec = ToyModelSpec(
+            tokens=("<eos>", "Wait", "Hmm", "Q"),
+            eos_token="<eos>",
+            rules=(
+                EmissionRule("q", ("Q",), {"Wait": 0.7, "Hmm": 0.3}),
+                EmissionRule("w", ("Wait",), {"<eos>": 1.0}),
+                EmissionRule("h", ("Hmm",), {"<eos>": 1.0}),
+            ),
+        )
+        backend = ToyBackend(spec)
+        triggers = TriggerTokenSet(
+            token_ids=frozenset({1, 2}), provenance={1: ("Wait", "wait"), 2: ("Hmm", "hmm")}
+        )
+        for seed in range(200):
+            cfg = toy_config(seed=seed, fixed_p=1.0, max_tokens=1)
+            trace = generate(backend, "Q", cfg, triggers)
+            assert trace.suppression_decisions[0].r
+            assert trace.tokens == [1 if sampling_uniform(seed, 0) < 0.7 else 2], seed
 
     def test_probes_consume_no_sampling_randomness(
         self, overthinking_backend, overthinking_triggers

@@ -1,4 +1,4 @@
-"""Sampling tests: softmax, nucleus filter, temperature, inverse-CDF draws."""
+"""Sampling tests: softmax, nucleus filter, temperature, bans, inverse-CDF draws."""
 
 from __future__ import annotations
 
@@ -9,11 +9,14 @@ import pytest
 
 from cgrs.rng import sampling_uniform
 from cgrs.sampling import (
+    _weights,
     distribution_to_logits,
     nucleus_filter,
     sample_from_logits,
+    sample_from_probs,
     softmax,
 )
+from cgrs.suppression import mask_triggers
 
 QWEN_VOCAB = 151_936
 LARGE_V_TOP_PS = (0.05, 0.5, 0.95, 0.999)
@@ -32,6 +35,22 @@ def argsort_nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
     return out / out.sum()
 
 
+def argsort_cdf(
+    logits: np.ndarray, temperature: float, top_p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: :func:`argsort_nucleus_filter` of the tempered softmax, and its V-length CDF."""
+    probs = argsort_nucleus_filter(softmax(logits / temperature), top_p)
+    return probs, np.cumsum(probs)
+
+
+def argsort_draw(probs: np.ndarray, csum: np.ndarray, u: float) -> int:
+    """Oracle: the inverse-CDF draw over :func:`argsort_cdf`."""
+    idx = int(np.searchsorted(csum, u, side="right"))
+    if idx >= probs.size:
+        idx = int(np.flatnonzero(probs > 0)[-1])
+    return idx
+
+
 def argsort_sample_from_logits(
     logits: np.ndarray, temperature: float, top_p: float, u: float
 ) -> int:
@@ -39,12 +58,7 @@ def argsort_sample_from_logits(
     logits = np.asarray(logits, dtype=np.float64)
     if temperature == 0.0:
         return int(np.argmax(logits))
-    probs = argsort_nucleus_filter(softmax(logits / temperature), top_p)
-    csum = np.cumsum(probs)
-    idx = int(np.searchsorted(csum, u, side="right"))
-    if idx >= probs.size:
-        idx = int(np.flatnonzero(probs > 0)[-1])
-    return idx
+    return argsort_draw(*argsort_cdf(logits, temperature, top_p), u)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +93,20 @@ def argsort_sizes(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counting)
+    return sizes
+
+
+@pytest.fixture
+def cumsum_sizes(monkeypatch):
+    """Sizes of every array ``np.cumsum`` is asked to sum while active."""
+    sizes: list[int] = []
+    real = np.cumsum
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.asarray(a).size)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting)
     return sizes
 
 
@@ -310,3 +338,94 @@ class TestNucleusSortsOnlyAHead:
         assert len(argsort_sizes) <= 8
         assert argsort_sizes[-1] > 0.99 * QWEN_VOCAB
         assert np.array_equal(out, argsort_nucleus_filter(probs, 0.999999))
+
+
+class TestSampleFromProbs:
+    """The probability-space core picks the oracle's ids and honours bans."""
+
+    @pytest.mark.parametrize("banned", [False, True], ids=["unmasked", "top5_banned"])
+    @pytest.mark.parametrize("top_p", LARGE_V_TOP_PS + (1.0,))
+    @pytest.mark.parametrize("temperature", [0.6, 1.0])
+    @pytest.mark.parametrize("name", ["zipf", "ties", "sparse", "uniform"])
+    def test_matches_argsort_oracle(self, large_vectors, name, temperature, top_p, banned):
+        probs = large_vectors[name]
+        logits = distribution_to_logits(probs)
+        ban = None
+        if banned:
+            ban = np.sort(np.argsort(-probs, kind="stable")[:5])
+            logits = mask_triggers(logits, ban)
+        oracle = argsort_cdf(logits, temperature, top_p)
+        for step in range(100):
+            u = sampling_uniform(7, step)
+            got = sample_from_probs(probs, temperature, top_p, u, ban)
+            assert got == argsort_draw(*oracle, u), step
+
+    def test_temperature_zero_is_argmax_over_unbanned(self):
+        probs = np.array([0.1, 0.5, 0.3, 0.1])
+        assert sample_from_probs(probs, 0.0, 0.9, 0.5) == 1
+        assert sample_from_probs(probs, 0.0, 0.9, 0.5, np.array([1])) == 2
+
+    def test_banned_tokens_never_sampled(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            probs = rng.dirichlet(np.ones(12))
+            ban = np.sort(rng.choice(12, 4, replace=False))
+            top_p = float(rng.choice([0.5, 0.9, 1.0]))
+            token = sample_from_probs(probs, 0.7, top_p, float(rng.random()), ban)
+            assert token not in ban
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    def test_ban_leaving_no_mass_draws_unmasked(self, temperature):
+        # only triggers carry mass: the ban is ignored, so 1 and 2 keep their
+        # tempered 0.7 : 0.3 odds instead of being drawn uniformly
+        probs = np.array([0.0, 0.7, 0.3, 0.0, 0.0])
+        ban = np.array([1, 2])
+        w = probs ** (1.0 / temperature)
+        edge = w[1] / w.sum()
+        for u in np.linspace(0.0, 0.999, 500):
+            if abs(u - edge) > 1e-9:
+                assert sample_from_probs(probs, temperature, 1.0, u, ban) == (1 if u < edge else 2)
+        assert sample_from_probs(probs, 0.0, 1.0, 0.5, ban) == 1
+
+    @pytest.mark.parametrize("name", ["zipf", "uniform"])
+    def test_low_temperature_underflow_matches_oracle(self, large_vectors, name):
+        # at T = 0.01 the uniform vector's p ** 100 underflows to zero
+        probs = large_vectors[name]
+        oracle = argsort_cdf(distribution_to_logits(probs), 0.01, 0.95)
+        for step in range(20):
+            u = sampling_uniform(9, step)
+            assert sample_from_probs(probs, 0.01, 0.95, u) == argsort_draw(*oracle, u)
+
+    def test_underflowing_power_keeps_ratios(self):
+        # 0.5 ** 1020 is barely normal and 0.49 ** 1020 subnormal: the weights
+        # are rebuilt relative to the largest probability at full precision
+        w, total = _weights(np.array([0.5, 0.49, 0.01]), 1020.0, None)
+        assert w[0] == 1.0 and total == w.sum()
+        assert w[1] == pytest.approx(0.98**1020, rel=1e-10)
+
+    def test_no_mass_rejected(self):
+        with pytest.raises(ValueError, match="no probability mass"):
+            sample_from_probs(np.zeros(4), 0.5, 0.9, 0.5)
+
+    def test_invalid_parameters(self):
+        probs = np.full(3, 1.0 / 3.0)
+        for temperature, top_p, u in ((-0.5, 0.9, 0.5), (1.0, 0.0, 0.5), (1.0, 0.9, 1.0)):
+            with pytest.raises(ValueError):
+                sample_from_probs(probs, temperature, top_p, u)
+
+
+class TestDrawSumsOnlyTheNucleus:
+    """Structural guard, no timing: below top_p = 1 no prefix sum spans the vocabulary."""
+
+    @pytest.mark.parametrize("entry", ["probs", "logits"])
+    @pytest.mark.parametrize("top_p", LARGE_V_TOP_PS)
+    def test_cumsum_no_longer_than_the_sorted_head(
+        self, large_vectors, argsort_sizes, cumsum_sizes, entry, top_p
+    ):
+        probs = large_vectors["zipf"]
+        if entry == "probs":
+            sample_from_probs(probs, 0.6, top_p, 0.5)
+        else:
+            sample_from_logits(distribution_to_logits(probs), 0.6, top_p, 0.5)
+        assert argsort_sizes and cumsum_sizes
+        assert max(cumsum_sizes) <= max(argsort_sizes)
