@@ -179,7 +179,9 @@ class ToyBackend(ModelBackend):
         names = [r.name for r in spec.rules]
         if len(set(names)) != len(names):
             raise ValueError("emission rule names must be unique")
-        self._rules: list[tuple[tuple[int, ...], np.ndarray, str]] = []
+        # Each rule's vector is validated once, here, and shared read-only by
+        # every step that matches the rule.
+        self._rules: list[tuple[tuple[int, ...], TokenDistribution, str]] = []
         for rule in spec.rules:
             suffix = tuple(self._require_id(t, rule.name) for t in rule.suffix)
             vec = np.zeros(self._vocab.size)
@@ -189,7 +191,12 @@ class ToyBackend(ModelBackend):
                 vec[self._require_id(token, rule.name)] = prob
             if abs(vec.sum() - 1.0) > 1e-9:
                 raise ValueError(f"rule {rule.name!r}: probabilities sum to {vec.sum()}")
-            self._rules.append((suffix, vec, rule.name))
+            vec.flags.writeable = False
+            try:
+                dist = TokenDistribution(probs=vec)  # a NaN passes both checks above
+            except ValueError as exc:
+                raise ValueError(f"rule {rule.name!r}: {exc}") from exc
+            self._rules.append((suffix, dist, rule.name))
         # longest suffix first; ties keep spec order
         self._rules.sort(key=lambda r: -len(r[0]))
         self._max_order = max((len(r[0]) for r in self._rules), default=0)
@@ -228,19 +235,19 @@ class ToyBackend(ModelBackend):
         """The last max_order tokens: everything a rule can match against."""
         return tuple(context[-self._max_order:]) if self._max_order else ()
 
-    def _match(self, context: Sequence[int]) -> tuple[np.ndarray, str]:
+    def _match(self, context: Sequence[int]) -> tuple[TokenDistribution, str]:
         tail = self._tail(context)
-        for suffix, vec, name in self._rules:
+        for suffix, dist, name in self._rules:
             if len(suffix) <= len(tail) and tail[len(tail) - len(suffix):] == suffix:
-                return vec, name
+                return dist, name
         raise BackendError(
             f"no emission rule matches context tail "
             f"{[self._vocab.id_to_token[i] for i in tail]!r}"
         )
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
-        vec, _ = self._match(context)
-        return TokenDistribution(probs=vec.copy())
+        """The matching rule's distribution; its ``probs`` array is read-only."""
+        return self._match(context)[0]
 
     def reachable_rule_names(self, seed_contexts: Iterable[Sequence[int]]) -> set[str]:
         """Rules that can ever fire starting from the given contexts.
@@ -258,11 +265,11 @@ class ToyBackend(ModelBackend):
                 continue
             seen_tails.add(tail)
             try:
-                vec, name = self._match(tail)
+                dist, name = self._match(tail)
             except BackendError:
                 continue
             fired.add(name)
-            for token_id in np.flatnonzero(vec > 0):
+            for token_id in np.flatnonzero(dist.probs > 0):
                 if int(token_id) == eos:
                     continue
                 frontier.append(self._tail(tail + (int(token_id),)))

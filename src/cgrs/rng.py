@@ -5,9 +5,15 @@ realized with the Philox counter-based generator.  This keeps the main-stream
 token sampling and the suppression Bernoulli decisions on independent streams:
 consuming a draw on one stream never perturbs the other, and replaying a run
 with the same seed reproduces every decision bit for bit.
+
+Draws are made 64 positions at a time: Philox is counter-based, so one
+generator call yields a whole aligned block of consecutive positions, and a
+small cache keeps the blocks a decode loop is walking through.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +24,25 @@ DECISION_STREAM = 2
 
 _MASK64 = (1 << 64) - 1
 
+#: Stream positions drawn per generator call; blocks start at multiples of it.
+_BLOCK = 64
+
+
+@lru_cache(maxsize=64)
+def _block(seed: int, stream: int, start: int) -> tuple[float, ...]:
+    """Uniforms at positions ``start .. start + _BLOCK - 1`` of one stream.
+
+    numpy's Philox bumps its 256-bit counter before each group of four 64-bit
+    outputs and ``random()`` keeps the first output of a group, so every
+    fourth value from counter ``start`` is the one-draw value at the next
+    position.  An aligned block ends at or before position 2**64 - 1, so its
+    counters carry into the upper words exactly as the one-draw counters do.
+    """
+    key = np.array([seed, stream], dtype=np.uint64)
+    counter = np.array([start, 0, 0, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return tuple(gen.random(4 * _BLOCK)[::4].tolist())
+
 
 def stream_uniform(seed: int, stream: int, index: int) -> float:
     """Return the uniform [0, 1) variate at a fixed stream position.
@@ -27,9 +52,9 @@ def stream_uniform(seed: int, stream: int, index: int) -> float:
     """
     if index < 0:
         raise ValueError(f"stream index must be nonnegative, got {index}")
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    counter = np.array([index & _MASK64, 0, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter)).random()
+    index &= _MASK64
+    offset = index % _BLOCK
+    return _block(seed & _MASK64, stream & _MASK64, index - offset)[offset]
 
 
 def sampling_uniform(seed: int, step: int) -> float:

@@ -15,7 +15,7 @@ Either way the relative probabilities of all other tokens are untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -72,7 +72,8 @@ def update_state(state: SuppressionState, certainty: CertaintyScore) -> Suppress
     """Fold a fresh probe result into the state (certainty-guided mode only)."""
     if state.fixed:
         return state
-    return replace(state, p=suppression_probability(certainty.value, state.delta))
+    p = suppression_probability(certainty.value, state.delta)
+    return SuppressionState(p=p, delta=state.delta)
 
 
 def should_suppress(state: SuppressionState, seed: int, step: int) -> bool:

@@ -9,14 +9,17 @@ distribution.
 
 Fault injection: the first ``fail_first`` requests get the ``fault`` instead
 of a normal reply.  ``"http_500"`` answers with a server error,
-``"non_json"`` with a 200 whose body is not JSON, and ``"multi_token"`` with a
-completion that ignores ``max_tokens`` and returns one token more than asked.
+``"non_json"`` with a 200 whose body is not JSON, ``"multi_token"`` with a
+completion that ignores ``max_tokens`` and returns one token more than asked,
+and ``"timeout"`` with a normal reply sent only after ``TIMEOUT_FAULT_DELAY_S``
+seconds, so a client whose timeout is shorter gives up first.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -84,7 +87,10 @@ def _serve_completion(backend: ToyBackend, payload: dict) -> dict:
     return {"object": "text_completion", "choices": [choice]}
 
 
-FAULTS = ("http_500", "non_json", "multi_token")
+FAULTS = ("http_500", "non_json", "multi_token", "timeout")
+
+#: How long a ``"timeout"`` fault holds its reply; clients under test use less.
+TIMEOUT_FAULT_DELAY_S = 1.0
 
 
 def _make_handler(backend: ToyBackend, fail_first: int, fault: str):
@@ -115,11 +121,16 @@ def _make_handler(backend: ToyBackend, fail_first: int, fault: str):
             else:
                 body = json.dumps(_serve_completion(backend, payload)).encode()
                 content_type = "application/json"
-            self.send_response(200)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if faulty and fault == "timeout":
+                time.sleep(TIMEOUT_FAULT_DELAY_S)
+            try:
+                self.send_response(200)
+                self.send_header("Content-Type", content_type)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            except OSError:
+                pass  # the client gave up on a delayed reply and closed the socket
 
     return Handler
 

@@ -99,7 +99,8 @@ class TestToyBackend:
         backend = ToyBackend(tiny_spec())
         ctx = backend.vocabulary.encode("ab")
         first = backend.next_distribution(ctx)
-        first.probs[0] = 0.123  # vandalize the returned array
+        with pytest.raises(ValueError, match="read-only"):
+            first.probs[0] = 0.123  # no caller can vandalize the model
         second = backend.next_distribution(ctx)
         assert second.probs[backend.eos_token_id] == 1.0
         assert second.probs.sum() == 1.0
@@ -154,6 +155,19 @@ class TestToyBackend:
             rules=(EmissionRule("r", ("a",), {"<eos>": 0.9}),),
         )
         with pytest.raises(ValueError, match="sum"):
+            ToyBackend(spec)
+
+    def test_nan_probability_rejected_at_construction(self):
+        # NaN passes both `prob < 0` and the sum check; the model must still refuse it
+        spec = ToyModelSpec(
+            tokens=("<eos>", "a"),
+            eos_token="<eos>",
+            rules=(
+                EmissionRule("r", ("a",), {"<eos>": 1.0}),
+                EmissionRule("bad", ("<eos>",), {"a": float("nan")}),
+            ),
+        )
+        with pytest.raises(ValueError, match="rule 'bad': probs must be finite"):
             ToyBackend(spec)
 
     def test_unknown_rule_token_rejected(self):
@@ -381,6 +395,42 @@ class TestRemoteBackend:
             )
             with pytest.raises(RetryableBackendError):
                 remote.next_distribution(toy.vocabulary.encode("Solve 6*7. "))
+
+    def test_timed_out_request_recovers_on_retry(self):
+        with toy_completion_server(overthinking_spec(), fail_first=1, fault="timeout") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(
+                vocab=toy.vocabulary,
+                base_url=base_url,
+                eos_token="<eos>",
+                timeout=0.2,
+                max_retries=1,
+                retry_backoff=0,
+            )
+            ctx = toy.vocabulary.encode("Solve 6*7. ")
+            tok = remote.sample_token(ctx, temperature=0.0, top_p=1.0, seed=0)
+            assert toy.vocabulary.id_to_token[tok] == "Let me compute. "
+
+    def test_persistent_timeout_exhausts_retries(self):
+        with toy_completion_server(overthinking_spec(), fail_first=2, fault="timeout") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(
+                vocab=toy.vocabulary,
+                base_url=base_url,
+                eos_token="<eos>",
+                timeout=0.2,
+                max_retries=1,
+                retry_backoff=0,
+            )
+            ctx = toy.vocabulary.encode("Solve 6*7. ")
+            with pytest.raises(RetryableBackendError, match="transport failure after retries: "):
+                remote.next_distribution(ctx)
+            # both faulty replies are used up: the next request is served
+            assert remote.next_distribution(ctx).probs.size > 1
 
     def test_non_json_body_is_a_backend_error(self):
         with toy_completion_server(overthinking_spec(), fail_first=2, fault="non_json") as (

@@ -339,6 +339,26 @@ class TestRunBenchmark:
         assert report.length_distribution[0] == 0
         assert report.accuracy == pytest.approx(200.0 / 3)
 
+    def test_remote_timeouts_after_retries_counted_as_backend_failure(self, toy_problems):
+        # two delayed replies outlast one request and its one retry
+        with toy_completion_server(overthinking_spec(), fail_first=2, fault="timeout") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(
+                vocab=toy.vocabulary,
+                base_url=base_url,
+                eos_token="<eos>",
+                timeout=0.2,
+                max_retries=1,
+                retry_backoff=0,
+            )
+            reports = self.run(remote, toy_problems, modes=[ModeSpec("vanilla")], seeds=[0])
+        report = reports["vanilla"]
+        assert report.backend_failures == 1
+        assert report.length_distribution[0] == 0
+        assert report.accuracy == pytest.approx(200.0 / 3)
+
     def test_remote_parallel_equals_serial(self, toy_problems):
         with toy_completion_server(overthinking_spec()) as (base_url, toy):
             remote = RemoteBackend(

@@ -217,7 +217,79 @@ class TestMaskTriggers:
             mask_triggers(np.array([np.nan, 1.0]), {0})
 
 
+def one_draw_uniform(seed: int, stream: int, index: int) -> float:
+    """Oracle: a fresh numpy Philox generator per draw, counter at ``index``."""
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    counter = np.array([index & mask, 0, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).random()
+
+
 class TestRngStreams:
+    @staticmethod
+    def assert_matches_oracle(triples):
+        for seed, stream, index in triples:
+            value = stream_uniform(seed, stream, index)
+            assert type(value) is float
+            assert value == one_draw_uniform(seed, stream, index), (seed, stream, index)
+
+    def test_matches_one_draw_oracle_on_random_triples(self):
+        rng = np.random.default_rng(11)
+        seeds = rng.integers(0, 2**63, size=300).tolist()
+        indices = rng.integers(0, 2**63, size=300).tolist()
+        self.assert_matches_oracle(
+            (seed, stream, index)
+            for seed, index in zip(seeds, indices)
+            for stream in (SAMPLING_STREAM, DECISION_STREAM)
+        )
+        # small indices, as a decode loop draws them
+        self.assert_matches_oracle(
+            (seed, stream, index)
+            for seed in seeds[:20]
+            for stream in (SAMPLING_STREAM, DECISION_STREAM)
+            for index in rng.integers(0, 4096, size=5).tolist()
+        )
+
+    def test_matches_one_draw_oracle_at_block_edges(self):
+        top = 2**64
+        edges = [0, 63, 64, 65, *range(top - 65, top)]
+        self.assert_matches_oracle(
+            (seed, stream, index)
+            for seed in (0, 7, 2**64 - 1)
+            for stream in (SAMPLING_STREAM, DECISION_STREAM)
+            for index in edges
+        )
+
+    def test_oversized_and_negative_inputs_are_masked(self):
+        top = 2**64
+        # indices at and above 2**64 wrap to their low 64 bits
+        wrapped = (top, top + 1, top + 64, 3 * top + 70)
+        self.assert_matches_oracle((5, SAMPLING_STREAM, index) for index in wrapped)
+        assert stream_uniform(5, SAMPLING_STREAM, top + 3) == stream_uniform(5, SAMPLING_STREAM, 3)
+        seeds = (top, top + 9, 2**80 + 1, -1, -2, -(2**70))
+        self.assert_matches_oracle(
+            (seed, stream, index)
+            for seed in seeds
+            for stream in (SAMPLING_STREAM, DECISION_STREAM)
+            for index in (0, 63, 64, 1000)
+        )
+        assert stream_uniform(-1, DECISION_STREAM, 9) == stream_uniform(top - 1, DECISION_STREAM, 9)
+
+    def test_values_survive_cache_eviction(self):
+        # more distinct seeds than the block cache holds, then the first ones again
+        seeds = list(range(1000, 1200))
+        first = {
+            seed: [stream_uniform(seed, DECISION_STREAM, i) for i in (0, 70)] for seed in seeds
+        }
+        for seed in reversed(seeds[:80]):
+            again = [stream_uniform(seed, DECISION_STREAM, i) for i in (0, 70)]
+            assert again == first[seed]
+            assert again == [one_draw_uniform(seed, DECISION_STREAM, i) for i in (0, 70)]
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            stream_uniform(1, SAMPLING_STREAM, -1)
+
     def test_streams_are_independent(self):
         # same seed, same index, different stream: distinct values
         for idx in range(20):
