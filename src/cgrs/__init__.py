@@ -57,7 +57,6 @@ from .lexicon import (
     map_to_token_ids,
 )
 from .suppression import (
-    SuppressionState,
     mask_triggers,
     should_suppress,
     suppression_probability,
@@ -83,7 +82,6 @@ __all__ = [
     "RemoteBackend",
     "RetryableBackendError",
     "RunReport",
-    "SuppressionState",
     "TokenDistribution",
     "ToyBackend",
     "ToyModelSpec",

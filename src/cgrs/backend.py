@@ -142,10 +142,6 @@ class ToyModelSpec:
     rules: tuple[EmissionRule, ...]
     name: str = "toy"
 
-    @property
-    def states(self) -> tuple[str, ...]:
-        return tuple(rule.name for rule in self.rules)
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ToyModelSpec":
         return cls(
@@ -172,10 +168,10 @@ class ToyBackend(ModelBackend):
     """Deterministic toy model; next_distribution is a pure function of context."""
 
     def __init__(self, spec: ToyModelSpec):
-        self._spec = spec
         self._vocab = Vocabulary(spec.tokens)
         if spec.eos_token not in self._vocab:
             raise ValueError(f"eos token {spec.eos_token!r} missing from vocabulary")
+        self._eos_id = self._vocab.token_to_id[spec.eos_token]
         names = [r.name for r in spec.rules]
         if len(set(names)) != len(names):
             raise ValueError("emission rule names must be unique")
@@ -207,10 +203,6 @@ class ToyBackend(ModelBackend):
         return self._vocab.token_to_id[token]
 
     @property
-    def spec(self) -> ToyModelSpec:
-        return self._spec
-
-    @property
     def vocabulary(self) -> Vocabulary:
         return self._vocab
 
@@ -220,7 +212,7 @@ class ToyBackend(ModelBackend):
 
     @property
     def eos_token_id(self) -> int:
-        return self._vocab.token_to_id[self._spec.eos_token]
+        return self._eos_id
 
     @property
     def max_order(self) -> int:

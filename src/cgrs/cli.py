@@ -145,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print("metric,value")
     print(f"token_count,{data.get('token_count', len(data.get('tokens', [])))}")
     print(f"checkpoints,{len(data.get('checkpoint_events', []))}")
-    print(f"truncated,{data.get('truncated', False)}")
+    print(f"finish_reason,{data.get('finish_reason', 'length')}")
     certainties = [
         e["probe"]["certainty"]["value"] for e in data.get("checkpoint_events", [])
     ]

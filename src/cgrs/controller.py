@@ -26,7 +26,7 @@ from .certainty import CertaintyScore, TokenDistribution, certainty_score
 from .lexicon import TriggerTokenSet
 from .rng import derive_seed, sampling_uniform
 from .sampling import sample_from_probs
-from .suppression import SuppressionState, initial_state, should_suppress, update_state
+from .suppression import should_suppress, update_state
 
 # Unused; perfbench test_traced_run_restores_every_wrapped_attribute needs them (ROADMAP item 1).
 from .sampling import distribution_to_logits, sample_from_logits  # noqa: F401
@@ -48,7 +48,6 @@ class GenerationConfig:
     probe_prompt: str = "**Final Answer: \\boxed"
     probe_max_tokens: int = 32
     probe_stop_strings: tuple[str, ...] = ("}", "\n")
-    min_tokens_between_probes: int = 0
     suppression_enabled: bool = True
     fixed_p: float | None = None  # ablation: pin p, skip probing
     restrict_to_thinking: bool = False
@@ -70,11 +69,11 @@ class GenerationConfig:
             raise ValueError("checkpoint_marker must be nonempty")
         if not self.probe_prompt:
             raise ValueError("probe_prompt must be nonempty")
-        if self.min_tokens_between_probes < 0:
-            raise ValueError("min_tokens_between_probes must be nonnegative")
         if self.fixed_p is not None and not 0.0 <= self.fixed_p <= 1.0:
             raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
         self.probe_stop_strings = tuple(self.probe_stop_strings)
+        if not all(self.probe_stop_strings):
+            raise ValueError("probe_stop_strings must all be nonempty")
 
     def to_json_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -192,10 +191,16 @@ class DecodeTrace:
     text: str
     checkpoint_events: list[CheckpointEvent]
     suppression_decisions: list[SuppressionDecision]
-    token_count: int
     config: GenerationConfig
-    truncated: bool
     finish_reason: str  # "eos" | "length"
+
+    @property
+    def token_count(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def truncated(self) -> bool:
+        return self.finish_reason != "eos"
 
     def to_json_dict(self) -> dict:
         return {
@@ -294,46 +299,30 @@ class GenerationSession:
         self._ctx: list[int] = backend.fork(self._prompt_ids)
         self._tokens: list[int] = []
         self._pieces: list[str] = []
-        self._state: SuppressionState = initial_state(config.delta, fixed_p=config.fixed_p)
+        # The masking probability: pinned in fixed-p mode, else 0 until a probe sets it.
+        self._p = config.fixed_p if config.fixed_p is not None else 0.0
+        # Only cgrs mode probes; vanilla and fixed-p never move p.
+        self._probing = config.suppression_enabled and config.fixed_p is None
         self._ban = ban_bias(triggers.token_ids)
         self._banned = np.array(sorted(triggers.token_ids), dtype=np.int64)
         self._detector = CheckpointDetector(config.checkpoint_marker)
         self._think_end = (
             CheckpointDetector(config.think_end_marker) if config.restrict_to_thinking else None
         )
-        self._thinking = True
-        self._last_probe_step: int | None = None
+        self._thinking = True  # goes False at the think end, under restrict_to_thinking only
         self.checkpoint_events: list[CheckpointEvent] = []
         self.suppression_decisions: list[SuppressionDecision] = []
-        self.finished = False
         self.finish_reason = "length"
-
-    @property
-    def suppression_state(self) -> SuppressionState:
-        return self._state
 
     @property
     def tokens(self) -> list[int]:
         return self._tokens
 
-    @property
-    def context(self) -> list[int]:
-        return self._ctx
-
-    def _suppression_active(self) -> bool:
-        if not self.config.suppression_enabled:
-            return False
-        if self.config.restrict_to_thinking and not self._thinking:
-            return False
-        return True
-
     def _draw_decision(self, step: int) -> bool:
-        if not self._suppression_active():
+        if not (self.config.suppression_enabled and self._thinking):
             return False
-        decision = should_suppress(self._state, self.config.seed, step)
-        self.suppression_decisions.append(
-            SuppressionDecision(step=step, r=decision, p=self._state.p)
-        )
+        decision = should_suppress(self._p, self.config.seed, step)
+        self.suppression_decisions.append(SuppressionDecision(step=step, r=decision, p=self._p))
         return decision
 
     def _sample_in_engine(self, masked: bool, step: int) -> int:
@@ -359,7 +348,7 @@ class GenerationSession:
 
     def next_token(self) -> int | None:
         """Advance one step; returns the sampled token id, or None at EOS."""
-        if self.finished:
+        if self.finish_reason == "eos":
             return None
         step = len(self._tokens)
         masked = self._draw_decision(step)
@@ -368,7 +357,6 @@ class GenerationSession:
         else:
             token = self._sample_remote(masked, step)
         if token is None or token == self.backend.eos_token_id:
-            self.finished = True
             self.finish_reason = "eos"
             return None
         self._ctx.append(token)
@@ -378,47 +366,30 @@ class GenerationSession:
         if self._think_end is not None and self._thinking:
             if self._think_end.feed(surface):
                 self._thinking = False
-        if self._detector.feed(surface):
-            self._maybe_probe(step)
+        if self._detector.feed(surface) and self._probing and self._thinking:
+            self._probe(step)
         return token
 
-    def _maybe_probe(self, step: int) -> None:
-        cfg = self.config
-        # probing drives the certainty schedule; vanilla and fixed-p skip it
-        if not cfg.suppression_enabled or cfg.fixed_p is not None:
-            return
-        if cfg.restrict_to_thinking and not self._thinking:
-            return
-        if (
-            self._last_probe_step is not None
-            and step - self._last_probe_step < cfg.min_tokens_between_probes
-        ):
-            return
+    def _probe(self, step: int) -> None:
         try:
-            probe = run_probe(self.backend, self._ctx, cfg)
+            probe = run_probe(self.backend, self._ctx, self.config)
         except ProbeEmptyError:
             return  # keep the previous suppression probability
-        self._last_probe_step = step
-        self._state = update_state(self._state, probe.certainty)
-        self.checkpoint_events.append(
-            CheckpointEvent(step=step, probe=probe, p_after=self._state.p)
-        )
+        self._p = update_state(probe.certainty, self.config.delta)
+        self.checkpoint_events.append(CheckpointEvent(step=step, probe=probe, p_after=self._p))
 
     def run(self) -> DecodeTrace:
         while len(self._tokens) < self.config.max_tokens:
             if self.next_token() is None:
                 break
-        truncated = not (self.finished and self.finish_reason == "eos")
         return DecodeTrace(
             prompt=self.prompt,
             tokens=list(self._tokens),
             text="".join(self._pieces),
             checkpoint_events=list(self.checkpoint_events),
             suppression_decisions=list(self.suppression_decisions),
-            token_count=len(self._tokens),
             config=self.config,
-            truncated=truncated,
-            finish_reason=self.finish_reason if not truncated else "length",
+            finish_reason=self.finish_reason,
         )
 
 

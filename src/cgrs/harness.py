@@ -77,15 +77,9 @@ class ModeSpec:
         raise ValueError(f"unknown mode: {text!r} (expected vanilla, fixed-p=<p>, or cgrs)")
 
     def apply(self, base: GenerationConfig, seed: int) -> GenerationConfig:
-        if self.kind == "vanilla":
-            return dataclasses.replace(
-                base, seed=seed, suppression_enabled=False, fixed_p=None
-            )
-        if self.kind == "fixed_p":
-            return dataclasses.replace(
-                base, seed=seed, suppression_enabled=True, fixed_p=self.fixed_p
-            )
-        return dataclasses.replace(base, seed=seed, suppression_enabled=True, fixed_p=None)
+        return dataclasses.replace(
+            base, seed=seed, suppression_enabled=self.kind != "vanilla", fixed_p=self.fixed_p
+        )
 
 
 @dataclass

@@ -15,7 +15,6 @@ Either way the relative probabilities of all other tokens are untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -25,33 +24,6 @@ from .rng import decision_uniform
 
 #: Logit value written into masked positions.
 MASK_NEG_VALUE = -1e9
-
-
-@dataclass(frozen=True)
-class SuppressionState:
-    """Current suppression probability and the ramp threshold behind it.
-
-    ``p`` is 0 until a probe has produced a certainty score; ``fixed`` marks
-    the ablation mode where ``p`` is pinned externally and probes never move
-    it.  The state changes only at checkpoints, never per step.
-    """
-
-    p: float
-    delta: float
-    fixed: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"suppression probability must lie in [0, 1], got {self.p}")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-
-
-def initial_state(delta: float, fixed_p: float | None = None) -> SuppressionState:
-    """State at the start of a run: p = 0, or pinned to ``fixed_p`` for ablations."""
-    if fixed_p is not None:
-        return SuppressionState(p=fixed_p, delta=delta, fixed=True)
-    return SuppressionState(p=0.0, delta=delta)
 
 
 def suppression_probability(certainty: float, delta: float) -> float:
@@ -68,22 +40,19 @@ def suppression_probability(certainty: float, delta: float) -> float:
     return max(0.0, (certainty - delta) / (1.0 - delta))
 
 
-def update_state(state: SuppressionState, certainty: CertaintyScore) -> SuppressionState:
-    """Fold a fresh probe result into the state (certainty-guided mode only)."""
-    if state.fixed:
-        return state
-    p = suppression_probability(certainty.value, state.delta)
-    return SuppressionState(p=p, delta=state.delta)
+def update_state(certainty: CertaintyScore, delta: float) -> float:
+    """The suppression probability a fresh probe sets; it holds until the next probe."""
+    return suppression_probability(certainty.value, delta)
 
 
-def should_suppress(state: SuppressionState, seed: int, step: int) -> bool:
+def should_suppress(p: float, seed: int, step: int) -> bool:
     """The Bernoulli suppression decision for one decode step.
 
     A pure function of (seed, step, p): the counter-based stream gives every
     step its own uniform, so any step's decision can be drawn in any order
     and replays identically.
     """
-    return decision_uniform(seed, step) < state.p
+    return decision_uniform(seed, step) < p
 
 
 def mask_triggers(logits: np.ndarray, triggers: Iterable[int]) -> np.ndarray:

@@ -289,6 +289,8 @@ class TestAnalyze:
         assert rc == 0
         outp = capsys.readouterr().out
         assert f"token_count,{trace.token_count}" in outp
+        assert f"finish_reason,{trace.finish_reason}" in outp
+        assert trace.finish_reason == "eos"
         assert "final_certainty,0.944538" in outp
         assert "final_p,0.445382" in outp
 

@@ -72,7 +72,7 @@ class TestGenerationConfig:
             {"probe_max_tokens": 0},
             {"checkpoint_marker": ""},
             {"probe_prompt": ""},
-            {"min_tokens_between_probes": -1},
+            {"probe_stop_strings": ("}", "")},
             {"fixed_p": 1.5},
         ],
     )
@@ -462,21 +462,6 @@ class TestGenerationLoop:
             assert probing.checkpoint_events  # probes really happened
             assert all(e.p_after == 0.0 for e in probing.checkpoint_events)
 
-    def test_min_tokens_between_probes_throttles(self, overthinking_triggers):
-        backend = ToyBackend(overthinking_spec(trigger_prob=0.85))
-        free = generate(
-            backend, TOY_PROMPT, toy_config(seed=8, delta=0.99), overthinking_triggers
-        )
-        throttled = generate(
-            backend,
-            TOY_PROMPT,
-            toy_config(seed=8, delta=0.99, min_tokens_between_probes=10_000),
-            overthinking_triggers,
-        )
-        assert free.tokens == throttled.tokens  # p stays 0 either way
-        assert len(free.checkpoint_events) > 1
-        assert len(throttled.checkpoint_events) == 1
-
     def test_probe_empty_keeps_previous_p(self):
         spec = ToyModelSpec(
             tokens=("<eos>", "Q", "\n\n", "Wait", "done", "P"),
@@ -509,6 +494,69 @@ class TestGenerationLoop:
         think_end = surfaces.index("</think>")
         active_steps = {d.step for d in trace.suppression_decisions}
         assert active_steps == set(range(think_end + 1))
+
+    def test_cgrs_restrict_to_thinking_stops_probes_and_decisions(self):
+        # a probeable think block, then a checkpoint marker after the think end
+        spec = ToyModelSpec(
+            tokens=("<eos>", "Q", "</think>", "\n\n", "Wait", "done", "P", "A", "}"),
+            eos_token="<eos>",
+            rules=(
+                EmissionRule("q", ("Q",), {"\n\n": 1.0}),
+                EmissionRule("loop", ("\n\n",), {"Wait": 0.6, "</think>": 0.4}),
+                EmissionRule("reflect", ("Wait",), {"\n\n": 1.0}),
+                EmissionRule("post", ("</think>",), {"\n\n": 1.0}),
+                EmissionRule("post_nl", ("</think>", "\n\n"), {"done": 1.0}),
+                EmissionRule("d", ("done",), {"<eos>": 1.0}),
+                EmissionRule("probe", ("P",), {"A": 0.97, "Wait": 0.03}),
+                EmissionRule("answer", ("A",), {"}": 1.0}),
+            ),
+        )
+        backend = ToyBackend(spec)
+        vocab = backend.vocabulary
+        triggers = build_trigger_set(["Wait"], vocab)
+        probed = 0
+        for seed in range(20):
+            cfg = toy_config(probe_prompt="P", restrict_to_thinking=True, seed=seed)
+            trace = generate(backend, "Q", cfg, triggers)
+            surfaces = [vocab.id_to_token[t] for t in trace.tokens]
+            think_end = surfaces.index("</think>")
+            assert surfaces[think_end + 1] == "\n\n"
+            assert {d.step for d in trace.suppression_decisions} == set(range(think_end + 1))
+            assert all(e.step < think_end for e in trace.checkpoint_events)
+            probed += len(trace.checkpoint_events)
+        assert probed  # probes did run inside the think block
+
+    def test_fixed_p_without_suppression_is_vanilla(
+        self, overthinking_backend, overthinking_triggers
+    ):
+        for seed in range(20):
+            off = generate(
+                overthinking_backend,
+                TOY_PROMPT,
+                toy_config(seed=seed, suppression_enabled=False, fixed_p=0.5),
+                overthinking_triggers,
+            )
+            vanilla = generate(
+                overthinking_backend,
+                TOY_PROMPT,
+                toy_config(seed=seed, suppression_enabled=False),
+                overthinking_triggers,
+            )
+            assert off.suppression_decisions == []
+            assert off.checkpoint_events == []
+            assert off.tokens == vanilla.tokens
+
+    def test_fixed_p_pins_every_decision(self, overthinking_backend, overthinking_triggers):
+        for seed in range(20):
+            trace = generate(
+                overthinking_backend,
+                TOY_PROMPT,
+                toy_config(seed=seed, fixed_p=0.5),
+                overthinking_triggers,
+            )
+            assert trace.suppression_decisions
+            assert all(d.p == 0.5 for d in trace.suppression_decisions)
+            assert trace.checkpoint_events == []
 
 
 class TestRemoteGeneration:

@@ -18,8 +18,6 @@ from cgrs.rng import (
 )
 from cgrs.suppression import (
     MASK_NEG_VALUE,
-    SuppressionState,
-    initial_state,
     mask_triggers,
     should_suppress,
     suppression_probability,
@@ -93,61 +91,33 @@ def make_score(value: float, vocab_size: int = 11) -> CertaintyScore:
 
 
 class TestStateTransitions:
-    def test_initial_state_p_zero(self):
-        st = initial_state(delta=0.9)
-        assert st.p == 0.0
-        assert not st.fixed
-
     def test_update_applies_ramp(self):
-        st = initial_state(delta=0.9)
-        st2 = update_state(st, make_score(0.95))
-        assert abs(st2.p - 0.5) < 1e-12
-        # original untouched (frozen value semantics)
-        assert st.p == 0.0
-
-    def test_fixed_state_ignores_updates(self):
-        st = initial_state(delta=0.9, fixed_p=0.25)
-        assert st.fixed and st.p == 0.25
-        st2 = update_state(st, make_score(1.0))
-        assert st2.p == 0.25
-
-    def test_state_ranges_validated(self):
-        for p in (-0.1, 1.1, float("nan")):
-            with pytest.raises(ValueError):
-                SuppressionState(p=p, delta=0.9)
-        for delta in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                SuppressionState(p=0.0, delta=delta)
+        assert abs(update_state(make_score(0.95), 0.9) - 0.5) < 1e-12
+        assert update_state(make_score(0.5), 0.9) == 0.0
 
     def test_decisions_are_random_access(self):
-        st = initial_state(delta=0.9, fixed_p=0.5)
-        forward = [should_suppress(st, 9, step) for step in range(200)]
+        forward = [should_suppress(0.5, 9, step) for step in range(200)]
         order = np.random.default_rng(3).permutation(200)
-        shuffled = {int(step): should_suppress(st, 9, int(step)) for step in order}
+        shuffled = {int(step): should_suppress(0.5, 9, int(step)) for step in order}
         assert forward == [shuffled[step] for step in range(200)]
         assert forward == [decision_uniform(9, step) < 0.5 for step in range(200)]
 
     def test_p_zero_never_fires(self):
-        st = initial_state(delta=0.9)
         for step in range(100):
-            assert not should_suppress(st, 123, step)
+            assert not should_suppress(0.0, 123, step)
 
     def test_p_one_always_fires(self):
-        st = initial_state(delta=0.9, fixed_p=1.0)
         for step in range(100):
-            assert should_suppress(st, 123, step)
+            assert should_suppress(1.0, 123, step)
 
     def test_empirical_rate_half(self):
-        st = initial_state(delta=0.9, fixed_p=0.5)
         n = 10_000
-        fires = sum(should_suppress(st, 42, step) for step in range(n))
+        fires = sum(should_suppress(0.5, 42, step) for step in range(n))
         assert abs(fires / n - 0.5) < 0.02
 
     def test_decisions_are_replayable(self):
-        st_a = initial_state(delta=0.9, fixed_p=0.5)
-        st_b = initial_state(delta=0.9, fixed_p=0.5)
         for step in range(50):
-            assert should_suppress(st_a, 7, step) == should_suppress(st_b, 7, step)
+            assert should_suppress(0.5, 7, step) == should_suppress(0.5, 7, step)
 
 
 class TestMaskTriggers:
