@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,8 +56,8 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be nonnegative, got {self.temperature}")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and nonnegative, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
         if not 0.0 <= self.delta < 1.0:

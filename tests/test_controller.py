@@ -74,6 +74,8 @@ class TestGenerationConfig:
             {"probe_prompt": ""},
             {"probe_stop_strings": ("}", "")},
             {"fixed_p": 1.5},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

@@ -51,6 +51,23 @@ def argsort_draw(probs: np.ndarray, csum: np.ndarray, u: float) -> int:
     return idx
 
 
+def tempered_argsort_nucleus(
+    probs: np.ndarray, temperature: float, top_p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: kept ids (in id order) of a full stable argsort of ``probs ** (1/T)``, and the weights."""
+    w = probs ** (1.0 / temperature)
+    order = np.argsort(-w, kind="stable")
+    cutoff = int(np.searchsorted(np.cumsum(w[order] / w.sum()), top_p, side="left"))
+    return np.sort(order[: cutoff + 1]), w
+
+
+def tempered_argsort_draw(keep: np.ndarray, w: np.ndarray, u: float) -> int:
+    """Oracle: the inverse-CDF draw over :func:`tempered_argsort_nucleus`."""
+    csum = np.cumsum(w[keep])
+    idx = int(np.searchsorted(csum, u * csum[-1], side="right"))
+    return int(keep[min(idx, keep.size - 1)])
+
+
 def argsort_sample_from_logits(
     logits: np.ndarray, temperature: float, top_p: float, u: float
 ) -> int:
@@ -82,32 +99,41 @@ def large_vectors() -> dict[str, np.ndarray]:
     return {"zipf": zipf, "ties": ties, "sparse": sparse, "uniform": uniform}
 
 
-@pytest.fixture
-def argsort_sizes(monkeypatch):
-    """Sizes of every array ``np.argsort`` is asked to sort while active."""
+def _counted(monkeypatch, name: str) -> list[int]:
+    """Sizes of the first argument of every ``np.<name>`` call while active."""
     sizes: list[int] = []
-    real = np.argsort
+    real = getattr(np, name)
 
     def counting(a, *args, **kwargs):
         sizes.append(np.asarray(a).size)
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", counting)
+    monkeypatch.setattr(np, name, counting)
     return sizes
+
+
+@pytest.fixture
+def argsort_sizes(monkeypatch):
+    """Sizes of every array ``np.argsort`` is asked to sort while active."""
+    return _counted(monkeypatch, "argsort")
 
 
 @pytest.fixture
 def cumsum_sizes(monkeypatch):
     """Sizes of every array ``np.cumsum`` is asked to sum while active."""
-    sizes: list[int] = []
-    real = np.cumsum
+    return _counted(monkeypatch, "cumsum")
 
-    def counting(a, *args, **kwargs):
-        sizes.append(np.asarray(a).size)
-        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "cumsum", counting)
-    return sizes
+@pytest.fixture
+def power_sizes(monkeypatch):
+    """Sizes of every array ``np.power`` tempers while active (the sampler spells it so)."""
+    return _counted(monkeypatch, "power")
+
+
+@pytest.fixture
+def partition_sizes(monkeypatch):
+    """Sizes of every array ``np.partition`` is asked to select from while active."""
+    return _counted(monkeypatch, "partition")
 
 
 class TestSoftmax:
@@ -339,6 +365,30 @@ class TestNucleusSortsOnlyAHead:
         assert argsort_sizes[-1] > 0.99 * QWEN_VOCAB
         assert np.array_equal(out, argsort_nucleus_filter(probs, 0.999999))
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    def test_near_uniform_small_nucleus_sorts_a_bounded_head(
+        self, deadline, argsort_sizes, temperature
+    ):
+        # every token is within 2**-10 of the largest, so the threshold head
+        # would be the whole vocabulary: past the cap, the head must grow from
+        # 64 as before and overshoot the nucleus by at most a factor of four
+        rng = np.random.default_rng(6)
+        probs = 1.0 + 1e-3 * rng.random(QWEN_VOCAB)
+        probs /= probs.sum()
+        u = sampling_uniform(6, 0)
+        with deadline(10):
+            if temperature == 1.0:
+                kept = np.flatnonzero(nucleus_filter(probs, 0.05))
+            else:
+                token = sample_from_probs(probs, temperature, 0.05, u)
+        sizes = list(argsort_sizes)
+        keep, w = tempered_argsort_nucleus(probs, temperature, 0.05)
+        if temperature == 1.0:
+            assert np.array_equal(kept, keep)
+        else:
+            assert token == tempered_argsort_draw(keep, w, u)
+        assert sizes and max(sizes) <= max(64, 4 * keep.size)
+
 
 class TestSampleFromProbs:
     """The probability-space core picks the oracle's ids and honours bans."""
@@ -409,7 +459,14 @@ class TestSampleFromProbs:
 
     def test_invalid_parameters(self):
         probs = np.full(3, 1.0 / 3.0)
-        for temperature, top_p, u in ((-0.5, 0.9, 0.5), (1.0, 0.0, 0.5), (1.0, 0.9, 1.0)):
+        for temperature, top_p, u in (
+            (-0.5, 0.9, 0.5),
+            (1.0, 0.0, 0.5),
+            (1.0, 0.9, 1.0),
+            (math.nan, 0.9, 0.5),
+            (math.inf, 0.9, 0.5),
+            (math.nan, 1.0, 0.5),
+        ):
             with pytest.raises(ValueError):
                 sample_from_probs(probs, temperature, top_p, u)
 
@@ -429,3 +486,90 @@ class TestDrawSumsOnlyTheNucleus:
             sample_from_logits(distribution_to_logits(probs), 0.6, top_p, 0.5)
         assert argsort_sizes and cumsum_sizes
         assert max(cumsum_sizes) <= max(argsort_sizes)
+
+
+def tie_pair_below(x: float, temperature: float) -> tuple[float, float]:
+    """The first adjacent doubles ``a < b <= x``, searching down, with equal tempered weights."""
+    top = int(np.float64(x).view(np.int64))
+    for _ in range(100):
+        doubles = np.arange(top - 100_000, top + 1, dtype=np.int64).view(np.float64)
+        w = doubles ** (1.0 / temperature)
+        ties = np.flatnonzero(w[:-1] == w[1:])
+        if ties.size:
+            return float(doubles[ties[-1]]), float(doubles[ties[-1] + 1])
+        top -= 100_000
+    raise AssertionError("no tempered tie found")
+
+
+class TestCertifiedNucleus:
+    """A step whose head settles the cutoff never tempers or partitions the vocabulary."""
+
+    @pytest.fixture(scope="class")
+    def peaked(self) -> np.ndarray:
+        rng = np.random.default_rng(97)
+        probs = (rng.permutation(QWEN_VOCAB) + 1.0) ** -1.1
+        probs *= 0.03 / probs.sum()
+        probs[rng.integers(QWEN_VOCAB)] += 0.97
+        return probs
+
+    @pytest.mark.parametrize("name", ["peaked", "sparse"])
+    def test_settled_step_skips_the_vocabulary(
+        self, peaked, large_vectors, power_sizes, partition_sizes, name
+    ):
+        probs = peaked if name == "peaked" else large_vectors[name]
+        us = [sampling_uniform(8, step) for step in range(20)]
+        tokens = [sample_from_probs(probs, 0.6, 0.95, u) for u in us]
+        assert power_sizes and max(power_sizes) < QWEN_VOCAB // 30
+        assert not partition_sizes
+        keep, w = tempered_argsort_nucleus(probs, 0.6, 0.95)
+        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+
+    @pytest.mark.parametrize("tail_mass", [1e-5, 0.05], ids=["certified", "exact_total"])
+    def test_head_closed_under_tempered_ties(self, power_sizes, tail_mass):
+        # ids 5 < 9 hold adjacent doubles with one tempered weight; 9 sits
+        # exactly on the threshold (2**-10 of id 2) and 5 just below it.  The
+        # stable ranking puts 5 before 9, and the cutoff lands between them,
+        # so a head that split the tie would keep 9 instead of 5
+        temperature, n = 0.6, 4096
+        low, high = tie_pair_below(9e-4, temperature)
+        probs = np.full(n, tail_mass / (n - 7))
+        probs[[0, 1, 3, 4]] = 0.0
+        probs[[2, 5, 9]] = 1024.0 * high, low, high
+        probs[[0, 1, 3, 4]] = (1.0 - probs.sum()) / 4  # four mid-weight tokens
+        w = probs ** (1.0 / temperature)
+        assert w[5] == w[9]
+        ranked = np.cumsum(np.sort(w)[::-1] / w.sum())
+        top_p = float((ranked[4] + ranked[5]) / 2.0)
+        keep, w = tempered_argsort_nucleus(probs, temperature, top_p)
+        assert keep.tolist() == [0, 1, 2, 3, 4, 5]
+        # half the draws inside id 5's sliver at the top of the CDF
+        sliver = w[5] / w[keep].sum()
+        us = [sampling_uniform(4, step) for step in range(50)]
+        us += [1.0 - sliver * (k + 0.5) / 50.0 for k in range(50)]
+        tokens = [sample_from_probs(probs, temperature, top_p, u) for u in us]
+        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert 5 in tokens
+        # the light tail is settled by the head alone; the heavy one needs the exact total
+        assert (n in power_sizes) == (tail_mass > 1e-3)
+
+    @pytest.mark.parametrize("temperature", [0.3, 0.6, 0.9, 1.0])
+    def test_random_vectors_match_the_tempered_oracle(self, temperature):
+        rng = np.random.default_rng(int(temperature * 10))
+        for trial in range(60):
+            n = int(rng.integers(2, 3000))
+            probs = rng.dirichlet(np.full(n, float(rng.choice([0.02, 0.3, 3.0]))))
+            if trial % 3 == 0:  # an exact tie block
+                probs[: n // 2] = probs[0]
+                probs /= probs.sum()
+            ban = None
+            if trial % 2:
+                ban = rng.choice(n, int(rng.integers(1, n // 2 + 2)), replace=False)
+            top_p = float(rng.choice([0.2, 0.9, 0.95, 0.999]))
+            masked = probs.copy()
+            if ban is not None and masked[ban].sum() < masked.sum():
+                masked[ban] = 0.0
+            keep, w = tempered_argsort_nucleus(masked, temperature, top_p)
+            for step in range(10):
+                u = sampling_uniform(trial, step)
+                got = sample_from_probs(probs, temperature, top_p, u, ban)
+                assert got == tempered_argsort_draw(keep, w, u), (trial, step)
