@@ -29,9 +29,6 @@ _HEAD_RATIO = 2.0**-10
 #: distribution) goes to the partial-selection loop.
 _HEAD_CAP = 4096
 
-#: Relative slack on the bounds of the tempered total, for rounding.
-_MARGIN = 1e-9
-
 #: Smallest tempered total taken as is.  Above it, every token holding more
 #: than 2**-60 of the mass is a normal float; below it, ``p ** (1/T)`` has
 #: underflowed (or the ban left no mass) and the weights are rebuilt.
@@ -76,7 +73,7 @@ def _weights(
     back to the unmasked weights.  If the power underflows, the weights are
     taken relative to the largest probability, which keeps their ratios.
     """
-    w = np.power(probs, power) if power != 1.0 else probs
+    w = probs ** power if power != 1.0 else probs
     if banned is not None and banned.size:
         if w is probs:
             w = probs.copy()
@@ -93,30 +90,20 @@ def _weights(
     top = base.max()
     if not top > 0.0:
         raise ValueError("probs hold no probability mass")
-    w = np.power(base / top, power)
+    w = (base / top) ** power
     return w, float(w.sum())
 
 
-def _threshold_head(values: np.ndarray, power: float) -> tuple[np.ndarray | None, float]:
-    """Ids of the entries at or above ``t`` (None if over ``_HEAD_CAP``), and ``t``.
+def _threshold_head(w: np.ndarray) -> np.ndarray | None:
+    """Ids of the weights at or above ``_HEAD_RATIO`` of the largest (None if over ``_HEAD_CAP``).
 
-    ``t`` starts at ``_HEAD_RATIO`` of the largest value.  ``** power`` can
-    give adjacent doubles the same weight, so ``t`` is lowered past any double
-    just below it that ties its weight: then every entry below ``t`` weighs
-    strictly less than every entry from ``t`` on, and the head is an exact
-    prefix of the stable ranking by weight.
+    Every weight left out is strictly below every one taken, so the head,
+    ranked, is an exact prefix of the stable ranking of ``w``.
     """
-    t = float(values.max()) * _HEAD_RATIO
-    while power != 1.0:
-        below = float(np.nextafter(t, 0.0))
-        w_below, w_t = np.power(np.array([below, t]), power)
-        if w_below < w_t or not 0.0 < w_t < math.inf:
-            break
-        t = below
-    at_least = values >= t
+    at_least = w >= float(w.max()) * _HEAD_RATIO
     if np.count_nonzero(at_least) > _HEAD_CAP:
-        return None, t
-    return np.flatnonzero(at_least), t
+        return None
+    return np.flatnonzero(at_least)
 
 
 def _cutoff(ranked_w: np.ndarray, total: float, top_p: float) -> int:
@@ -129,62 +116,21 @@ def _cutoff(ranked_w: np.ndarray, total: float, top_p: float) -> int:
     return int(np.searchsorted(np.cumsum(ranked_w / total), top_p, side="left"))
 
 
-def _certified_nucleus(
-    probs: np.ndarray, power: float, top_p: float, banned: np.ndarray | None
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(nucleus, ranked head) found without tempering the whole vocabulary.
-
-    The head is :func:`_threshold_head` of ``probs`` less the banned ids,
-    ranked by weight.  For ``power >= 1`` every tail entry ``p < t`` weighs
-    at most ``t ** (power - 1) * p``, so the tempered total lies between the
-    head's sum H and H + B, with B that bound times the tail's mass.  The
-    cutoff only moves one way as the total grows, so when it is the same at
-    both ends (with ``_MARGIN`` of slack for rounding) it is the exact one,
-    and the nucleus is returned.  Otherwise the nucleus is None, and the
-    ranked head (None when it is too large, empty or underflows) is still an
-    exact prefix of the ranking of the full weights.
-    """
-    head, t = _threshold_head(probs, power)
-    if head is None:
-        return None, None
-    mass = float(probs.sum())
-    # banned tail entries stay in the tail mass: the bound only loosens
-    rest = max(mass - float(probs[head].sum()), 0.0) + _MARGIN * mass
-    if banned is not None and banned.size:
-        ban = np.sort(banned)
-        head = head[ban[np.minimum(np.searchsorted(ban, head), ban.size - 1)] != head]
-    w = np.power(probs[head], power) if power != 1.0 else probs[head]
-    order = np.argsort(-w, kind="stable")
-    ranked, w = head[order], w[order]
-    low = float(w.sum()) * (1.0 - _MARGIN)
-    if not low >= _MIN_TOTAL:
-        return None, None
-    high = (low + t ** (power - 1.0) * rest) * (1.0 + 2.0 * _MARGIN)
-    cutoff = _cutoff(w, low, top_p)
-    if cutoff < ranked.size and cutoff == _cutoff(w, high, top_p):
-        return ranked[: cutoff + 1], ranked
-    return None, ranked
-
-
-def _nucleus(
-    w: np.ndarray, total: float, top_p: float, ranked: np.ndarray | None = None
-) -> np.ndarray:
+def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
     """Ids of the smallest stable-ranked prefix whose share of ``total`` reaches top_p.
 
     Tokens are ranked by weight (stable order on ties, so lower ids win); the
     token that crosses the threshold is kept.  The ranking never sorts the
-    whole vocabulary.  ``ranked`` is an exact prefix of the ranking; without
-    it, the threshold head of ``w`` is ranked.  If that head holds more than
-    ``_HEAD_CAP`` entries or falls short of top_p, a partial selection finds
-    the k-th largest weight; the head is every positive entry at or above
-    it, so ties with the pivot all enter and the head is again an exact
-    prefix.  While its share stays below ``top_p`` the head grows fourfold.
+    whole vocabulary: the :func:`_threshold_head` is ranked first.  If that
+    head holds more than ``_HEAD_CAP`` entries or falls short of top_p, a
+    partial selection finds the k-th largest weight; the head is every
+    positive entry at or above it, so ties with the pivot all enter and the
+    head is again an exact prefix.  While its share stays below ``top_p``
+    the head grows fourfold.
     """
-    if ranked is None:
-        head = _threshold_head(w, 1.0)[0]
-        if head is not None:
-            ranked = head[np.argsort(-w[head], kind="stable")]
+    ranked = _threshold_head(w)
     if ranked is not None:
+        ranked = ranked[np.argsort(-w[ranked], kind="stable")]
         cutoff = _cutoff(w[ranked], total, top_p)
         if cutoff < ranked.size:
             return ranked[: cutoff + 1]
@@ -201,13 +147,14 @@ def _nucleus(
         k = min(4 * k, n)
 
 
-def _draw(vals: np.ndarray, ids: np.ndarray | None, u: float) -> int:
-    """Inverse CDF over ``vals``, the weights of ``ids`` (of ids 0.. when None) in id order."""
+def _draw(w: np.ndarray, keep: np.ndarray | None, u: float) -> int:
+    """Inverse CDF over ``w[keep]`` (all of ``w`` when keep is None), in id order."""
+    vals = w if keep is None else w[keep]
     csum = np.cumsum(vals)
     idx = int(np.searchsorted(csum, u * csum[-1], side="right"))
     if idx >= vals.size:  # u * total rounded up to the last prefix sum
         idx = int(np.flatnonzero(vals)[-1])
-    return idx if ids is None else int(ids[idx])
+    return idx if keep is None else int(keep[idx])
 
 
 def nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
@@ -235,34 +182,21 @@ def sample_from_probs(
     """Pick a token id by inverse CDF over the tempered, banned, nucleus-filtered probs.
 
     The weights are ``probs ** (1/T)`` with the ``banned`` ids (valid token
-    ids) zeroed; tempering is monotone, so it keeps the ranking (it can give
-    adjacent probabilities one weight, but never inverts them).
-    ``temperature = 0`` degenerates to greedy argmax over the weights.  The
-    nucleus is taken over the weights' share of their total, and the inverse
-    CDF walks the kept ids in token-id order, so the selection is fully
-    determined by ``u``.  For ``0 < T <= 1`` the nucleus is first sought in a
-    small head of the largest probabilities (:func:`_certified_nucleus`);
-    only when the tail could move the cutoff is the whole vocabulary
-    tempered.
+    ids) zeroed; tokens are ranked by weight.  ``temperature = 0``
+    degenerates to greedy argmax over the weights.  The nucleus is taken over
+    the weights' share of their total, and the inverse CDF walks the kept ids
+    in token-id order, so the selection is fully determined by ``u``.
     """
     _check_draw(temperature, u)
     _check_top_p(top_p)
     probs = np.asarray(probs, dtype=np.float64)
     power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
-    ranked = None
-    if top_p < 1.0 and 0.0 < temperature <= 1.0:
-        keep, ranked = _certified_nucleus(probs, power, top_p, banned)
-        if keep is not None:
-            keep = np.sort(keep)
-            vals = np.power(probs[keep], power) if power != 1.0 else probs[keep]
-            return _draw(vals, keep, u)
     w, total = _weights(probs, power, banned)
     if temperature == 0.0:
         return int(np.argmax(w))
     if top_p == 1.0:
         return _draw(w, None, u)
-    keep = np.sort(_nucleus(w, total, top_p, ranked))
-    return _draw(w[keep], keep, u)
+    return _draw(w, np.sort(_nucleus(w, total, top_p)), u)
 
 
 def sample_from_logits(

@@ -125,12 +125,6 @@ def cumsum_sizes(monkeypatch):
 
 
 @pytest.fixture
-def power_sizes(monkeypatch):
-    """Sizes of every array ``np.power`` tempers while active (the sampler spells it so)."""
-    return _counted(monkeypatch, "power")
-
-
-@pytest.fixture
 def partition_sizes(monkeypatch):
     """Sizes of every array ``np.partition`` is asked to select from while active."""
     return _counted(monkeypatch, "partition")
@@ -501,8 +495,8 @@ def tie_pair_below(x: float, temperature: float) -> tuple[float, float]:
     raise AssertionError("no tempered tie found")
 
 
-class TestCertifiedNucleus:
-    """A step whose head settles the cutoff never tempers or partitions the vocabulary."""
+class TestThresholdHead:
+    """A nucleus inside the threshold head is found without a partial selection."""
 
     @pytest.fixture(scope="class")
     def peaked(self) -> np.ndarray:
@@ -513,23 +507,23 @@ class TestCertifiedNucleus:
         return probs
 
     @pytest.mark.parametrize("name", ["peaked", "sparse"])
-    def test_settled_step_skips_the_vocabulary(
-        self, peaked, large_vectors, power_sizes, partition_sizes, name
+    def test_small_head_needs_no_partition(
+        self, peaked, large_vectors, argsort_sizes, partition_sizes, name
     ):
         probs = peaked if name == "peaked" else large_vectors[name]
         us = [sampling_uniform(8, step) for step in range(20)]
         tokens = [sample_from_probs(probs, 0.6, 0.95, u) for u in us]
-        assert power_sizes and max(power_sizes) < QWEN_VOCAB // 30
         assert not partition_sizes
+        assert argsort_sizes and max(argsort_sizes) < QWEN_VOCAB // 30
         keep, w = tempered_argsort_nucleus(probs, 0.6, 0.95)
         assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
 
-    @pytest.mark.parametrize("tail_mass", [1e-5, 0.05], ids=["certified", "exact_total"])
-    def test_head_closed_under_tempered_ties(self, power_sizes, tail_mass):
-        # ids 5 < 9 hold adjacent doubles with one tempered weight; 9 sits
-        # exactly on the threshold (2**-10 of id 2) and 5 just below it.  The
-        # stable ranking puts 5 before 9, and the cutoff lands between them,
-        # so a head that split the tie would keep 9 instead of 5
+    @pytest.mark.parametrize("tail_mass", [1e-5, 0.05], ids=["light_tail", "heavy_tail"])
+    def test_tempered_tie_at_the_cutoff_keeps_the_lower_id(self, tail_mass):
+        # ids 5 < 9 hold adjacent doubles with one tempered weight, 9 the
+        # larger probability.  The stable ranking by weight puts 5 before 9,
+        # and the cutoff lands between them, so a ranking by probability
+        # would keep 9 instead of 5
         temperature, n = 0.6, 4096
         low, high = tie_pair_below(9e-4, temperature)
         probs = np.full(n, tail_mass / (n - 7))
@@ -549,8 +543,6 @@ class TestCertifiedNucleus:
         tokens = [sample_from_probs(probs, temperature, top_p, u) for u in us]
         assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
         assert 5 in tokens
-        # the light tail is settled by the head alone; the heavy one needs the exact total
-        assert (n in power_sizes) == (tail_mass > 1e-3)
 
     @pytest.mark.parametrize("temperature", [0.3, 0.6, 0.9, 1.0])
     def test_random_vectors_match_the_tempered_oracle(self, temperature):
