@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 import os
 import threading
 import time
@@ -393,6 +394,14 @@ class RemoteBackend(ModelBackend):
         max_retries: int = 2,
         retry_backoff: float = 0.2,
     ):
+        if top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {top_k}")
+        if not 0.0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and positive, got {timeout}")
+        if not (isinstance(max_retries, int) and max_retries >= 0):
+            raise ValueError(f"max_retries must be a nonnegative integer, got {max_retries}")
+        if not 0.0 <= retry_backoff < math.inf:
+            raise ValueError(f"retry_backoff must be finite and nonnegative, got {retry_backoff}")
         base_url = base_url or os.environ.get(API_BASE_ENV)
         if not base_url:
             raise ValueError(f"no endpoint: pass base_url or set {API_BASE_ENV}")

@@ -34,6 +34,10 @@ _HEAD_CAP = 4096
 #: underflowed (or the ban left no mass) and the weights are rebuilt.
 _MIN_TOTAL = np.finfo(np.float64).tiny * 2.0**60
 
+#: Relative slack of the settled-top test in :func:`_settled_top`, far above
+#: the rounding of the power, the pairwise sum and the division.
+_SETTLE_MARGIN = 1.0 + 1e-9
+
 
 def distribution_to_logits(probs: np.ndarray) -> np.ndarray:
     """Log-probabilities with zero entries floored to a huge negative value."""
@@ -147,6 +151,29 @@ def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
         k = min(4 * k, n)
 
 
+def _settled_top(probs: np.ndarray, top_p: float, banned: np.ndarray | None) -> int | None:
+    """The most probable id when, tempered at ``0 < T <= 1``, it alone holds top_p; else None.
+
+    Tempering with ``a = 1/T >= 1`` only sharpens: ``p_j ** a <= p_top **
+    (a - 1) * p_j`` for every j, so an unbanned top token's share of the
+    unbanned weights is at least ``p_top / sum(probs)``.  The share is held
+    to at least 0.5 as well: every other probability is then below
+    ``p_top`` by far more than rounding, so no lower id can temper to the
+    top's weight and take its place in the stable ranking.  A largest
+    probability below the bar cannot settle probabilities that sum to 1, so
+    it is turned away before paying for the sum.
+    """
+    bar = max(top_p, 0.5)
+    if not probs.max() >= bar:  # also False on NaN
+        return None
+    top = int(np.argmax(probs))
+    if probs[top] < bar * float(probs.sum()) * _SETTLE_MARGIN:
+        return None
+    if banned is not None and top in banned:
+        return None
+    return top
+
+
 def _draw(w: np.ndarray, keep: np.ndarray | None, u: float) -> int:
     """Inverse CDF over ``w[keep]`` (all of ``w`` when keep is None), in id order."""
     vals = w if keep is None else w[keep]
@@ -186,10 +213,18 @@ def sample_from_probs(
     degenerates to greedy argmax over the weights.  The nucleus is taken over
     the weights' share of their total, and the inverse CDF walks the kept ids
     in token-id order, so the selection is fully determined by ``u``.
+
+    ``probs`` must be nonnegative; they need not sum to 1.  At ``0 < T <= 1``
+    and ``top_p < 1``, a top token that alone holds top_p of the tempered
+    mass (:func:`_settled_top`) is returned without tempering the vocabulary.
     """
     _check_draw(temperature, u)
     _check_top_p(top_p)
     probs = np.asarray(probs, dtype=np.float64)
+    if top_p < 1.0 and 0.0 < temperature <= 1.0:
+        top = _settled_top(probs, top_p, banned)
+        if top is not None:
+            return top
     power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
     w, total = _weights(probs, power, banned)
     if temperature == 0.0:

@@ -507,6 +507,37 @@ class TestRemoteBackend:
             ctx = toy.vocabulary.encode("Solve 6*7. ")
             assert remote.sample_token(ctx, 0.0, 1.0, seed=0) is not None
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_retries": -1},
+            {"max_retries": 1.5},
+            {"retry_backoff": -0.1},
+            {"retry_backoff": math.inf},
+            {"retry_backoff": math.nan},
+            {"timeout": 0.0},
+            {"timeout": -1.0},
+            {"timeout": math.inf},
+            {"timeout": math.nan},
+            {"top_k": 0},
+        ],
+    )
+    def test_broken_client_settings_rejected(self, kwargs):
+        # before, max_retries=-1 sent no request, and a negative backoff or a
+        # fractional retry count raised from time.sleep or range mid-run
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RemoteBackend(vocab=Vocabulary(["<eos>"]), base_url="http://unused", **kwargs)
+
+    def test_no_retries_and_no_backoff_accepted(self):
+        remote = RemoteBackend(
+            vocab=Vocabulary(["<eos>"]),
+            base_url="http://unused",
+            top_k=1,
+            max_retries=0,
+            retry_backoff=0.0,
+        )
+        assert remote.eos_token_id is None
+
     def test_missing_endpoint_rejected(self, monkeypatch):
         monkeypatch.delenv("CGRS_API_BASE", raising=False)
         with pytest.raises(ValueError, match="CGRS_API_BASE"):

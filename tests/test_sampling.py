@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cgrs import sampling
 from cgrs.rng import sampling_uniform
 from cgrs.sampling import (
     _weights,
@@ -99,16 +100,16 @@ def large_vectors() -> dict[str, np.ndarray]:
     return {"zipf": zipf, "ties": ties, "sparse": sparse, "uniform": uniform}
 
 
-def _counted(monkeypatch, name: str) -> list[int]:
-    """Sizes of the first argument of every ``np.<name>`` call while active."""
+def _counted(monkeypatch, name: str, module=np) -> list[int]:
+    """Sizes of the first argument of every ``module.<name>`` call while active."""
     sizes: list[int] = []
-    real = getattr(np, name)
+    real = getattr(module, name)
 
     def counting(a, *args, **kwargs):
         sizes.append(np.asarray(a).size)
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return sizes
 
 
@@ -128,6 +129,12 @@ def cumsum_sizes(monkeypatch):
 def partition_sizes(monkeypatch):
     """Sizes of every array ``np.partition`` is asked to select from while active."""
     return _counted(monkeypatch, "partition")
+
+
+@pytest.fixture
+def weights_sizes(monkeypatch):
+    """Sizes of every vector ``cgrs.sampling._weights`` is asked to temper while active."""
+    return _counted(monkeypatch, "_weights", sampling)
 
 
 class TestSoftmax:
@@ -450,6 +457,9 @@ class TestSampleFromProbs:
     def test_no_mass_rejected(self):
         with pytest.raises(ValueError, match="no probability mass"):
             sample_from_probs(np.zeros(4), 0.5, 0.9, 0.5)
+        # a NaN largest entry never settles the draw on its own
+        with pytest.raises(ValueError, match="no probability mass"):
+            sample_from_probs(np.array([0.9, math.nan, 0.1]), 0.5, 0.5, 0.5)
 
     def test_invalid_parameters(self):
         probs = np.full(3, 1.0 / 3.0)
@@ -471,15 +481,33 @@ class TestDrawSumsOnlyTheNucleus:
     @pytest.mark.parametrize("entry", ["probs", "logits"])
     @pytest.mark.parametrize("top_p", LARGE_V_TOP_PS)
     def test_cumsum_no_longer_than_the_sorted_head(
-        self, large_vectors, argsort_sizes, cumsum_sizes, entry, top_p
+        self,
+        large_vectors,
+        argsort_sizes,
+        cumsum_sizes,
+        partition_sizes,
+        weights_sizes,
+        entry,
+        top_p,
     ):
         probs = large_vectors["zipf"]
+        logits = distribution_to_logits(probs)
         if entry == "probs":
-            sample_from_probs(probs, 0.6, top_p, 0.5)
+            token = sample_from_probs(probs, 0.6, top_p, 0.5)
         else:
-            sample_from_logits(distribution_to_logits(probs), 0.6, top_p, 0.5)
-        assert argsort_sizes and cumsum_sizes
-        assert max(cumsum_sizes) <= max(argsort_sizes)
+            token = sample_from_logits(logits, 0.6, top_p, 0.5)
+        if top_p <= 0.5:
+            # the top token holds 0.545 of this vector's mass, so it alone is
+            # the nucleus and the draw forms no weights at all
+            assert not (weights_sizes or argsort_sizes or cumsum_sizes or partition_sizes)
+        else:
+            assert argsort_sizes and cumsum_sizes
+            assert max(cumsum_sizes) <= max(argsort_sizes)
+        if entry == "probs":
+            keep, w = tempered_argsort_nucleus(probs, 0.6, top_p)
+            assert token == tempered_argsort_draw(keep, w, 0.5)
+        else:
+            assert token == argsort_sample_from_logits(logits, 0.6, top_p, 0.5)
 
 
 def tie_pair_below(x: float, temperature: float) -> tuple[float, float]:
@@ -508,13 +536,24 @@ class TestThresholdHead:
 
     @pytest.mark.parametrize("name", ["peaked", "sparse"])
     def test_small_head_needs_no_partition(
-        self, peaked, large_vectors, argsort_sizes, partition_sizes, name
+        self,
+        peaked,
+        large_vectors,
+        argsort_sizes,
+        cumsum_sizes,
+        partition_sizes,
+        weights_sizes,
+        name,
     ):
         probs = peaked if name == "peaked" else large_vectors[name]
         us = [sampling_uniform(8, step) for step in range(20)]
         tokens = [sample_from_probs(probs, 0.6, 0.95, u) for u in us]
         assert not partition_sizes
-        assert argsort_sizes and max(argsort_sizes) < QWEN_VOCAB // 30
+        if name == "peaked":
+            # 0.97 on one token settles the draw before any weight is formed
+            assert not (weights_sizes or argsort_sizes or cumsum_sizes)
+        else:
+            assert argsort_sizes and max(argsort_sizes) < QWEN_VOCAB // 30
         keep, w = tempered_argsort_nucleus(probs, 0.6, 0.95)
         assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
 
@@ -565,3 +604,75 @@ class TestThresholdHead:
                 u = sampling_uniform(trial, step)
                 got = sample_from_probs(probs, temperature, top_p, u, ban)
                 assert got == tempered_argsort_draw(keep, w, u), (trial, step)
+
+
+class TestSettledTop:
+    """A top token that alone holds top_p at 0 < T <= 1 is drawn without tempering."""
+
+    @pytest.mark.parametrize(
+        "x, temperature, top_p",
+        [(0.45, 0.6, 0.3), (0.6, 0.9, 0.3), (0.6, 0.9, 0.5)],
+        ids=["rest-0.3", "pair-0.3", "pair-0.5"],
+    )
+    def test_tempered_tie_keeps_the_lower_id(self, x, temperature, top_p):
+        # ids 0 < 1 hold adjacent doubles with one tempered weight, 1 the
+        # larger probability.  Ranked by weight, 0 comes first and alone holds
+        # top_p, so the most probable id is the wrong answer.  With the pair
+        # below 0.45, the rest of the mass fills the vector to 1 and the top
+        # holds less than half of it; the pair alone below 0.6 (probs need not
+        # sum to 1) gives the top a hair over half, inside the rule's margin
+        low, high = tie_pair_below(x, temperature)
+        probs = np.zeros(64)
+        probs[:2] = low, high
+        if x < 0.5:
+            probs[2:] = (1.0 - low - high) / 62
+        keep, w = tempered_argsort_nucleus(probs, temperature, top_p)
+        assert w[0] == w[1] and keep.tolist() == [0]
+        us = [sampling_uniform(10, step) for step in range(20)]
+        assert [sample_from_probs(probs, temperature, top_p, u) for u in us] == [0] * 20
+
+    @pytest.mark.parametrize("temperature", [0.3, 0.6, 1.0, 2.0])
+    def test_top_heavy_vectors_match_the_tempered_oracle(self, weights_sizes, temperature):
+        # T > 1 flattens, so there the top's share can fall below p_top / S
+        # and the draw must temper
+        rng = np.random.default_rng(int(temperature * 10) + 100)
+        for trial in range(40):
+            n = int(rng.integers(2, 3000))
+            top = int(rng.integers(n))
+            rest = rng.dirichlet(np.full(n - 1, float(rng.choice([0.02, 0.3, 3.0]))))
+            probs = np.insert(rest * (1.0 - rng.uniform(0.5, 0.999)), top, 0.0)
+            probs[top] = 1.0 - probs.sum()
+            ban_top = trial % 2 == 1
+            ban = rng.choice(n, int(rng.integers(0, n // 2 + 1)), replace=False)
+            ban = np.union1d(ban[ban != top], [top] if ban_top else [])
+            ban = ban.astype(np.int64)
+            masked = probs.copy()
+            if masked[ban].sum() < masked.sum():
+                masked[ban] = 0.0
+            share = probs[top] / probs.sum()
+            below = not ban_top and temperature <= 1.0
+            for top_p, settles in ((share * (1 - 1e-6), below), (share * (1 + 1e-6), False)):
+                keep, w = tempered_argsort_nucleus(masked, temperature, top_p)
+                for step in range(5):
+                    u = sampling_uniform(trial, step)
+                    weights_sizes.clear()
+                    got = sample_from_probs(probs, temperature, top_p, u, ban)
+                    assert got == tempered_argsort_draw(keep, w, u), (trial, top_p, step)
+                    assert (not weights_sizes) == settles, (trial, top_p, step)
+
+    def test_settled_draw_never_tempers(self, weights_sizes):
+        rng = np.random.default_rng(98)
+        probs = (rng.permutation(QWEN_VOCAB) + 1.0) ** -1.1
+        probs *= 0.03 / probs.sum()
+        top = int(rng.integers(QWEN_VOCAB))
+        probs[top] += 0.97
+        others = np.setdiff1d(rng.choice(QWEN_VOCAB, 6, replace=False), [top])[:5]
+        for temperature in (0.3, 0.6, 1.0):
+            for step in range(10):
+                u = sampling_uniform(11, step)
+                assert sample_from_probs(probs, temperature, 0.95, u, others) == top
+        assert sample_from_logits(distribution_to_logits(probs), 0.6, 0.95, 0.5) == top
+        assert not weights_sizes
+        # a banned top is not settled: the draw tempers and moves elsewhere
+        assert sample_from_probs(probs, 0.6, 0.95, 0.5, np.array([top])) != top
+        assert weights_sizes == [QWEN_VOCAB]
