@@ -36,8 +36,6 @@ class TokenDistribution:
     probs: np.ndarray
     truncated: bool = False
     outcome_token_ids: tuple[int, ...] | None = None
-    #: True when no outcome has probability 0 (the validation's minimum is positive)
-    dense: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -49,7 +47,6 @@ class TokenDistribution:
         total = float(probs.sum())
         if not (lo >= 0.0 and np.isfinite(total)):
             raise ValueError("probs must be finite and nonnegative, with a finite sum")
-        object.__setattr__(self, "dense", bool(lo > 0.0))
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probs must sum to 1 within {NORMALIZATION_ATOL}, got {total}")
         if self.truncated:
@@ -95,9 +92,7 @@ def token_entropy(dist: TokenDistribution | np.ndarray | Sequence[float]) -> flo
     if not isinstance(dist, TokenDistribution):
         dist = TokenDistribution(np.asarray(dist, dtype=np.float64))
     p = dist.probs
-    # a dense vector holds the same values, in the same order, as the masked
-    # copy, so the sum keeps its bits
-    nz = p if dist.dense else p[p > 0.0]
+    nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
 

@@ -34,7 +34,7 @@ _HEAD_CAP = 4096
 #: underflowed (or the ban left no mass) and the weights are rebuilt.
 _MIN_TOTAL = np.finfo(np.float64).tiny * 2.0**60
 
-#: Relative slack of the settled-top test in :func:`_settled_top`, far above
+#: Relative slack of the settled-top test in :func:`_top_settles`, far above
 #: the rounding of the power, the pairwise sum and the division.
 _SETTLE_MARGIN = 1.0 + 1e-9
 
@@ -98,16 +98,20 @@ def _weights(
     return w, float(w.sum())
 
 
-def _threshold_head(w: np.ndarray) -> np.ndarray | None:
+def _threshold_head(w: np.ndarray, top: int | None = None) -> np.ndarray | None:
     """Ids of the weights at or above ``_HEAD_RATIO`` of the largest (None if over ``_HEAD_CAP``).
 
     Every weight left out is strictly below every one taken, so the head,
-    ranked, is an exact prefix of the stable ranking of ``w``.
+    ranked, is an exact prefix of the stable ranking of ``w`` whatever the
+    reference weight is.  A positive ``w[top]`` (the most probable id, whose
+    tempered weight is the largest up to rounding) stands in for a pass
+    over ``w`` to find the largest.
     """
-    at_least = w >= float(w.max()) * _HEAD_RATIO
-    if np.count_nonzero(at_least) > _HEAD_CAP:
-        return None
-    return np.flatnonzero(at_least)
+    ref = w[top] if top is not None else 0.0
+    if not ref > 0.0:
+        ref = w.max()
+    head = np.flatnonzero(w >= float(ref) * _HEAD_RATIO)
+    return head if head.size <= _HEAD_CAP else None
 
 
 def _cutoff(ranked_w: np.ndarray, total: float, top_p: float) -> int:
@@ -120,7 +124,7 @@ def _cutoff(ranked_w: np.ndarray, total: float, top_p: float) -> int:
     return int(np.searchsorted(np.cumsum(ranked_w / total), top_p, side="left"))
 
 
-def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
+def _nucleus(w: np.ndarray, total: float, top_p: float, top: int | None = None) -> np.ndarray:
     """Ids of the smallest stable-ranked prefix whose share of ``total`` reaches top_p.
 
     Tokens are ranked by weight (stable order on ties, so lower ids win); the
@@ -130,9 +134,9 @@ def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
     partial selection finds the k-th largest weight; the head is every
     positive entry at or above it, so ties with the pivot all enter and the
     head is again an exact prefix.  While its share stays below ``top_p``
-    the head grows fourfold.
+    the head grows fourfold.  ``top`` is passed on to the threshold head.
     """
-    ranked = _threshold_head(w)
+    ranked = _threshold_head(w, top)
     if ranked is not None:
         ranked = ranked[np.argsort(-w[ranked], kind="stable")]
         cutoff = _cutoff(w[ranked], total, top_p)
@@ -151,8 +155,8 @@ def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
         k = min(4 * k, n)
 
 
-def _settled_top(probs: np.ndarray, top_p: float, banned: np.ndarray | None) -> int | None:
-    """The most probable id when, tempered at ``0 < T <= 1``, it alone holds top_p; else None.
+def _top_settles(probs: np.ndarray, top: int, top_p: float, banned: np.ndarray | None) -> bool:
+    """Whether the most probable id ``top``, tempered at ``0 < T <= 1``, alone holds top_p.
 
     Tempering with ``a = 1/T >= 1`` only sharpens: ``p_j ** a <= p_top **
     (a - 1) * p_j`` for every j, so an unbanned top token's share of the
@@ -164,14 +168,11 @@ def _settled_top(probs: np.ndarray, top_p: float, banned: np.ndarray | None) -> 
     it is turned away before paying for the sum.
     """
     bar = max(top_p, 0.5)
-    if not probs.max() >= bar:  # also False on NaN
-        return None
-    top = int(np.argmax(probs))
+    if not probs[top] >= bar:  # argmax stops at a NaN, which fails too
+        return False
     if probs[top] < bar * float(probs.sum()) * _SETTLE_MARGIN:
-        return None
-    if banned is not None and top in banned:
-        return None
-    return top
+        return False
+    return banned is None or top not in banned
 
 
 def _draw(w: np.ndarray, keep: np.ndarray | None, u: float) -> int:
@@ -216,14 +217,16 @@ def sample_from_probs(
 
     ``probs`` must be nonnegative; they need not sum to 1.  At ``0 < T <= 1``
     and ``top_p < 1``, a top token that alone holds top_p of the tempered
-    mass (:func:`_settled_top`) is returned without tempering the vocabulary.
+    mass (:func:`_top_settles`) is returned without tempering the vocabulary;
+    otherwise its id spares the threshold head a pass for the largest weight.
     """
     _check_draw(temperature, u)
     _check_top_p(top_p)
     probs = np.asarray(probs, dtype=np.float64)
+    top = None
     if top_p < 1.0 and 0.0 < temperature <= 1.0:
-        top = _settled_top(probs, top_p, banned)
-        if top is not None:
+        top = int(np.argmax(probs))
+        if _top_settles(probs, top, top_p, banned):
             return top
     power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
     w, total = _weights(probs, power, banned)
@@ -231,7 +234,7 @@ def sample_from_probs(
         return int(np.argmax(w))
     if top_p == 1.0:
         return _draw(w, None, u)
-    return _draw(w, np.sort(_nucleus(w, total, top_p)), u)
+    return _draw(w, np.sort(_nucleus(w, total, top_p, top)), u)
 
 
 def sample_from_logits(

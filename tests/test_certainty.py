@@ -45,22 +45,6 @@ class TestTokenEntropy:
                 probs /= probs.sum()
             assert abs(token_entropy(probs) - entropy_oracle(probs)) < 1e-12
 
-    def test_bits_match_the_masked_copy(self, overthinking_backend):
-        def masked_copy(p):  # the formula before zero-free vectors skipped the copy
-            nz = p[p > 0.0]
-            return float(-(nz * np.log(nz)).sum())
-
-        rng = np.random.default_rng(57)
-        dense = rng.dirichlet(np.ones(151_936))
-        sparse = np.zeros(151_936)
-        sparse[rng.choice(sparse.size, 40, replace=False)] = rng.dirichlet(np.ones(40))
-        buf = np.zeros(2 * dense.size)
-        buf[::2] = dense
-        toy = [dist.probs for _, dist, _ in overthinking_backend._rules]
-        for p in [dense, sparse, buf[::2], *toy]:
-            assert TokenDistribution(p).dense == (p.min() > 0.0)
-            assert token_entropy(p) == masked_copy(p)
-
     def test_entropy_bounds(self):
         rng = np.random.default_rng(55)
         for _ in range(200):

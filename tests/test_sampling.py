@@ -490,24 +490,29 @@ class TestDrawSumsOnlyTheNucleus:
         entry,
         top_p,
     ):
-        probs = large_vectors["zipf"]
-        logits = distribution_to_logits(probs)
-        if entry == "probs":
-            token = sample_from_probs(probs, 0.6, top_p, 0.5)
-        else:
-            token = sample_from_logits(logits, 0.6, top_p, 0.5)
-        if top_p <= 0.5:
-            # the top token holds 0.545 of this vector's mass, so it alone is
-            # the nucleus and the draw forms no weights at all
-            assert not (weights_sizes or argsort_sizes or cumsum_sizes or partition_sizes)
-        else:
-            assert argsort_sizes and cumsum_sizes
-            assert max(cumsum_sizes) <= max(argsort_sizes)
-        if entry == "probs":
-            keep, w = tempered_argsort_nucleus(probs, 0.6, top_p)
-            assert token == tempered_argsort_draw(keep, w, 0.5)
-        else:
-            assert token == argsort_sample_from_logits(logits, 0.6, top_p, 0.5)
+        counted = (weights_sizes, argsort_sizes, cumsum_sizes, partition_sizes)
+        for name in ("zipf", "ties"):
+            for sizes in counted:
+                sizes.clear()
+            probs = large_vectors[name]
+            logits = distribution_to_logits(probs)
+            if entry == "probs":
+                token = sample_from_probs(probs, 0.6, top_p, 0.5)
+            else:
+                token = sample_from_logits(logits, 0.6, top_p, 0.5)
+            if name == "zipf" and top_p <= 0.5:
+                # the top token holds 0.545 of this vector's mass, so it alone
+                # is the nucleus and the draw forms no weights at all
+                assert not any(counted)
+            else:
+                # the ties vector's top holds 0.01, so every top_p runs the head
+                assert argsort_sizes and cumsum_sizes, name
+                assert max(cumsum_sizes) <= max(argsort_sizes), name
+            if entry == "probs":
+                keep, w = tempered_argsort_nucleus(probs, 0.6, top_p)
+                assert token == tempered_argsort_draw(keep, w, 0.5), name
+            else:
+                assert token == argsort_sample_from_logits(logits, 0.6, top_p, 0.5), name
 
 
 def tie_pair_below(x: float, temperature: float) -> tuple[float, float]:
@@ -555,6 +560,19 @@ class TestThresholdHead:
         else:
             assert argsort_sizes and max(argsort_sizes) < QWEN_VOCAB // 30
         keep, w = tempered_argsort_nucleus(probs, 0.6, 0.95)
+        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+
+    def test_banned_top_still_needs_no_partition(self, large_vectors, partition_sizes):
+        # the banned most probable id weighs 0, so the head is measured
+        # against the largest remaining weight, not against it
+        probs = large_vectors["zipf"]
+        ban = np.array([int(np.argmax(probs))])
+        masked = probs.copy()
+        masked[ban] = 0.0
+        keep, w = tempered_argsort_nucleus(masked, 0.6, 0.95)
+        us = [sampling_uniform(9, step) for step in range(20)]
+        tokens = [sample_from_probs(probs, 0.6, 0.95, u, ban) for u in us]
+        assert not partition_sizes
         assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
 
     @pytest.mark.parametrize("tail_mass", [1e-5, 0.05], ids=["light_tail", "heavy_tail"])
