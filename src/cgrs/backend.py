@@ -409,6 +409,8 @@ class RemoteBackend(ModelBackend):
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._model = model if model is not None else os.environ.get(MODEL_ENV)
         self._vocab = vocab
+        if eos_token and eos_token not in vocab:
+            raise ValueError(f"eos token {eos_token!r} missing from vocabulary")
         self._eos_id = vocab.token_to_id[eos_token] if eos_token else None
         self._top_k = top_k
         self._timeout = timeout

@@ -14,7 +14,6 @@ into the main stream.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -75,11 +74,6 @@ class GenerationConfig:
         self.probe_stop_strings = tuple(self.probe_stop_strings)
         if not all(self.probe_stop_strings):
             raise ValueError("probe_stop_strings must all be nonempty")
-
-    def to_json_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["probe_stop_strings"] = list(self.probe_stop_strings)
-        return data
 
 
 class CheckpointDetector:
@@ -148,20 +142,6 @@ class ProbeResult:
         if self.stop_reason not in ("stop_string", "max_tokens", "eos"):
             raise ValueError(f"unknown stop_reason: {self.stop_reason!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "answer_tokens": list(self.answer_tokens),
-            "answer_text": self.answer_text,
-            "certainty": {
-                "value": self.certainty.value,
-                "mean_entropy": self.certainty.mean_entropy,
-                "n_tokens": self.certainty.n_tokens,
-                "vocab_size": self.certainty.vocab_size,
-                "truncated": self.certainty.truncated,
-            },
-            "stop_reason": self.stop_reason,
-        }
-
 
 @dataclass(frozen=True)
 class CheckpointEvent:
@@ -169,18 +149,12 @@ class CheckpointEvent:
     probe: ProbeResult
     p_after: float
 
-    def to_json_dict(self) -> dict:
-        return {"step": self.step, "probe": self.probe.to_json_dict(), "p_after": self.p_after}
-
 
 @dataclass(frozen=True)
 class SuppressionDecision:
     step: int
     r: bool
     p: float
-
-    def to_json_dict(self) -> dict:
-        return {"step": self.step, "r": self.r, "p": self.p}
 
 
 @dataclass
@@ -203,21 +177,10 @@ class DecodeTrace:
     def truncated(self) -> bool:
         return self.finish_reason != "eos"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "tokens": list(self.tokens),
-            "text": self.text,
-            "checkpoint_events": [e.to_json_dict() for e in self.checkpoint_events],
-            "suppression_decisions": [d.to_json_dict() for d in self.suppression_decisions],
-            "token_count": self.token_count,
-            "truncated": self.truncated,
-            "finish_reason": self.finish_reason,
-            "config": self.config.to_json_dict(),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """JSON keyed by each record's field names, plus token_count and truncated."""
+        data = {**vars(self), "token_count": self.token_count, "truncated": self.truncated}
+        return json.dumps(data, default=vars, sort_keys=True)
 
 
 def run_probe(

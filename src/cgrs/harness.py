@@ -42,6 +42,8 @@ class Problem:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("problem id must be nonempty")
+        if not isinstance(self.prompt, str):
+            raise ValueError(f"prompt must be a string, got {self.prompt!r}")
         if self.answer_style not in (None, "choice"):
             raise ValueError(f"unknown answer_style: {self.answer_style!r}")
 
@@ -95,33 +97,17 @@ class RunReport:
     mean_length: float  # tokens
     length_reduction: float | None  # percent vs vanilla at the same seeds
     length_distribution: tuple[int, ...]  # one entry per (repetition, problem)
-    trigger_frequencies: Mapping[str, int]  # base word -> occurrences in outputs
+    trigger_frequencies: dict[str, int]  # base word -> occurrences in outputs
     unparsable: int
     backend_failures: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "dataset": self.dataset,
-            "n_problems": self.n_problems,
-            "repetitions": self.repetitions,
-            "seeds": list(self.seeds),
-            "accuracy": self.accuracy,
-            "mean_length": self.mean_length,
-            "length_reduction": self.length_reduction,
-            "length_distribution": list(self.length_distribution),
-            "trigger_frequencies": dict(sorted(self.trigger_frequencies.items())),
-            "unparsable": self.unparsable,
-            "backend_failures": self.backend_failures,
-        }
 
 
 def load_dataset(path: str | Path) -> list[Problem]:
     """Read a JSONL dataset of {id, prompt, gold_answer[, answer_style]}.
 
     Problems keep file order.  Raises :class:`DatasetError` on a malformed
-    line (with its line number) or a duplicate id (naming the id); an empty
-    file yields an empty list with a warning.
+    line or an invalid record (with its line number) or a duplicate id
+    (naming the id); an empty file yields an empty list with a warning.
     """
     path = Path(path)
     problems: list[Problem] = []
@@ -134,6 +120,8 @@ def load_dataset(path: str | Path) -> list[Problem]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DatasetError(f"{path}:{lineno}: expected a JSON object, got {line.strip()!r}")
             try:
                 problem = Problem(
                     id=str(record["id"]),
@@ -143,6 +131,8 @@ def load_dataset(path: str | Path) -> list[Problem]:
                 )
             except KeyError as exc:
                 raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
             if problem.id in seen:
                 raise DatasetError(f"{path}:{lineno}: duplicate problem id {problem.id!r}")
             seen.add(problem.id)
@@ -278,6 +268,10 @@ def run_benchmark(
     index, and are shared across modes so comparisons are matched.  Length
     reduction is computed against the vanilla mode of the same invocation;
     modes of a run without vanilla report ``length_reduction = None``.
+
+    Raises:
+        DatasetError: a prompt the backend's vocabulary cannot encode, naming
+            the problem id; it is raised before any generation starts.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -288,6 +282,11 @@ def run_benchmark(
     labels = [m.label for m in modes]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate mode labels: {labels}")
+    for problem in problems:
+        try:
+            backend.vocabulary.encode(problem.prompt)
+        except ValueError as exc:
+            raise DatasetError(f"problem {problem.id!r}: prompt is not encodable: {exc}") from exc
 
     outcomes: dict[str, list[_ProblemOutcome]] = {}
     for mode in modes:
@@ -355,7 +354,7 @@ def write_reports(reports: Mapping[str, RunReport], out_dir: str | Path) -> list
     for label in sorted(reports):
         path = out / f"{label}.json"
         path.write_text(
-            json.dumps(reports[label].to_json_dict(), sort_keys=True, indent=2) + "\n",
+            json.dumps(vars(reports[label]), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
         paths.append(path)

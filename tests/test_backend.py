@@ -542,3 +542,12 @@ class TestRemoteBackend:
         monkeypatch.delenv("CGRS_API_BASE", raising=False)
         with pytest.raises(ValueError, match="CGRS_API_BASE"):
             RemoteBackend(vocab=Vocabulary(["a"]))
+
+    def test_eos_must_be_in_vocab(self):
+        # the surface comes from --remote-eos; it used to raise a bare KeyError
+        with pytest.raises(ValueError, match="'</s>' missing from vocabulary"):
+            RemoteBackend(vocab=Vocabulary(["<eos>"]), base_url="http://unused", eos_token="</s>")
+        remote = RemoteBackend(
+            vocab=Vocabulary(["a", "<eos>"]), base_url="http://unused", eos_token="<eos>"
+        )
+        assert remote.eos_token_id == 1

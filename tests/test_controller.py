@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from cgrs.backend import EmissionRule, RemoteBackend, ToyBackend, ToyModelSpec, overthinking_spec
+from cgrs.certainty import CertaintyScore
 from cgrs.controller import (
     CheckpointDetector,
     DecodeTrace,
     GenerationConfig,
     GenerationSession,
     ProbeEmptyError,
+    SuppressionDecision,
     detect_checkpoint,
     generate,
     run_probe,
@@ -24,6 +26,38 @@ from cgrs.rng import decision_uniform, sampling_uniform
 
 from conftest import TOY_PROMPT
 from remote_stub import toy_completion_server
+
+# the on-disk trace schema, level by level
+TRACE_KEYS = {
+    "prompt",
+    "tokens",
+    "text",
+    "checkpoint_events",
+    "suppression_decisions",
+    "config",
+    "finish_reason",
+    "token_count",
+    "truncated",
+}
+CONFIG_KEYS = {
+    "temperature",
+    "top_p",
+    "delta",
+    "max_tokens",
+    "checkpoint_marker",
+    "probe_prompt",
+    "probe_max_tokens",
+    "probe_stop_strings",
+    "suppression_enabled",
+    "fixed_p",
+    "restrict_to_thinking",
+    "think_end_marker",
+    "seed",
+}
+EVENT_KEYS = {"step", "probe", "p_after"}
+PROBE_KEYS = {"answer_tokens", "answer_text", "certainty", "stop_reason"}
+CERTAINTY_KEYS = {"value", "mean_entropy", "n_tokens", "vocab_size", "truncated"}
+DECISION_KEYS = {"step", "r", "p"}
 
 # analytic values of the reference toy model's probe path
 PROBE_CERTAINTY = 0.94453818229027586
@@ -82,10 +116,11 @@ class TestGenerationConfig:
         with pytest.raises(ValueError):
             GenerationConfig(**kwargs)
 
-    def test_json_dict_round_trip(self):
+    def test_json_dict_round_trip(self, overthinking_backend, overthinking_triggers):
         cfg = toy_config(fixed_p=0.5, probe_stop_strings=["}"])
-        data = cfg.to_json_dict()
-        assert GenerationConfig(**data) == cfg
+        trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
+        data = json.loads(trace.to_json())["config"]
+        assert GenerationConfig(**data) == trace.config == cfg
 
 
 class TestCheckpointDetector:
@@ -234,7 +269,10 @@ class TestRunProbe:
         assert trace.checkpoint_events
         for event in trace.checkpoint_events:
             assert event.probe.certainty.vocab_size == 50_011
-            assert len(json.dumps(event.probe.to_json_dict())) < 1024
+        events = json.loads(trace.to_json())["checkpoint_events"]
+        assert len(events) == len(trace.checkpoint_events)
+        for event in events:
+            assert len(json.dumps(event["probe"])) < 1024
 
 
 class TestGenerationLoop:
@@ -403,6 +441,35 @@ class TestGenerationLoop:
         assert data["text"] == "".join(
             overthinking_backend.vocabulary.id_to_token[t] for t in data["tokens"]
         )
+
+    def test_trace_json_schema_is_the_record_fields(
+        self, overthinking_backend, overthinking_triggers
+    ):
+        # exact key sets at every level: a renamed or added record field fails here
+        cfg = toy_config(seed=0, restrict_to_thinking=True)
+        trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
+        assert trace.checkpoint_events and trace.suppression_decisions
+        data = json.loads(trace.to_json())
+        assert set(data) == TRACE_KEYS
+        for key in ("prompt", "tokens", "text", "finish_reason", "token_count", "truncated"):
+            assert data[key] == getattr(trace, key)
+        assert set(data["config"]) == CONFIG_KEYS
+        assert GenerationConfig(**data["config"]) == trace.config
+        assert len(data["checkpoint_events"]) == len(trace.checkpoint_events)
+        for event, record in zip(data["checkpoint_events"], trace.checkpoint_events):
+            assert set(event) == EVENT_KEYS
+            assert (event["step"], event["p_after"]) == (record.step, record.p_after)
+            probe = event["probe"]
+            assert set(probe) == PROBE_KEYS
+            assert tuple(probe["answer_tokens"]) == record.probe.answer_tokens
+            assert probe["answer_text"] == record.probe.answer_text
+            assert probe["stop_reason"] == record.probe.stop_reason
+            assert set(probe["certainty"]) == CERTAINTY_KEYS
+            assert CertaintyScore(**probe["certainty"]) == record.probe.certainty
+        for decision in data["suppression_decisions"]:
+            assert set(decision) == DECISION_KEYS
+        decisions = [SuppressionDecision(**d) for d in data["suppression_decisions"]]
+        assert decisions == trace.suppression_decisions
 
     def test_trigger_ids_validated_against_vocab(self, overthinking_backend):
         bogus = TriggerTokenSet(

@@ -14,6 +14,7 @@ from cgrs.harness import (
     ExtractionError,
     ModeSpec,
     Problem,
+    RunReport,
     canonicalize_answer,
     count_trigger_words,
     extract_boxed_answer,
@@ -24,10 +25,27 @@ from cgrs.harness import (
     write_reports,
 )
 
-from cgrs.backend import RemoteBackend, overthinking_spec
+from cgrs.backend import RemoteBackend, ToyBackend, overthinking_spec
 
 from conftest import TOY_PROMPT
 from remote_stub import toy_completion_server
+
+
+# the on-disk report schema: a renamed or added RunReport field must show up here
+REPORT_KEYS = {
+    "mode",
+    "dataset",
+    "n_problems",
+    "repetitions",
+    "seeds",
+    "accuracy",
+    "mean_length",
+    "length_reduction",
+    "length_distribution",
+    "trigger_frequencies",
+    "unparsable",
+    "backend_failures",
+}
 
 
 def write_jsonl(path, records):
@@ -102,6 +120,25 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "a", "prompt": "p", "gold_answer": "1", "answer_style": "x"}])
         with pytest.raises(ValueError, match="answer_style"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("prompt", [5, None, ["p"]])
+    def test_non_string_prompt_names_line(self, tmp_path, prompt):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"id": "a", "prompt": "p", "gold_answer": "1"},
+                {"id": "b", "prompt": prompt, "gold_answer": "2"},
+            ],
+        )
+        with pytest.raises(DatasetError, match=r"d\.jsonl:2: prompt must be a string"):
+            load_dataset(path)
+
+    def test_non_object_line_names_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "prompt": "p", "gold_answer": "1"}\n[1, 2]\n')
+        with pytest.raises(DatasetError, match=r":2: expected a JSON object"):
             load_dataset(path)
 
 
@@ -283,16 +320,12 @@ class TestRunBenchmark:
     def test_deterministic_across_invocations(self, overthinking_backend, toy_problems):
         a = self.run(overthinking_backend, toy_problems)
         b = self.run(overthinking_backend, toy_problems)
-        assert {k: v.to_json_dict() for k, v in a.items()} == {
-            k: v.to_json_dict() for k, v in b.items()
-        }
+        assert a == b
 
     def test_parallel_equals_serial(self, overthinking_backend, toy_problems):
         serial = self.run(overthinking_backend, toy_problems)
         parallel = self.run(overthinking_backend, toy_problems, parallelism=4)
-        assert {k: v.to_json_dict() for k, v in serial.items()} == {
-            k: v.to_json_dict() for k, v in parallel.items()
-        }
+        assert serial == parallel
 
     def test_problem_seeds_differ_within_repetition(self, overthinking_backend):
         # identical prompts must not produce identical per-problem streams
@@ -372,9 +405,7 @@ class TestRunBenchmark:
             finally:
                 sys.setswitchinterval(interval)
         assert serial["vanilla"].backend_failures == 0
-        assert {k: v.to_json_dict() for k, v in serial.items()} == {
-            k: v.to_json_dict() for k, v in parallel.items()
-        }
+        assert serial == parallel
 
     def test_duplicate_mode_labels_rejected(self, overthinking_backend, toy_problems):
         with pytest.raises(ValueError, match="duplicate"):
@@ -391,6 +422,21 @@ class TestRunBenchmark:
     def test_bad_parallelism_rejected(self, overthinking_backend, toy_problems):
         with pytest.raises(ValueError, match="parallelism"):
             self.run(overthinking_backend, toy_problems, parallelism=0)
+
+    def test_unencodable_prompt_rejected_before_any_model_call(self, monkeypatch):
+        backend = ToyBackend(overthinking_spec())
+        calls = []
+        inner = backend.next_distribution
+        monkeypatch.setattr(
+            backend, "next_distribution", lambda ctx: calls.append(len(ctx)) or inner(ctx)
+        )
+        problems = [
+            Problem(id="good", prompt=TOY_PROMPT, gold_answer="42"),
+            Problem(id="bad-7", prompt=TOY_PROMPT + "Solve 8*9. ", gold_answer="72"),
+        ]
+        with pytest.raises(DatasetError, match="'bad-7'.*not encodable"):
+            self.run(backend, problems)
+        assert calls == []
 
 
 class TestWriteReports:
@@ -445,3 +491,20 @@ class TestWriteReports:
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][4] == ""
+
+    def test_json_schema_is_the_report_fields(self, overthinking_backend, toy_problems, tmp_path):
+        reports = run_benchmark(
+            toy_problems,
+            overthinking_backend,
+            [ModeSpec("vanilla"), ModeSpec("cgrs")],
+            bench_config(),
+            seeds=[0, 1],
+            dataset_name="toy",
+        )
+        write_reports(reports, tmp_path)
+        for label, report in reports.items():
+            data = json.loads((tmp_path / f"{label}.json").read_text())
+            assert set(data) == REPORT_KEYS
+            data["seeds"] = tuple(data["seeds"])
+            data["length_distribution"] = tuple(data["length_distribution"])
+            assert RunReport(**data) == report
