@@ -29,7 +29,6 @@ from .controller import (
     GenerationSession,
     ProbeEmptyError,
     ProbeResult,
-    detect_checkpoint,
     generate,
     run_probe,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "build_trigger_set",
     "certainty_score",
     "default_trigger_words",
-    "detect_checkpoint",
     "expand_variants",
     "extract_boxed_answer",
     "generate",

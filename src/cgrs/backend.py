@@ -4,7 +4,7 @@ client for OpenAI-compatible completion endpoints.
 The toy model is a suffix-matching state machine over an explicit vocabulary:
 the distribution of the next token is selected by the longest rule suffix that
 matches the tail of the context.  It is a pure function of the context, which
-makes fork isolation trivial and every expected value in tests computable by
+makes probe isolation trivial and every expected value in tests computable by
 hand.
 
 The remote client cannot see full distributions; it reconstructs them from
@@ -21,7 +21,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -75,10 +75,6 @@ class ModelBackend(abc.ABC):
     @abc.abstractmethod
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
         """Distribution of the next token given the context so far."""
-
-    def fork(self, context: Sequence[int]) -> list[int]:
-        """Independent copy of a context; appends never leak back."""
-        return list(context)
 
     def sample_token(
         self,
@@ -178,9 +174,14 @@ class ToyBackend(ModelBackend):
             raise ValueError("emission rule names must be unique")
         # Each rule's vector is validated once, here, and shared read-only by
         # every step that matches the rule.
-        self._rules: list[tuple[tuple[int, ...], TokenDistribution, str]] = []
+        self._rules: dict[tuple[int, ...], tuple[TokenDistribution, str]] = {}
         for rule in spec.rules:
             suffix = tuple(self._require_id(t, rule.name) for t in rule.suffix)
+            if suffix in self._rules:
+                raise ValueError(
+                    f"rules {self._rules[suffix][1]!r} and {rule.name!r}"
+                    f" share the suffix {list(rule.suffix)!r}"
+                )
             vec = np.zeros(self._vocab.size)
             for token, prob in rule.probs.items():
                 if prob < 0:
@@ -193,10 +194,8 @@ class ToyBackend(ModelBackend):
                 dist = TokenDistribution(probs=vec)  # a NaN passes both checks above
             except ValueError as exc:
                 raise ValueError(f"rule {rule.name!r}: {exc}") from exc
-            self._rules.append((suffix, dist, rule.name))
-        # longest suffix first; ties keep spec order
-        self._rules.sort(key=lambda r: -len(r[0]))
-        self._max_order = max((len(r[0]) for r in self._rules), default=0)
+            self._rules[suffix] = (dist, rule.name)
+        self._max_order = max(map(len, self._rules), default=0)
 
     def _require_id(self, token: str, rule_name: str) -> int:
         if token not in self._vocab:
@@ -230,9 +229,10 @@ class ToyBackend(ModelBackend):
 
     def _match(self, context: Sequence[int]) -> tuple[TokenDistribution, str]:
         tail = self._tail(context)
-        for suffix, dist, name in self._rules:
-            if len(suffix) <= len(tail) and tail[len(tail) - len(suffix):] == suffix:
-                return dist, name
+        for start in range(len(tail) + 1):  # longest suffix first, one dict probe each
+            rule = self._rules.get(tail[start:])
+            if rule is not None:
+                return rule
         raise BackendError(
             f"no emission rule matches context tail "
             f"{[self._vocab.id_to_token[i] for i in tail]!r}"
@@ -534,6 +534,8 @@ class RemoteBackend(ModelBackend):
             payload["logit_bias"] = {str(int(i)): float(b) for i, b in logit_bias.items()}
         choice = self._first_choice(self._post(payload))
         text = choice.get("text", "")
+        if not isinstance(text, str):
+            raise BackendError(f"malformed completion response: text {text!r:.200}")
         if text == "":
             return None  # server signalled end of stream
         token_id = self._vocab.token_to_id.get(text)

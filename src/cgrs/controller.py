@@ -4,10 +4,10 @@ Token prediction follows a five-step loop: fetch the next-token distribution,
 draw a Bernoulli suppression decision at the current probability, mask the
 reflection triggers when the draw fires, sample with temperature and top-p,
 and finally - whenever the decoded text completes a checkpoint marker - probe
-the tentative final answer in a forked context to refresh the suppression
+the tentative final answer in a copy of the context to refresh the suppression
 probability from the answer's certainty.
 
-Probes are fully isolated: they run greedily on a fork of the main context
+Probes are fully isolated: they run greedily on a copy of the main context
 (including the just-sampled token), never mask, and never write tokens back
 into the main stream.
 """
@@ -120,11 +120,6 @@ class CheckpointDetector:
         return fired
 
 
-def detect_checkpoint(recent_text: str, marker: str) -> bool:
-    """One-shot form: does this text complete at least one marker run?"""
-    return CheckpointDetector(marker).feed(recent_text) > 0
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     """Outcome of probing the tentative final answer at a checkpoint.
@@ -186,9 +181,9 @@ class DecodeTrace:
 def run_probe(
     backend: ModelBackend, context: Sequence[int], config: GenerationConfig
 ) -> ProbeResult:
-    """Greedily decode the tentative answer in a forked, unmasked context.
+    """Greedily decode the tentative answer in a copied, unmasked context.
 
-    The probe prompt is appended to a fork of the main context; decoding stops
+    The probe prompt is appended to a copy of the main context; decoding stops
     at the first stop string, at EOS, or after probe_max_tokens.  Tokens that
     belong to a stop string are excluded from both the answer and the entropy
     average.
@@ -197,7 +192,7 @@ def run_probe(
         ProbeEmptyError: no answer token survives (immediate stop or EOS).
     """
     vocab = backend.vocabulary
-    ctx = backend.fork(context)
+    ctx = list(context)
     ctx.extend(vocab.encode(config.probe_prompt))
     answer_tokens: list[int] = []
     distributions: list[TokenDistribution] = []
@@ -238,7 +233,11 @@ def run_probe(
 
 
 class GenerationSession:
-    """Mutable state of one generation; next_token() advances it one step."""
+    """Mutable state of one generation; next_token() advances it one step.
+
+    The backend's vocabulary, capabilities and EOS id are read once, when the
+    session is built.
+    """
 
     def __init__(
         self,
@@ -259,21 +258,28 @@ class GenerationSession:
                 " a masked step would leave nothing to sample"
             )
         self.prompt = prompt
-        self._prompt_ids = vocab.encode(prompt)
-        self._ctx: list[int] = backend.fork(self._prompt_ids)
+        self._ctx: list[int] = vocab.encode(prompt)
+        self._surfaces = vocab.id_to_token
+        self._eos = backend.eos_token_id
+        # One sampler per session, with the ban in the form that sampler takes.
+        if backend.capabilities.full_distribution:
+            self._sample = self._sample_in_engine
+            self._ban = np.array(sorted(triggers.token_ids), dtype=np.int64)
+        else:
+            self._sample = self._sample_remote
+            self._ban = ban_bias(triggers.token_ids)
         self._tokens: list[int] = []
         self._pieces: list[str] = []
         # The masking probability: pinned in fixed-p mode, else 0 until a probe sets it.
         self._p = config.fixed_p if config.fixed_p is not None else 0.0
-        # Only cgrs mode probes; vanilla and fixed-p never move p.
+        # Only cgrs mode probes; vanilla and fixed-p never move p.  Under
+        # restrict_to_thinking both flags turn False at the think end.
+        self._deciding = config.suppression_enabled
         self._probing = config.suppression_enabled and config.fixed_p is None
-        self._ban = ban_bias(triggers.token_ids)
-        self._banned = np.array(sorted(triggers.token_ids), dtype=np.int64)
         self._detector = CheckpointDetector(config.checkpoint_marker)
         self._think_end = (
             CheckpointDetector(config.think_end_marker) if config.restrict_to_thinking else None
         )
-        self._thinking = True  # goes False at the think end, under restrict_to_thinking only
         self.checkpoint_events: list[CheckpointEvent] = []
         self.suppression_decisions: list[SuppressionDecision] = []
         self.finish_reason = "length"
@@ -281,13 +287,6 @@ class GenerationSession:
     @property
     def tokens(self) -> list[int]:
         return self._tokens
-
-    def _draw_decision(self, step: int) -> bool:
-        if not (self.config.suppression_enabled and self._thinking):
-            return False
-        decision = should_suppress(self._p, self.config.seed, step)
-        self.suppression_decisions.append(SuppressionDecision(step=step, r=decision, p=self._p))
-        return decision
 
     def _sample_in_engine(self, masked: bool, step: int) -> int:
         dist = self.backend.next_distribution(self._ctx)
@@ -297,7 +296,7 @@ class GenerationSession:
             self.config.temperature,
             self.config.top_p,
             u,
-            self._banned if masked else None,
+            self._ban if masked else None,
         )
 
     def _sample_remote(self, masked: bool, step: int) -> int | None:
@@ -315,22 +314,22 @@ class GenerationSession:
         if self.finish_reason == "eos":
             return None
         step = len(self._tokens)
-        masked = self._draw_decision(step)
-        if self.backend.capabilities.full_distribution:
-            token: int | None = self._sample_in_engine(masked, step)
-        else:
-            token = self._sample_remote(masked, step)
-        if token is None or token == self.backend.eos_token_id:
+        masked = False
+        if self._deciding:
+            masked = should_suppress(self._p, self.config.seed, step)
+            self.suppression_decisions.append(SuppressionDecision(step=step, r=masked, p=self._p))
+        token = self._sample(masked, step)
+        if token is None or token == self._eos:
             self.finish_reason = "eos"
             return None
         self._ctx.append(token)
         self._tokens.append(token)
-        surface = self.backend.vocabulary.id_to_token[token]
+        surface = self._surfaces[token]
         self._pieces.append(surface)
-        if self._think_end is not None and self._thinking:
-            if self._think_end.feed(surface):
-                self._thinking = False
-        if self._detector.feed(surface) and self._probing and self._thinking:
+        if self._think_end is not None and self._think_end.feed(surface):
+            self._think_end = None
+            self._deciding = self._probing = False
+        if self._probing and self._detector.feed(surface):
             self._probe(step)
         return token
 

@@ -58,20 +58,26 @@ class Vocabulary:
     """Bijective token-id table with greedy longest-match text encoding."""
 
     def __init__(self, tokens: Sequence[str]):
-        if "" in tokens:
-            # an empty surface matches everywhere and never advances encode()
-            raise ValueError(f"vocabulary token {list(tokens).index('')} is the empty string")
-        counts = Counter(tokens)
-        if len(counts) != len(tokens):
-            dupes = sorted(t for t, n in counts.items() if n > 1)
-            raise ValueError(f"vocabulary tokens must be unique, duplicates: {dupes!r}")
         self._id_to_token: tuple[str, ...] = tuple(tokens)
-        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(tokens)}
-        self._max_len: int = max(map(len, tokens), default=0)
+        for i, token in enumerate(self._id_to_token):
+            if not isinstance(token, str):
+                raise ValueError(f"vocabulary token {i} is not a string: {token!r:.80}")
+            if not token:
+                # an empty surface matches everywhere and never advances encode()
+                raise ValueError(f"vocabulary token {i} is the empty string")
+        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(self._id_to_token)}
+        if len(self._token_to_id) != len(self._id_to_token):
+            dupes = sorted(t for t, n in Counter(self._id_to_token).items() if n > 1)
+            raise ValueError(f"vocabulary tokens must be unique, duplicates: {dupes!r}")
+        self._max_len: int = max(map(len, self._id_to_token), default=0)
 
     @classmethod
     def from_token_to_id(cls, mapping: Mapping[str, int]) -> "Vocabulary":
         """Build from a surface→id map; ids must be exactly 0..size-1."""
+        for surface, token_id in mapping.items():
+            # bool is an int subclass: a JSON true would otherwise pass as id 1
+            if isinstance(token_id, bool) or not isinstance(token_id, int):
+                raise ValueError(f"token {surface!r} has id {token_id!r}, not an integer")
         size = len(mapping)
         ids = sorted(mapping.values())
         if ids != list(range(size)):
@@ -84,11 +90,13 @@ class Vocabulary:
         """Load a vocabulary file: a JSON list of tokens, a surface→id map,
         or an object with a "tokens" list."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(data, dict) and "tokens" in data:
+            data = data["tokens"]
+            if not isinstance(data, list):
+                raise ValueError(f'vocabulary file {path}: "tokens" is not a list')
         if isinstance(data, list):
             return cls(data)
         if isinstance(data, dict):
-            if "tokens" in data:
-                return cls(data["tokens"])
             return cls.from_token_to_id(data)
         raise ValueError(f"unrecognized vocabulary file format: {path}")
 
@@ -159,15 +167,6 @@ class TriggerTokenSet:
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-    def union(self, other: "TriggerTokenSet") -> "TriggerTokenSet":
-        prov = dict(other.provenance)
-        prov.update(self.provenance)  # left operand wins on shared ids
-        return TriggerTokenSet(
-            token_ids=self.token_ids | other.token_ids,
-            provenance=prov,
-            skipped_forms=tuple(dict.fromkeys(self.skipped_forms + other.skipped_forms)),
-        )
 
     def to_json_dict(self) -> dict:
         return {

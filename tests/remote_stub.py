@@ -11,6 +11,7 @@ Fault injection: the first ``fail_first`` requests get the ``fault`` instead
 of a normal reply.  ``"http_500"`` answers with a server error,
 ``"non_json"`` with a 200 whose body is not JSON, ``"multi_token"`` with a
 completion that ignores ``max_tokens`` and returns one token more than asked,
+``"list_text"`` with a completion whose ``text`` is a list, not a string,
 and ``"timeout"`` with a normal reply sent only after ``TIMEOUT_FAULT_DELAY_S``
 seconds, so a client whose timeout is shorter gives up first.
 """
@@ -87,7 +88,7 @@ def _serve_completion(backend: ToyBackend, payload: dict) -> dict:
     return {"object": "text_completion", "choices": [choice]}
 
 
-FAULTS = ("http_500", "non_json", "multi_token", "timeout")
+FAULTS = ("http_500", "non_json", "multi_token", "list_text", "timeout")
 
 #: How long a ``"timeout"`` fault holds its reply; clients under test use less.
 TIMEOUT_FAULT_DELAY_S = 1.0
@@ -119,7 +120,10 @@ def _make_handler(backend: ToyBackend, fail_first: int, fault: str):
             if faulty and fault == "non_json":
                 body, content_type = b"<html>502 Bad Gateway</html>", "text/html"
             else:
-                body = json.dumps(_serve_completion(backend, payload)).encode()
+                reply = _serve_completion(backend, payload)
+                if faulty and fault == "list_text":
+                    reply["choices"][0]["text"] = [reply["choices"][0]["text"]]
+                body = json.dumps(reply).encode()
                 content_type = "application/json"
             if faulty and fault == "timeout":
                 time.sleep(TIMEOUT_FAULT_DELAY_S)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,22 @@ from cgrs.lexicon import Vocabulary, build_trigger_set
 from remote_stub import toy_completion_server
 
 PROBE_TOKEN = "**Final Answer: \\boxed"
+
+
+def scan_match_rule(spec: ToyModelSpec, context: list[int]) -> str:
+    """Reference match: scan the rules longest suffix first, ties in spec order.
+
+    Raises BackendError for a context no rule matches, with the same message as
+    the backend.
+    """
+    vocab = Vocabulary(spec.tokens)
+    order = max((len(r.suffix) for r in spec.rules), default=0)
+    tail = [vocab.id_to_token[i] for i in context[-order:]] if order else []
+    for rule in sorted(spec.rules, key=lambda r: -len(r.suffix)):
+        n = len(rule.suffix)
+        if n <= len(tail) and tuple(tail[len(tail) - n:]) == rule.suffix:
+            return rule.name
+    raise BackendError(f"no emission rule matches context tail {tail!r}")
 
 
 def tiny_spec() -> ToyModelSpec:
@@ -105,12 +122,50 @@ class TestToyBackend:
         assert second.probs[backend.eos_token_id] == 1.0
         assert second.probs.sum() == 1.0
 
-    def test_fork_isolation(self):
-        backend = ToyBackend(tiny_spec())
-        base = [1, 2]
-        forked = backend.fork(base)
-        forked.append(0)
-        assert base == [1, 2]
+    @pytest.mark.parametrize("suffix", [(), ("a",), ("b", "a")])
+    def test_duplicate_suffix_names_both_rules(self, suffix):
+        spec = ToyModelSpec(
+            tokens=("<eos>", "a", "b"),
+            eos_token="<eos>",
+            rules=(
+                EmissionRule("first", suffix, {"a": 1.0}),
+                EmissionRule("other", ("b", "b"), {"a": 1.0}),
+                EmissionRule("second", suffix, {"<eos>": 1.0}),
+            ),
+        )
+        message = f"rules 'first' and 'second' share the suffix {list(suffix)!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ToyBackend(spec)
+
+    def test_match_equals_sorted_scan(self):
+        # three letters make suffixes of orders 0-3 overlap heavily
+        rng = random.Random(11)
+        letters = ("a", "b", "c")
+        matched = unmatched = 0
+        for _ in range(300):
+            suffixes = {
+                tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 8))
+            }
+            rules = tuple(
+                EmissionRule(f"r{i}", suffix, {rng.choice(letters): 1.0})
+                for i, suffix in enumerate(rng.sample(sorted(suffixes), len(suffixes)))
+            )
+            spec = ToyModelSpec(tokens=("<eos>", *letters), eos_token="<eos>", rules=rules)
+            backend = ToyBackend(spec)
+            for _ in range(10):
+                context = [rng.randint(0, 3) for _ in range(rng.randint(0, 6))]
+                try:
+                    expected = scan_match_rule(spec, context)
+                except BackendError as oracle_exc:
+                    with pytest.raises(BackendError) as exc:
+                        backend.match_rule(context)
+                    assert str(exc.value) == str(oracle_exc)
+                    unmatched += 1
+                else:
+                    assert backend.match_rule(context) == expected
+                    matched += 1
+        assert matched > 1500 and unmatched > 300
 
     def test_sample_token_unsupported(self):
         # in-engine sampling backends inherit the raising default
@@ -471,6 +526,14 @@ class TestRemoteBackend:
         remote = RemoteBackend(vocab=Vocabulary(["<eos>", "Wait"]), base_url="http://unused")
         monkeypatch.setattr(remote, "_post", lambda payload: data)
         with pytest.raises(BackendError, match="malformed completion response"):
+            remote.sample_token([1], temperature=1.0, top_p=1.0, seed=0)
+
+    @pytest.mark.parametrize("text", [["Wait"], {"Wait": 1}, 7], ids=["list", "object", "number"])
+    def test_non_string_text_is_a_backend_error(self, monkeypatch, text):
+        remote = RemoteBackend(vocab=Vocabulary(["<eos>", "Wait"]), base_url="http://unused")
+        monkeypatch.setattr(remote, "_post", lambda payload: {"choices": [{"text": text}]})
+        message = f"malformed completion response: text {text!r}"
+        with pytest.raises(BackendError, match=re.escape(message)):
             remote.sample_token([1], temperature=1.0, top_p=1.0, seed=0)
 
     def test_multi_token_text_names_the_surface(self):

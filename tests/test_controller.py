@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cgrs.backend import EmissionRule, RemoteBackend, ToyBackend, ToyModelSpec, overthinking_spec
+from cgrs import controller
+from cgrs.backend import (
+    EmissionRule,
+    ModelBackend,
+    RemoteBackend,
+    ToyBackend,
+    ToyModelSpec,
+    overthinking_spec,
+)
 from cgrs.certainty import CertaintyScore
 from cgrs.controller import (
     CheckpointDetector,
@@ -17,7 +26,6 @@ from cgrs.controller import (
     GenerationSession,
     ProbeEmptyError,
     SuppressionDecision,
-    detect_checkpoint,
     generate,
     run_probe,
 )
@@ -148,10 +156,10 @@ class TestCheckpointDetector:
         assert det.feed("a\n") == 0
         assert det.feed("\nb") == 1
 
-    def test_one_shot_helper(self):
-        assert detect_checkpoint("x\n\ny", "\n\n")
-        assert not detect_checkpoint("x\ny", "\n\n")
-        assert detect_checkpoint("\n\n\n\n", "\n\n")
+    def test_one_shot_feed(self):
+        assert CheckpointDetector("\n\n").feed("x\n\ny") == 1
+        assert CheckpointDetector("\n\n").feed("x\ny") == 0
+        assert CheckpointDetector("\n\n").feed("\n\n\n\n") == 1
 
     def test_empty_marker_rejected(self):
         with pytest.raises(ValueError):
@@ -659,3 +667,76 @@ class TestRemoteGeneration:
             a = generate(remote, TOY_PROMPT, toy_config(seed=19), overthinking_triggers)
             b = generate(remote, TOY_PROMPT, toy_config(seed=19), overthinking_triggers)
             assert a.tokens == b.tokens
+
+
+class FactCountingBackend(ModelBackend):
+    """Forwards to a backend and counts reads of its fixed facts while counting is on."""
+
+    def __init__(self, inner: ModelBackend):
+        self.inner = inner
+        self.reads: Counter[str] = Counter()
+        self.counting = True
+
+    def _read(self, name: str):
+        if self.counting:
+            self.reads[name] += 1
+        return getattr(self.inner, name)
+
+    vocabulary = property(lambda self: self._read("vocabulary"))
+    capabilities = property(lambda self: self._read("capabilities"))
+    eos_token_id = property(lambda self: self._read("eos_token_id"))
+
+    def next_distribution(self, context):
+        return self.inner.next_distribution(context)
+
+    def sample_token(self, *args, **kwargs):
+        return self.inner.sample_token(*args, **kwargs)
+
+
+class TestBackendFactsReadOnce:
+    """The session reads the backend's fixed facts when it is built, never per step."""
+
+    ONCE = {"vocabulary": 1, "capabilities": 1, "eos_token_id": 1}
+
+    def check(self, inner: ModelBackend, monkeypatch) -> None:
+        backend = FactCountingBackend(inner)
+        real_probe = controller.run_probe
+
+        def uncounted_probe(*args):
+            # a probe reads the vocabulary and EOS id for itself; not a per-step read
+            backend.counting = False
+            try:
+                return real_probe(*args)
+            finally:
+                backend.counting = True
+
+        monkeypatch.setattr(controller, "run_probe", uncounted_probe)
+        triggers = build_trigger_set(default_trigger_words(), inner.vocabulary)
+        configs = [
+            toy_config(suppression_enabled=False),
+            toy_config(),
+            toy_config(fixed_p=0.5),
+            toy_config(fixed_p=1.0),
+        ]
+        lengths = set()
+        for cfg in configs:
+            for seed in range(6):
+                backend.reads.clear()
+                session = GenerationSession(
+                    backend, TOY_PROMPT, dataclasses.replace(cfg, seed=seed), triggers
+                )
+                assert backend.reads == self.ONCE
+                trace = session.run()
+                assert backend.reads == self.ONCE
+                lengths.add(trace.token_count)
+        assert len(lengths) >= 3  # the count does not grow with the generation
+
+    def test_in_engine(self, monkeypatch):
+        self.check(ToyBackend(overthinking_spec(trigger_prob=0.6)), monkeypatch)
+
+    def test_remote_stub(self, monkeypatch):
+        with toy_completion_server(overthinking_spec(trigger_prob=0.6)) as (base_url, toy):
+            remote = RemoteBackend(
+                vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>", top_k=11
+            )
+            self.check(remote, monkeypatch)

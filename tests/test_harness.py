@@ -372,6 +372,18 @@ class TestRunBenchmark:
         assert report.length_distribution[0] == 0
         assert report.accuracy == pytest.approx(200.0 / 3)
 
+    def test_non_string_remote_text_counted_as_backend_failure(self, toy_problems):
+        with toy_completion_server(overthinking_spec(), fail_first=1, fault="list_text") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>")
+            reports = self.run(remote, toy_problems, modes=[ModeSpec("vanilla")], seeds=[0])
+        report = reports["vanilla"]
+        assert report.backend_failures == 1
+        assert report.length_distribution[0] == 0
+        assert report.accuracy == pytest.approx(200.0 / 3)
+
     def test_remote_timeouts_after_retries_counted_as_backend_failure(self, toy_problems):
         # two delayed replies outlast one request and its one retry
         with toy_completion_server(overthinking_spec(), fail_first=2, fault="timeout") as (

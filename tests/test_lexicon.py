@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import random
+import re
 
 import pytest
 
@@ -95,6 +96,37 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="token 1 is the empty string"):
             Vocabulary(["a", "", "b"])
 
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ([1, 2], "token 0 is not a string: 1"),
+            (["a", ["b"]], "token 1 is not a string: ['b']"),
+            (["a", "b", None], "token 2 is not a string: None"),
+        ],
+    )
+    def test_non_string_token_rejected(self, tokens, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vocabulary(tokens)
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"a": 0, "b": "1"}, "token 'b' has id '1', not an integer"),
+            ({"a": 0, "b": True}, "token 'b' has id True, not an integer"),
+            ({"a": 1.0, "b": 0}, "token 'a' has id 1.0, not an integer"),
+        ],
+    )
+    def test_non_integer_id_rejected(self, mapping, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vocabulary.from_token_to_id(mapping)
+
+    @pytest.mark.parametrize("tokens", ['"xy"', '{"x": 0, "y": 1}'])
+    def test_json_file_tokens_entry_must_be_a_list(self, tmp_path, tokens):
+        path = tmp_path / "vocab.json"
+        path.write_text(f'{{"tokens": {tokens}}}')
+        with pytest.raises(ValueError, match='"tokens" is not a list'):
+            Vocabulary.from_json_file(path)
+
     def test_from_token_to_id_requires_dense_ids(self):
         with pytest.raises(ValueError, match="range"):
             Vocabulary.from_token_to_id({"a": 0, "b": 2})
@@ -183,8 +215,8 @@ class TestMapToTokenIds:
             a = rng.sample(words, rng.randint(1, 3))
             b = rng.sample(words, rng.randint(1, 3))
             combined = build_trigger_set(a + b, vocab)
-            union = build_trigger_set(a, vocab).union(build_trigger_set(b, vocab))
-            assert combined.token_ids == union.token_ids
+            union = build_trigger_set(a, vocab).token_ids | build_trigger_set(b, vocab).token_ids
+            assert combined.token_ids == union
 
     def test_immutable(self):
         vocab = Vocabulary(["Wait"])
