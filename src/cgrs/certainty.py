@@ -93,7 +93,7 @@ def token_entropy(dist: TokenDistribution | np.ndarray | Sequence[float]) -> flo
         dist = TokenDistribution(np.asarray(dist, dtype=np.float64))
     p = dist.probs
     nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(-np.add.reduce(nz * np.log(nz)))
 
 
 def certainty_score(
@@ -125,8 +125,8 @@ def certainty_score(
             raise ValueError(
                 f"distribution has {d.probs.size} outcomes, expected vocab_size {vocab_size}"
             )
-    entropies = [token_entropy(d) for d in dists]
-    mean_entropy = float(np.mean(entropies))
+    # the reduction and division np.mean makes, without its dispatch
+    mean_entropy = float(np.add.reduce([token_entropy(d) for d in dists])) / len(dists)
     value = 1.0 - mean_entropy / float(np.log(vocab_size))
     # guard against fp drift just outside the closed interval
     value = min(1.0, max(0.0, value))

@@ -60,6 +60,8 @@ class ModeSpec:
             raise ValueError(f"unknown mode kind: {self.kind!r}")
         if (self.kind == "fixed_p") != (self.fixed_p is not None):
             raise ValueError("fixed_p modes and only fixed_p modes carry a probability")
+        if self.fixed_p is not None and not 0.0 <= self.fixed_p <= 1.0:
+            raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
 
     @property
     def label(self) -> str:

@@ -8,11 +8,14 @@ with the same seed reproduces every decision bit for bit.
 
 Draws are made 64 positions at a time: Philox is counter-based, so one
 generator call yields a whole aligned block of consecutive positions, and a
-small cache keeps the blocks a decode loop is walking through.
+small cache keeps the blocks a decode loop is walking through.  Each thread
+keeps one Philox generator and, for every block it draws, resets that
+generator's key, counter and buffer instead of building a new one.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +30,9 @@ _MASK64 = (1 << 64) - 1
 #: Stream positions drawn per generator call; blocks start at multiples of it.
 _BLOCK = 64
 
+#: Per-thread ``gen``: the Philox generator this thread draws blocks from.
+_local = threading.local()
+
 
 @lru_cache(maxsize=64)
 def _block(seed: int, stream: int, start: int) -> tuple[float, ...]:
@@ -37,10 +43,20 @@ def _block(seed: int, stream: int, start: int) -> tuple[float, ...]:
     fourth value from counter ``start`` is the one-draw value at the next
     position.  An aligned block ends at or before position 2**64 - 1, so its
     counters carry into the upper words exactly as the one-draw counters do.
+    The thread's generator is reset to the state ``Philox(key=(seed, stream),
+    counter=(start, 0, 0, 0))`` starts in: an empty output buffer.
     """
-    key = np.array([seed, stream], dtype=np.uint64)
-    counter = np.array([start, 0, 0, 0], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [start, 0, 0, 0], "key": [seed, stream]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return tuple(gen.random(4 * _BLOCK)[::4].tolist())
 
 

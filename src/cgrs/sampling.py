@@ -34,6 +34,11 @@ _HEAD_CAP = 4096
 #: underflowed (or the ban left no mass) and the weights are rebuilt.
 _MIN_TOTAL = np.finfo(np.float64).tiny * 2.0**60
 
+#: The sampler's one prefix sum, for the draw and the nucleus cutoff alike.
+#: It adds left to right, bit for bit as ``np.cumsum`` does, without the
+#: Python-level dispatch of that wrapper.
+_prefix_sum = np.add.accumulate
+
 #: Relative slack of the settled-top test in :func:`_top_settles`, far above
 #: the rounding of the power, the pairwise sum and the division.
 _SETTLE_MARGIN = 1.0 + 1e-9
@@ -68,23 +73,34 @@ def _check_draw(temperature: float, u: float) -> None:
         raise ValueError(f"u must lie in [0, 1), got {u}")
 
 
-def _weights(
-    probs: np.ndarray, power: float, banned: np.ndarray | None
-) -> tuple[np.ndarray, float]:
-    """``probs ** power`` with the banned ids zeroed, and its total.
+def _sums(w: np.ndarray, cumulative: bool) -> np.ndarray:
+    """Prefix sums of ``w`` if cumulative, else its total as a one-entry array."""
+    return _prefix_sum(w) if cumulative else np.add.reduce(w, keepdims=True)
 
-    If the ban leaves no probability mass it is ignored, so the draw falls
-    back to the unmasked weights.  If the power underflows, the weights are
-    taken relative to the largest probability, which keeps their ratios.
+
+def _weights(
+    probs: np.ndarray, power: float, banned: np.ndarray | None, cumulative: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``probs ** power`` with the banned ids zeroed, and its :func:`_sums`.
+
+    Either way the last entry of the sums is the weights' total.  If the ban
+    leaves no probability mass it is ignored, so the draw falls back to the
+    unmasked weights.  If the power underflows, the weights are taken
+    relative to the largest probability, which keeps their ratios.  A NaN
+    total is rebuilt too, and the NaN largest probability is rejected.
+
+    The last prefix sum and the pairwise ``sum`` differ only by rounding, so
+    the test against ``_MIN_TOTAL`` could go either way between the two only
+    for a total within rounding of ``_MIN_TOTAL`` (about 2.6e-290).
     """
     w = probs ** power if power != 1.0 else probs
     if banned is not None and banned.size:
         if w is probs:
             w = probs.copy()
         w[banned] = 0.0
-    total = float(w.sum())
-    if total >= _MIN_TOTAL:
-        return w, total
+    sums = _sums(w, cumulative)
+    if sums[-1] >= _MIN_TOTAL:
+        return w, sums
     base = probs
     if banned is not None and banned.size:
         base = probs.copy()
@@ -95,7 +111,7 @@ def _weights(
     if not top > 0.0:
         raise ValueError("probs hold no probability mass")
     w = (base / top) ** power
-    return w, float(w.sum())
+    return w, _sums(w, cumulative)
 
 
 def _threshold_head(w: np.ndarray, top: int | None = None) -> np.ndarray | None:
@@ -117,11 +133,11 @@ def _threshold_head(w: np.ndarray, top: int | None = None) -> np.ndarray | None:
 def _cutoff(ranked_w: np.ndarray, total: float, top_p: float) -> int:
     """Index of the first ranked weight whose prefix share of ``total`` reaches top_p.
 
-    ``np.cumsum`` adds left to right, so the prefix sums of a ranked head
+    ``_prefix_sum`` adds left to right, so the prefix sums of a ranked head
     equal those of a full stable sort, bit for bit.  ``ranked_w.size`` means
     the head falls short.
     """
-    return int(np.searchsorted(np.cumsum(ranked_w / total), top_p, side="left"))
+    return int(_prefix_sum(ranked_w / total).searchsorted(top_p, side="left"))
 
 
 def _nucleus(w: np.ndarray, total: float, top_p: float, top: int | None = None) -> np.ndarray:
@@ -175,14 +191,14 @@ def _top_settles(probs: np.ndarray, top: int, top_p: float, banned: np.ndarray |
     return banned is None or top not in banned
 
 
-def _draw(w: np.ndarray, keep: np.ndarray | None, u: float) -> int:
-    """Inverse CDF over ``w[keep]`` (all of ``w`` when keep is None), in id order."""
-    vals = w if keep is None else w[keep]
-    csum = np.cumsum(vals)
-    idx = int(np.searchsorted(csum, u * csum[-1], side="right"))
+def _draw(vals: np.ndarray, u: float, csum: np.ndarray | None = None) -> int:
+    """Inverse CDF over ``vals`` in index order, given their prefix sums ``csum`` or not."""
+    if csum is None:
+        csum = _prefix_sum(vals)
+    idx = int(csum.searchsorted(u * csum[-1], side="right"))
     if idx >= vals.size:  # u * total rounded up to the last prefix sum
         idx = int(np.flatnonzero(vals)[-1])
-    return idx if keep is None else int(keep[idx])
+    return idx
 
 
 def nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
@@ -219,6 +235,8 @@ def sample_from_probs(
     and ``top_p < 1``, a top token that alone holds top_p of the tempered
     mass (:func:`_top_settles`) is returned without tempering the vocabulary;
     otherwise its id spares the threshold head a pass for the largest weight.
+    At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the whole
+    vocabulary are the only total it takes.
     """
     _check_draw(temperature, u)
     _check_top_p(top_p)
@@ -229,12 +247,14 @@ def sample_from_probs(
         if _top_settles(probs, top, top_p, banned):
             return top
     power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
-    w, total = _weights(probs, power, banned)
+    cumulative = top_p == 1.0 and temperature > 0.0
+    w, sums = _weights(probs, power, banned, cumulative)
     if temperature == 0.0:
         return int(np.argmax(w))
-    if top_p == 1.0:
-        return _draw(w, None, u)
-    return _draw(w, np.sort(_nucleus(w, total, top_p, top)), u)
+    if cumulative:
+        return _draw(w, u, sums)
+    keep = np.sort(_nucleus(w, float(sums[-1]), top_p, top))
+    return int(keep[_draw(w[keep], u)])
 
 
 def sample_from_logits(

@@ -232,6 +232,11 @@ class TestModeSpec:
         with pytest.raises(ValueError, match="unknown mode"):
             ModeSpec.parse("greedy")
 
+    @pytest.mark.parametrize("text", ["fixed-p=1.5", "fixed-p=nan", "fixed-p=-0.1"])
+    def test_parse_out_of_range_probability(self, text):
+        with pytest.raises(ValueError, match=r"fixed_p must lie in \[0, 1\]"):
+            ModeSpec.parse(text)
+
     def test_labels(self):
         assert ModeSpec("vanilla").label == "vanilla"
         assert ModeSpec("cgrs").label == "cgrs"
@@ -434,6 +439,17 @@ class TestRunBenchmark:
     def test_bad_parallelism_rejected(self, overthinking_backend, toy_problems):
         with pytest.raises(ValueError, match="parallelism"):
             self.run(overthinking_backend, toy_problems, parallelism=0)
+
+    def test_out_of_range_fixed_p_rejected_before_any_model_call(self, monkeypatch, toy_problems):
+        backend = ToyBackend(overthinking_spec())
+        calls = []
+        inner = backend.next_distribution
+        monkeypatch.setattr(
+            backend, "next_distribution", lambda ctx: calls.append(len(ctx)) or inner(ctx)
+        )
+        with pytest.raises(ValueError, match=r"fixed_p must lie in \[0, 1\], got 1.5"):
+            self.run(backend, toy_problems, modes=[ModeSpec("vanilla"), ModeSpec.parse("fixed-p=1.5")])
+        assert calls == []
 
     def test_unencodable_prompt_rejected_before_any_model_call(self, monkeypatch):
         backend = ToyBackend(overthinking_spec())

@@ -121,8 +121,8 @@ def argsort_sizes(monkeypatch):
 
 @pytest.fixture
 def cumsum_sizes(monkeypatch):
-    """Sizes of every array ``np.cumsum`` is asked to sum while active."""
-    return _counted(monkeypatch, "cumsum")
+    """Sizes of every array the sampler's one prefix sum, ``cgrs.sampling._prefix_sum``, sums while active."""
+    return _counted(monkeypatch, "_prefix_sum", sampling)
 
 
 @pytest.fixture
@@ -450,9 +450,13 @@ class TestSampleFromProbs:
     def test_underflowing_power_keeps_ratios(self):
         # 0.5 ** 1020 is barely normal and 0.49 ** 1020 subnormal: the weights
         # are rebuilt relative to the largest probability at full precision
-        w, total = _weights(np.array([0.5, 0.49, 0.01]), 1020.0, None)
-        assert w[0] == 1.0 and total == w.sum()
+        probs = np.array([0.5, 0.49, 0.01])
+        w, sums = _weights(probs, 1020.0, None)
+        assert w[0] == 1.0 and sums.tolist() == [w.sum()]
         assert w[1] == pytest.approx(0.98**1020, rel=1e-10)
+        # the draw's prefix sums come from the same rebuilt weights
+        w_all, csum = _weights(probs, 1020.0, None, cumulative=True)
+        assert np.array_equal(w_all, w) and np.array_equal(csum, np.cumsum(w))
 
     def test_no_mass_rejected(self):
         with pytest.raises(ValueError, match="no probability mass"):
@@ -473,6 +477,52 @@ class TestSampleFromProbs:
         ):
             with pytest.raises(ValueError):
                 sample_from_probs(probs, temperature, top_p, u)
+
+
+class TestDrawAtTopPOne:
+    """At top_p = 1 the draw's prefix sums are its only total, and its guard still holds."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    def test_one_prefix_sum_over_the_vocabulary(self, large_vectors, cumsum_sizes, temperature):
+        probs = large_vectors["zipf"]
+        ban = np.sort(np.argsort(-probs, kind="stable")[:5])
+        for banned in (None, ban):
+            cumsum_sizes.clear()
+            sample_from_probs(probs, temperature, 1.0, 0.5, banned)
+            assert cumsum_sizes == [QWEN_VOCAB]
+
+    @pytest.mark.parametrize("banned", [None, [0]], ids=["unmasked", "banned"])
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    def test_nan_rejected(self, temperature, banned):
+        probs = np.array([0.5, math.nan, 0.5])
+        ban = None if banned is None else np.array(banned)
+        with pytest.raises(ValueError, match="no probability mass"):
+            sample_from_probs(probs, temperature, 1.0, 0.5, ban)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    def test_ban_leaving_no_mass_matches_oracle(self, temperature):
+        # the ban covers every positive entry, so the draw ignores it
+        rng = np.random.default_rng(int(temperature * 10) + 50)
+        for trial in range(40):
+            n = int(rng.integers(2, 200))
+            probs = np.zeros(n)
+            ban = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            probs[ban] = rng.dirichlet(np.ones(ban.size))
+            keep, w = tempered_argsort_nucleus(probs, temperature, 1.0)
+            for step in range(10):
+                u = sampling_uniform(trial, step)
+                got = sample_from_probs(probs, temperature, 1.0, u, ban)
+                assert got == tempered_argsort_draw(keep, w, u), (trial, step)
+
+    @pytest.mark.parametrize("name", ["zipf", "uniform"])
+    def test_low_temperature_underflow_matches_oracle(self, large_vectors, name):
+        # at T = 0.01 the uniform vector's p ** 100 underflows to zero, so
+        # the weights are rebuilt before the prefix sums are taken
+        probs = large_vectors[name]
+        oracle = argsort_cdf(distribution_to_logits(probs), 0.01, 1.0)
+        for step in range(20):
+            u = sampling_uniform(10, step)
+            assert sample_from_probs(probs, 0.01, 1.0, u) == argsort_draw(*oracle, u)
 
 
 class TestDrawSumsOnlyTheNucleus:

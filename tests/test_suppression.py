@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -255,6 +257,38 @@ class TestRngStreams:
             again = [stream_uniform(seed, DECISION_STREAM, i) for i in (0, 70)]
             assert again == first[seed]
             assert again == [one_draw_uniform(seed, DECISION_STREAM, i) for i in (0, 70)]
+
+    def test_threads_drawing_distinct_blocks_match_oracle(self):
+        # eight threads start together and draw far more distinct blocks than
+        # the cache holds; each resets its own generator, so no thread's
+        # block can carry another's key or counter
+        n_threads, n_blocks = 8, 150
+        barrier = threading.Barrier(n_threads)
+        drawn: dict[int, list[tuple[tuple[int, int, int], float]]] = {}
+
+        def draw(t: int) -> None:
+            triples = [
+                (5000 + 997 * t + k, 1 + k % 2, 64 * (t * n_blocks + k) + k % 64)
+                for k in range(n_blocks)
+            ]
+            barrier.wait(timeout=30)
+            drawn[t] = [(triple, stream_uniform(*triple)) for triple in triples]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(t,)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(drawn) == list(range(n_threads))
+        for t, values in drawn.items():
+            for (seed, stream, index), value in values:
+                assert value == one_draw_uniform(seed, stream, index), (t, seed, stream, index)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
