@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ def partition_sizes(monkeypatch):
 def weights_sizes(monkeypatch):
     """Sizes of every vector ``cgrs.sampling._weights`` is asked to temper while active."""
     return _counted(monkeypatch, "_weights", sampling)
+
+
+@pytest.fixture
+def certified_sizes(monkeypatch):
+    """Sizes of every vector passed to ``cgrs.sampling._certified_nucleus`` while active."""
+    return _counted(monkeypatch, "_certified_nucleus", sampling)
+
+
+@pytest.fixture
+def bounds_sizes(monkeypatch):
+    """Sizes of every vector ``cgrs.sampling._total_bounds`` sums in float32 while active."""
+    return _counted(monkeypatch, "_total_bounds", sampling)
 
 
 class TestSoftmax:
@@ -394,16 +407,16 @@ class TestNucleusSortsOnlyAHead:
 class TestSampleFromProbs:
     """The probability-space core picks the oracle's ids and honours bans."""
 
-    @pytest.mark.parametrize("banned", [False, True], ids=["unmasked", "top5_banned"])
+    @pytest.mark.parametrize("banned", ["unmasked", "top5_banned", "top_banned"])
     @pytest.mark.parametrize("top_p", LARGE_V_TOP_PS + (1.0,))
-    @pytest.mark.parametrize("temperature", [0.6, 1.0])
+    @pytest.mark.parametrize("temperature", [0.6, 1.0, 0.1, 0.3])
     @pytest.mark.parametrize("name", ["zipf", "ties", "sparse", "uniform"])
     def test_matches_argsort_oracle(self, large_vectors, name, temperature, top_p, banned):
         probs = large_vectors[name]
         logits = distribution_to_logits(probs)
         ban = None
-        if banned:
-            ban = np.sort(np.argsort(-probs, kind="stable")[:5])
+        if banned != "unmasked":
+            ban = np.sort(np.argsort(-probs, kind="stable")[: 5 if banned == "top5_banned" else 1])
             logits = mask_triggers(logits, ban)
         oracle = argsort_cdf(logits, temperature, top_p)
         for step in range(100):
@@ -700,7 +713,9 @@ class TestSettledTop:
         assert [sample_from_probs(probs, temperature, top_p, u) for u in us] == [0] * 20
 
     @pytest.mark.parametrize("temperature", [0.3, 0.6, 1.0, 2.0])
-    def test_top_heavy_vectors_match_the_tempered_oracle(self, weights_sizes, temperature):
+    def test_top_heavy_vectors_match_the_tempered_oracle(
+        self, weights_sizes, certified_sizes, temperature
+    ):
         # T > 1 flattens, so there the top's share can fall below p_top / S
         # and the draw must temper
         rng = np.random.default_rng(int(temperature * 10) + 100)
@@ -724,9 +739,11 @@ class TestSettledTop:
                 for step in range(5):
                     u = sampling_uniform(trial, step)
                     weights_sizes.clear()
+                    certified_sizes.clear()
                     got = sample_from_probs(probs, temperature, top_p, u, ban)
                     assert got == tempered_argsort_draw(keep, w, u), (trial, top_p, step)
-                    assert (not weights_sizes) == settles, (trial, top_p, step)
+                    tempered = weights_sizes or certified_sizes
+                    assert (not tempered) == settles, (trial, top_p, step)
 
     def test_settled_draw_never_tempers(self, weights_sizes):
         rng = np.random.default_rng(98)
@@ -744,3 +761,130 @@ class TestSettledTop:
         # a banned top is not settled: the draw tempers and moves elsewhere
         assert sample_from_probs(probs, 0.6, 0.95, 0.5, np.array([top])) != top
         assert weights_sizes == [QWEN_VOCAB]
+
+
+class TestCertifiedDraw:
+    """An unsettled step at 0 < T < 1 tempers only the head and certifies the cutoff in float32."""
+
+    @pytest.mark.parametrize("temperature", [0.95, 0.6, 0.5, 0.3, 0.1])
+    def test_gathered_power_equals_the_full_vector_bits(self, large_vectors, temperature):
+        # the head's float64 weights are gathered before the power; they must
+        # be the full vector's bits whatever the gather's size (T = 0.5 is
+        # numpy's squaring shortcut for ``** 2``)
+        rng = np.random.default_rng(int(temperature * 100))
+        power = 1.0 / temperature
+        for name in ("zipf", "sparse", "ties"):
+            probs = large_vectors[name]
+            full = probs**power
+            for size in list(range(1, 65)) + [1000, 4095, 4096, 65_536, QWEN_VOCAB]:
+                ids = np.sort(rng.choice(QWEN_VOCAB, size, replace=False))
+                gathered = (probs[ids] ** power).view(np.int64)
+                assert np.array_equal(gathered, full[ids].view(np.int64)), (name, size)
+
+    @pytest.mark.parametrize("temperature", [0.9, 0.6, 0.3, 0.1, 0.02])
+    def test_bounds_bracket_the_float64_total(self, temperature):
+        # the float32 bounds must hold today's pairwise float64 total of the
+        # tempered weights, on Zipf, sparse, subnormal-heavy and banned vectors
+        rng = np.random.default_rng(int(temperature * 1000))
+        power = 1.0 / temperature
+        checked = 0
+        for trial in range(60):
+            n = int(rng.choice([7, 300, 5000, QWEN_VOCAB]))
+            probs = (rng.permutation(n) + 1.0) ** -float(rng.uniform(0.5, 3.0))
+            top = int(np.argmax(probs))
+            if trial % 3 == 1:  # mostly exact zeros
+                probs[(rng.random(n) < 0.9) & (np.arange(n) != top)] = 0.0
+            if trial % 3 == 2:  # entries far below float32's normal range
+                probs[(rng.random(n) < 0.3) & (np.arange(n) != top)] *= 1e-300
+            probs /= probs.sum()
+            ban = None
+            if trial % 2:
+                ban = np.setdiff1d(rng.choice(n, max(1, n // 10), replace=False), [top])
+            w, sums = _weights(probs, power, ban)
+            lo, hi = sampling._total_bounds(probs, top, float(w[top]), power, ban)
+            if lo >= sampling._MIN_TOTAL:
+                assert lo <= float(sums[-1]) <= hi, (trial, n)
+                assert hi - lo < 1e-3 * hi
+                checked += 1
+        assert checked >= 50
+
+    def test_zipf_vector_tempers_only_its_head(
+        self, large_vectors, weights_sizes, bounds_sizes, argsort_sizes
+    ):
+        # no vocabulary-length float64 power: one float32 pass for the total
+        # and a sort of the head alone
+        probs = large_vectors["zipf"]
+        us = [sampling_uniform(12, step) for step in range(20)]
+        for temperature in (0.6, 0.3, 0.1):
+            keep, w = tempered_argsort_nucleus(probs, temperature, 0.95)
+            argsort_sizes.clear()
+            tokens = [sample_from_probs(probs, temperature, 0.95, u) for u in us]
+            assert tokens == [tempered_argsort_draw(keep, w, u) for u in us], temperature
+            assert max(argsort_sizes) < 100
+        assert not weights_sizes
+        assert bounds_sizes == [QWEN_VOCAB] * 60
+
+    def test_flat_vector_makes_no_float32_pass(self, large_vectors, weights_sizes, bounds_sizes):
+        # a head over the cap gives up after the compare pass
+        probs = large_vectors["uniform"]
+        sample_from_probs(probs, 0.6, 0.95, 0.5)
+        assert not bounds_sizes
+        assert weights_sizes == [QWEN_VOCAB]
+
+    @pytest.mark.parametrize("placement", ["above", "below", "estimate"])
+    def test_cutoff_inside_the_margin_falls_back(self, large_vectors, weights_sizes, placement):
+        # top_p sits between the shares that the float64 total and a total
+        # inside the bounds give the ranked token crossing 0.9: a lower bound
+        # alone would cut that token ("above"), an upper bound alone would
+        # keep one more ("below"), and so would the float32 estimate itself
+        temperature, probs = 0.6, large_vectors["zipf"]
+        power = 1.0 / temperature
+        w, sums = _weights(probs, power, None)
+        total = float(sums[-1])
+        top = int(np.argmax(probs))
+        lo, hi = sampling._total_bounds(probs, top, float(w[top]), power, None)
+        other = {"above": (total + lo) / 2, "below": (total + hi) / 2, "estimate": (lo + hi) / 2}
+        order = np.argsort(-w, kind="stable")
+        share = sampling._prefix_sum(w[order[:64]] / total)
+        k = int(share.searchsorted(0.9))
+        moved = float(sampling._prefix_sum(w[order[:64]] / other[placement])[k])
+        assert moved != share[k]
+        top_p = 0.5 * (float(share[k]) + moved)
+        keep, _ = tempered_argsort_nucleus(probs, temperature, top_p)
+        wrong = np.sort(order[: sampling._cutoff(w[order[:64]], other[placement], top_p) + 1])
+        us = [sampling_uniform(13, step) for step in range(100)]
+        expected = [tempered_argsort_draw(keep, w, u) for u in us]
+        assert expected != [tempered_argsort_draw(wrong, w, u) for u in us]
+        assert [sample_from_probs(probs, temperature, top_p, u) for u in us] == expected
+        assert weights_sizes == [QWEN_VOCAB] * 100
+
+    @pytest.mark.parametrize("temperature", [0.6, 0.1])
+    def test_strided_view_draws_as_its_contiguous_copy(self, large_vectors, temperature):
+        probs = large_vectors["zipf"]
+        wide = np.zeros((QWEN_VOCAB, 3))
+        wide[:, 1] = probs
+        view = wide[:, 1]
+        reversed_view = probs[::-1].copy()[::-1]
+        ban = np.sort(np.argsort(-probs, kind="stable")[3:8])
+        for step in range(30):
+            u = sampling_uniform(14, step)
+            for banned in (None, ban):
+                expected = sample_from_probs(probs, temperature, 0.95, u, banned)
+                assert sample_from_probs(view, temperature, 0.95, u, banned) == expected
+                assert sample_from_probs(reversed_view, temperature, 0.95, u, banned) == expected
+
+    @pytest.mark.parametrize("name", ["sparse", "zipf_with_zeros"])
+    def test_exact_zeros_raise_no_warning(self, large_vectors, name):
+        if name == "sparse":
+            probs = large_vectors["sparse"]
+        else:
+            probs = large_vectors["zipf"].copy()
+            probs[np.random.default_rng(15).random(QWEN_VOCAB) < 0.5] = 0.0
+        ban = np.sort(np.argsort(-probs, kind="stable")[1:4])
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for temperature in (0.9, 0.6, 0.3, 0.1):
+                for banned in (None, ban):
+                    for step in range(5):
+                        u = sampling_uniform(16, step)
+                        sample_from_probs(probs, temperature, 0.95, u, banned)
