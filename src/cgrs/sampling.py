@@ -10,11 +10,13 @@ and :func:`sample_from_logits` are thin adapters over its helpers.
 Top-p is defined on the tempered total, but the cutoff only needs that total
 well enough to fix one index.  So an unsettled step at ``0 < T < 1`` tempers
 only the threshold head in float64 and brackets the total with one float32
-pass (:func:`_certified_nucleus`, :func:`_total_bounds`): the bracket's half
-width is 8 times a stated error budget, about ``6.5e-5`` of the total at
-``T = 0.6`` over 151,936 ids, where the measured float32 error is below
-``1e-7``.  When the cutoff is the same at both ends it is the full path's,
-and the draw picks the same id; otherwise the full path runs, unchanged.
+pass, ``exp2(a * log2 r)`` over the ratios ``r`` to the most probable id
+left (:func:`_certified_nucleus`, :func:`_total_bounds`): the bracket's half
+width is 8 times a stated error budget, about ``9.2e-5`` of the total at
+``T = 0.6`` over 151,936 ids.  The budget takes numpy's own float32
+tolerances for ``log2`` and ``exp2``, which a test measures.  When the
+cutoff is the same at both ends it is the full path's, and the draw picks
+the same id; otherwise the full path runs, unchanged.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ _SUPERSET_SLACK = 1.0 - 1e-6
 #: Float32 ratios ``r`` are clamped up to ``2 ** (-_CLAMP_EXP / a)``, so no
 #: ``r ** a`` is subnormal (float32's smallest normal is ``2 ** -126``).
 _CLAMP_EXP = 120.0
+
+#: Largest errors, in float32 ulp, of numpy's float32 ``log2`` and ``exp2``
+#: that the float32 total's error budget allows: the ``ulperror`` tolerances
+#: of numpy's own validation sets for the two functions.
+_LOG2_ULP = 3
+_EXP2_ULP = 2
 
 #: The certificate's margin is this multiple of the float32 total's error budget.
 _MARGIN_FACTOR = 8.0
@@ -216,40 +224,55 @@ def _total_bounds(
 ) -> tuple[float, float]:
     """Bounds on the tempered total ``sum(probs ** power)`` (banned ids zeroed), from float32.
 
-    ``ref`` is the top's float64 weight ``probs[top] ** power``; the total is
-    ``ref * sum(r ** power)`` with ``r = probs / probs[top]``.  Each ratio is
-    formed as ``fl32(fl32(p) * fl32(1 / p_top))``, clamped up to
-    ``2 ** (-_CLAMP_EXP / a)`` and raised to ``fl32(a)``, ``a = power``; the
-    banned ids are zeroed and the rest summed pairwise in float32.  The
+    ``top`` is the most probable id not banned and ``ref`` its float64 weight
+    ``probs[top] ** power``; the total is ``ref * sum(r ** a)`` with ``r =
+    probs / probs[top]`` and ``a = power``.  The banned ids are zeroed in the
+    cast ``fl32(p)``; each ratio is ``fl32(fl32(p) * fl32(1 / p_top))``,
+    clamped up to ``2 ** (-_CLAMP_EXP / a)`` so that every ``log2`` input and
+    every ``exp2`` result is a normal float, and raised to ``a`` as ``exp2(
+    fl32(a) * log2(r))``; the results are summed pairwise in float32.  The
     relative error budget, in float32 unit roundoffs ``u = 2 ** -24``:
 
     - the ratio's three roundings, raised to ``a``: ``4a u``;
-    - the exponent rounded to float32: ``|a - fl32(a)| * |ln r| <= 120 ln 2 u``,
-      under ``84 u``, since no ratio is left below the clamp;
-    - the float32 power, at most 4 ulp: ``8 u``;
+    - ``exp2``, at most ``_EXP2_ULP`` ulp: ``2 * _EXP2_ULP u``;
+    - the exponent ``y = a * log2(r)``: ``log2`` at most ``_LOG2_ULP`` ulp,
+      ``fl32(a)`` and the product one rounding each, so ``|dy| <= (2 *
+      _LOG2_ULP + 2) u |y|``, which scales the result by ``2 ** dy``, at most
+      ``ln 2 * 8 u * |y|``.  With ``|y|`` up to ``_CLAMP_EXP`` that is ``665 u``
+      in the worst case, so the ratios are split at ``|y| = Y0 = ceil(log2 V)
+      + 6``: an entry above ``2 ** -Y0`` of the top's weight is off by at most
+      ``ln 2 * 8 u * Y0``, and the rest, at most ``V * 2 ** -Y0 <= 2 ** -6``
+      of a total of at least 1 (the top's ratio is 1), add at most
+      ``2 ** -6 * ln 2 * 8 u * _CLAMP_EXP``;
     - numpy's pairwise sum, blocks of at most 128 held in eight running
       sums and halved down from V: ``(ceil(log2 V) + 20) u``;
     - the float64 weights and their total, which the float32 sum stands
       for: ``2 ** -40``.
 
-    The margin is ``_MARGIN_FACTOR`` times that budget, about ``6.5e-5``
-    at ``T = 0.6`` and ``V = 151,936``; the largest error measured against
-    the float64 total over 9,228 such steps of the benchmark's Zipf model
-    was ``7.4e-8`` (about ``1.2 u``).  A clamped entry adds at most
-    ``2 ** -119`` of the top's weight, so the lower bound also drops
-    ``V * 2 ** -119 * ref``.  Entries below float32's normal range are
-    clamped like any other, which holds while ``p_top * 2 ** (-_CLAMP_EXP /
-    a) >= 2 ** -125``, and ``p_top <= 2 ** 64`` keeps the cast finite;
+    ``_LOG2_ULP`` and ``_EXP2_ULP`` are the ``ulperror`` tolerances of numpy's
+    own float32 validation sets (``umath-validation-set-log2.csv`` and
+    ``-exp2.csv``); a test measures both functions against float64 over the
+    ratios and exponents used here.  The margin is ``_MARGIN_FACTOR`` times
+    the budget, about ``9.2e-5`` at ``T = 0.6`` and ``V = 151,936``.  A
+    clamped entry, banned ones included, adds at most ``2 ** -119`` of the
+    top's weight, so the lower bound also drops ``V * 2 ** -119 * ref``.
+    Entries below float32's normal range are clamped like any other, which
+    holds while ``p_top * 2 ** (-_CLAMP_EXP / a) >= 2 ** -125``, and a largest
+    probability up to ``2 ** 64`` keeps the cast finite;
     :func:`_certified_nucleus` checks both.
     """
     r = probs.astype(np.float32)
-    r *= np.float32(1.0 / float(probs[top]))
-    np.maximum(r, np.float32(2.0 ** (-_CLAMP_EXP / power)), out=r)
-    np.power(r, np.float32(power), out=r)
     if banned is not None and banned.size:
         r[banned] = 0.0
+    r *= np.float32(1.0 / float(probs[top]))
+    np.maximum(r, np.float32(2.0 ** (-_CLAMP_EXP / power)), out=r)
+    np.log2(r, out=r)
+    r *= np.float32(power)
+    np.exp2(r, out=r)
     total = float(np.add.reduce(r))
-    budget = (4.0 * power + 112.0 + math.ceil(math.log2(probs.size))) * 2.0**-24 + 2.0**-40
+    log_v = math.ceil(math.log2(probs.size))
+    exponent = math.log(2.0) * (2 * _LOG2_ULP + 2) * (log_v + 6 + _CLAMP_EXP / 64)
+    budget = (4.0 * power + 2 * _EXP2_ULP + exponent + log_v + 20) * 2.0**-24 + 2.0**-40
     margin = _MARGIN_FACTOR * budget
     return ref * (total * (1.0 - margin) - probs.size * 2.0**-119), ref * total * (1.0 + margin)
 
@@ -259,25 +282,35 @@ def _certified_nucleus(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The full path's nucleus at ``power > 1`` (ids in id order, weights); None if not certified.
 
-    ``top`` is the most probable id, not banned.  One compare pass gathers
-    every id whose probability reaches ``p_top * _HEAD_RATIO ** (1 / a)``
-    less a ``_SUPERSET_SLACK``: a superset of the :func:`_threshold_head`.  Over
-    ``_HEAD_CAP`` of them, it gives up before any other pass over the
+    ``top`` is the most probable id.  When it is banned, the reference is
+    the most probable id left (one masked copy and its argmax), as the full
+    path measures its head against the largest weight left.  One compare pass
+    gathers every id whose probability reaches ``p_ref * _HEAD_RATIO ** (1 /
+    a)`` less a ``_SUPERSET_SLACK``: a superset of the :func:`_threshold_head`.
+    Over ``_HEAD_CAP`` of them, it gives up before any other pass over the
     vocabulary.  Their float64 weights ``p ** a`` are the full vector's, bit
     for bit, because numpy's power rounds each element alone, whatever its
     position or the array's length (``probs`` is contiguous, and tests pin
-    this); filtered at ``_HEAD_RATIO`` of the top's weight they are exactly
-    the threshold head.  :func:`_total_bounds` brackets the float64 total.
-    Division and prefix sums round monotonically, so the :func:`_cutoff`
-    can only grow with the total: when it is the same at both bounds, and
-    inside the head, it is the full path's cutoff, and the kept ids and
-    weights are the full path's.
+    this); with the banned ids zeroed and filtered at ``_HEAD_RATIO`` of the
+    reference weight (the top's, or else the largest gathered) they are
+    exactly the threshold head.  :func:`_total_bounds` brackets the float64
+    total.  Division and prefix sums round monotonically, so the
+    :func:`_cutoff` can only grow with the total: when it is the same at both
+    bounds, and inside the head, it is the full path's cutoff, and the kept
+    ids and weights are the full path's.  A ban that leaves no mass is left
+    to the full path.
     """
     p_top = float(probs[top])
-    # a NaN top fails too
-    if not (2.0**-125 <= p_top * 2.0 ** (-_CLAMP_EXP / power) and p_top <= 2.0**64):
+    ref_id, p_ref = top, p_top
+    if banned is not None and top in banned:
+        masked = probs.copy()
+        masked[banned] = -1.0
+        ref_id = int(np.argmax(masked))
+        p_ref = float(masked[ref_id])
+    # a NaN top or a reference with no mass fails too
+    if not (2.0**-125 <= p_ref * 2.0 ** (-_CLAMP_EXP / power) and p_top <= 2.0**64):
         return None
-    near_top = probs >= p_top * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
+    near_top = probs >= p_ref * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
     if np.count_nonzero(near_top) > _HEAD_CAP:
         return None
     ids = np.flatnonzero(near_top)
@@ -285,7 +318,9 @@ def _certified_nucleus(
     if banned is not None and banned.size:
         w[ids.searchsorted(banned[near_top[banned]])] = 0.0
     ref = float(w[ids.searchsorted(top)])
-    lo, hi = _total_bounds(probs, top, ref, power, banned)
+    if not ref > 0.0:
+        ref = float(w.max())
+    lo, hi = _total_bounds(probs, ref_id, ref, power, banned)
     if not lo >= _MIN_TOTAL:
         return None
     in_head = w >= ref * _HEAD_RATIO
@@ -342,11 +377,12 @@ def sample_from_probs(
     ``probs`` must be nonnegative; they need not sum to 1.  At ``0 < T <= 1``
     and ``top_p < 1``, a top token that alone holds top_p of the tempered
     mass (:func:`_top_settles`) is returned without tempering the vocabulary.
-    Otherwise, at ``T < 1`` and with the top not banned,
-    :func:`_certified_nucleus` tempers only the threshold head and certifies
-    the cutoff from a float32 total; it gives way to the full path when the
-    head is over ``_HEAD_CAP``, the total is too small, the head falls short
-    of top_p, or a bound of the total would move the cutoff.  On the full
+    Otherwise, at ``T < 1``, :func:`_certified_nucleus` tempers only the
+    threshold head and certifies the cutoff from a float32 total, measured
+    against the most probable id left when the top is banned; it gives way
+    to the full path when the head is over ``_HEAD_CAP``, the total is too
+    small, the ban leaves no mass, the head falls short of top_p, or a bound
+    of the total would move the cutoff.  On the full
     path the top's id spares the threshold head a pass for the largest
     weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the
     whole vocabulary are the only total it takes.
@@ -364,7 +400,7 @@ def sample_from_probs(
         top = int(np.argmax(probs))
         if _top_settles(probs, top, top_p, banned):
             return top
-        if temperature < 1.0 and (banned is None or top not in banned):
+        if temperature < 1.0:
             kept = _certified_nucleus(probs, 1.0 / temperature, top_p, banned, top)
     if kept is None:
         power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature

@@ -745,7 +745,7 @@ class TestSettledTop:
                     tempered = weights_sizes or certified_sizes
                     assert (not tempered) == settles, (trial, top_p, step)
 
-    def test_settled_draw_never_tempers(self, weights_sizes):
+    def test_settled_draw_never_tempers(self, weights_sizes, certified_sizes):
         rng = np.random.default_rng(98)
         probs = (rng.permutation(QWEN_VOCAB) + 1.0) ** -1.1
         probs *= 0.03 / probs.sum()
@@ -757,10 +757,10 @@ class TestSettledTop:
                 u = sampling_uniform(11, step)
                 assert sample_from_probs(probs, temperature, 0.95, u, others) == top
         assert sample_from_logits(distribution_to_logits(probs), 0.6, 0.95, 0.5) == top
-        assert not weights_sizes
+        assert not (weights_sizes or certified_sizes)
         # a banned top is not settled: the draw tempers and moves elsewhere
         assert sample_from_probs(probs, 0.6, 0.95, 0.5, np.array([top])) != top
-        assert weights_sizes == [QWEN_VOCAB]
+        assert weights_sizes or certified_sizes
 
 
 class TestCertifiedDraw:
@@ -823,6 +823,66 @@ class TestCertifiedDraw:
             assert max(argsort_sizes) < 100
         assert not weights_sizes
         assert bounds_sizes == [QWEN_VOCAB] * 60
+
+    def test_banned_top_tempers_only_its_head(self, large_vectors, weights_sizes, bounds_sizes):
+        # the head and the float32 ratios are measured against the most
+        # probable id left, as the full path measures its head against the
+        # largest weight left
+        probs = large_vectors["zipf"]
+        ban = np.array([int(np.argmax(probs))])
+        masked = probs.copy()
+        masked[ban] = 0.0
+        us = [sampling_uniform(17, step) for step in range(20)]
+        for temperature in (0.6, 0.3, 0.1):
+            keep, w = tempered_argsort_nucleus(masked, temperature, 0.95)
+            tokens = [sample_from_probs(probs, temperature, 0.95, u, ban) for u in us]
+            assert tokens == [tempered_argsort_draw(keep, w, u) for u in us], temperature
+        assert not weights_sizes
+        assert bounds_sizes == [QWEN_VOCAB] * 60
+
+    @pytest.mark.parametrize("temperature", [0.6, 0.1])
+    def test_banned_top_far_above_the_rest_raises_no_warning(self, weights_sizes, temperature):
+        # unnormalised probs whose banned top is 1e18 times the next: its
+        # ratio to the reference would overflow float32's exp2 at T = 0.1,
+        # so the banned ids are zeroed before the ratios are formed
+        rng = np.random.default_rng(18)
+        probs = (rng.permutation(5000) + 1.0) ** -1.1
+        probs /= probs.sum()
+        top = int(rng.integers(5000))
+        probs[top] = 1e18
+        ban = np.array([top])
+        masked = probs.copy()
+        masked[ban] = 0.0
+        keep, w = tempered_argsort_nucleus(masked, temperature, 0.9)
+        us = [sampling_uniform(18, step) for step in range(20)]
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            tokens = [sample_from_probs(probs, temperature, 0.9, u, ban) for u in us]
+        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert not weights_sizes
+
+    def test_float32_log2_and_exp2_stay_inside_the_budget(self):
+        # the float32 total's error budget takes numpy's float32 log2 and
+        # exp2 to err by at most _LOG2_ULP and _EXP2_ULP ulp over the clamped
+        # ratios [2 ** -120, 1] and the exponents [-120, 0]; a numpy or SIMD
+        # dispatch change that breaks that must fail here
+        def ulps(got: np.ndarray, exact: np.ndarray) -> float:
+            _, e = np.frexp(exact)
+            return float(np.max(np.abs(got.astype(np.float64) - exact) / np.ldexp(1.0, e - 24)))
+
+        rng = np.random.default_rng(19)
+        ratios = np.concatenate(
+            [
+                np.exp2(rng.uniform(-120.0, 0.0, 1_000_000)),
+                1.0 - rng.integers(1, 2**20, 200_000) * 2.0**-24,  # near 1, log2 near 0
+                [2.0**-120],
+            ]
+        ).astype(np.float32)
+        ratios = ratios[ratios < 1.0]
+        assert ratios.size >= 1_000_000
+        assert ulps(np.log2(ratios), np.log2(ratios.astype(np.float64))) <= sampling._LOG2_ULP
+        ys = np.concatenate([rng.uniform(-120.0, 0.0, 1_000_000), [-120.0, 0.0]]).astype(np.float32)
+        assert ulps(np.exp2(ys), np.exp2(ys.astype(np.float64))) <= sampling._EXP2_ULP
 
     def test_flat_vector_makes_no_float32_pass(self, large_vectors, weights_sizes, bounds_sizes):
         # a head over the cap gives up after the compare pass
