@@ -638,6 +638,35 @@ class TestThresholdHead:
         assert not partition_sizes
         assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
 
+    @pytest.fixture(scope="class")
+    def zipf2(self) -> np.ndarray:
+        rng = np.random.default_rng(99)
+        probs = (rng.permutation(QWEN_VOCAB) + 1.0) ** -2.0
+        return probs / probs.sum()
+
+    @pytest.mark.parametrize("entry", ["unmasked", "top_banned", "nucleus_filter"])
+    def test_full_path_nucleus_inside_the_head_needs_no_partition(
+        self, zipf2, partition_sizes, entry
+    ):
+        # T = 1 has no certified path: the full path ranks the head itself.
+        # Zipf(2) puts 0.61 on its top, so top_p = 0.95 is not settled, and
+        # the nucleus (about 12 ids, about 30 with the top banned) fits in
+        # the head, so no partial selection is needed
+        probs = zipf2
+        assert probs.max() < 0.95
+        if entry == "nucleus_filter":
+            assert np.array_equal(nucleus_filter(probs, 0.95), argsort_nucleus_filter(probs, 0.95))
+        else:
+            ban = np.array([int(np.argmax(probs))]) if entry == "top_banned" else None
+            masked = probs.copy()
+            if ban is not None:
+                masked[ban] = 0.0
+            keep, w = tempered_argsort_nucleus(masked, 1.0, 0.95)
+            us = [sampling_uniform(20, step) for step in range(20)]
+            tokens = [sample_from_probs(probs, 1.0, 0.95, u, ban) for u in us]
+            assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert not partition_sizes
+
     @pytest.mark.parametrize("tail_mass", [1e-5, 0.05], ids=["light_tail", "heavy_tail"])
     def test_tempered_tie_at_the_cutoff_keeps_the_lower_id(self, tail_mass):
         # ids 5 < 9 hold adjacent doubles with one tempered weight, 9 the
@@ -744,6 +773,23 @@ class TestSettledTop:
                     assert got == tempered_argsort_draw(keep, w, u), (trial, top_p, step)
                     tempered = weights_sizes or certified_sizes
                     assert (not tempered) == settles, (trial, top_p, step)
+
+    @pytest.mark.parametrize("ban", ["unmasked", "top_banned"])
+    @pytest.mark.parametrize("name", ["zipf", "ties", "sparse"])
+    def test_flattened_large_vectors_match_the_tempered_oracle(self, large_vectors, name, ban):
+        # T > 1 is drawn on the full path, its head ranked against the exact
+        # total, over the whole vocabulary rather than one head-sized vector
+        probs = large_vectors[name]
+        banned = np.array([int(np.argmax(probs))]) if ban == "top_banned" else None
+        masked = probs.copy()
+        if banned is not None:
+            masked[banned] = 0.0
+        for top_p in (0.5, 0.95):
+            keep, w = tempered_argsort_nucleus(masked, 1.5, top_p)
+            for step in range(4):
+                u = sampling_uniform(21, step)
+                got = sample_from_probs(probs, 1.5, top_p, u, banned)
+                assert got == tempered_argsort_draw(keep, w, u), (top_p, step)
 
     def test_settled_draw_never_tempers(self, weights_sizes, certified_sizes):
         rng = np.random.default_rng(98)
