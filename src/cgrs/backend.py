@@ -329,8 +329,9 @@ def reconstruct_distribution(
     result is an upper bound of the full-distribution certainty.
 
     Raises:
-        ValueError: empty input, non-finite log-probs, or observed mass
-            exceeding 1 beyond the rounding guard.
+        ValueError: empty input, an id outside ``[0, vocab_size)``,
+            non-finite log-probs, or observed mass exceeding 1 beyond the
+            rounding guard.
     """
     if not top_k_logprobs:
         raise ValueError("top_k_logprobs must be nonempty")
@@ -339,6 +340,9 @@ def reconstruct_distribution(
     ids = sorted(int(i) for i in top_k_logprobs)
     if len(ids) > vocab_size:
         raise ValueError("more top-k entries than vocabulary tokens")
+    for i in (ids[0], ids[-1]):
+        if not 0 <= i < vocab_size:
+            raise ValueError(f"top-k id {i} lies outside the vocabulary of {vocab_size} tokens")
     logprobs = np.array([float(top_k_logprobs[i]) for i in ids])
     if not np.all(np.isfinite(logprobs)):
         raise ValueError("top-k log-probs must be finite")

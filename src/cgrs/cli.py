@@ -80,18 +80,33 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+TRACE_SHAPES = (
+    "a .json file holds one list of token ids or a list of such lists, "
+    "and each line of a .jsonl file holds one list of token ids"
+)
+
+
+def _token_ids(row) -> list[int]:
+    if not isinstance(row, list):
+        raise TypeError("a trace is a list of token ids")
+    return [int(t) for t in row]
+
+
 def _load_trace_files(traces_dir: Path) -> list[list[int]]:
     traces: list[list[int]] = []
     for path in sorted(traces_dir.glob("*.json")) + sorted(traces_dir.glob("*.jsonl")):
-        if path.suffix == ".json":
-            data = json.loads(path.read_text(encoding="utf-8"))
-            rows = data if data and isinstance(data[0], list) else [data]
-            traces.extend([int(t) for t in row] for row in rows)
-        else:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        traces.append([int(t) for t in json.loads(line)])
+        try:
+            if path.suffix == ".json":
+                data = json.loads(path.read_text(encoding="utf-8"))
+                rows = [data]
+                if isinstance(data, list) and data and isinstance(data[0], list):
+                    rows = data
+            else:
+                with open(path, encoding="utf-8") as fh:
+                    rows = [json.loads(line) for line in fh if line.strip()]
+            traces.extend(_token_ids(row) for row in rows)
+        except (TypeError, ValueError, OverflowError):
+            raise SystemExit(f"{path}: not a token-id trace file ({TRACE_SHAPES})") from None
     return traces
 
 
@@ -125,6 +140,8 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     data = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise SystemExit(f"{args.trace}: expected a JSON object, a mode report or a decode trace")
     base_words = [w.base for w in default_trigger_words()]
     if "length_distribution" in data:  # a mode report
         lengths = data["length_distribution"]

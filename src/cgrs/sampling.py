@@ -7,16 +7,25 @@ therefore lives in the counter-based streams of :mod:`cgrs.rng`.
 :func:`sample_from_probs` is the one sampling core.  :func:`nucleus_filter`
 and :func:`sample_from_logits` are thin adapters over its helpers.
 
-Top-p is defined on the tempered total, but the cutoff only needs that total
-well enough to fix one index.  So an unsettled step at ``0 < T < 1`` tempers
-only the threshold head in float64 and brackets the total with one float32
-pass, ``exp2(a * log2 r)`` over the ratios ``r`` to the most probable id
-left (:func:`_certified_nucleus`, :func:`_total_bounds`): the bracket's half
+Every nucleus starts from one threshold head (:func:`_head`): one compare
+pass on the probabilities gathers the ids whose weight reaches ``2 ** -10``
+of the most probable id left's.  The head is an exact prefix of the stable
+ranking by weight, so :func:`_rank` sorts it alone and reads the cutoff off
+its prefix sums, against one of two totals.  Top-p is defined on the
+tempered total, but the cutoff only needs that total well enough to fix one
+index.  So an unsettled step at ``0 < T < 1`` tempers only the head in
+float64 and brackets the total with one float32 pass, ``exp2(a * log2 r)``
+over the ratios ``r`` to the most probable id left
+(:func:`_certified_nucleus`, :func:`_total_bounds`): the bracket's half
 width is 8 times a stated error budget, about ``9.2e-5`` of the total at
 ``T = 0.6`` over 151,936 ids.  The budget takes numpy's own float32
 tolerances for ``log2`` and ``exp2``, which a test measures.  When the
 cutoff is the same at both ends it is the full path's, and the draw picks
-the same id; otherwise the full path runs, unchanged.
+the same id.  Otherwise, and at any other ``T > 0`` and in
+:func:`nucleus_filter`, the full path reads the head's weights from the
+whole tempered vector and ranks them against its exact total
+(:func:`_exact_nucleus`).  A head over ``_HEAD_CAP`` ids or short of top_p
+goes to the partial-selection loop (:func:`_nucleus`), the only fallback.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ LOG_ZERO = -1e30
 #: Head size of the first partial selection in :func:`_nucleus`.
 _HEAD_START = 64
 
-#: The threshold head holds every entry at or above this share of the
-#: largest one.
+#: The threshold head holds every weight at or above this share of the
+#: weight of the most probable id left.
 _HEAD_RATIO = 2.0**-10
 
 #: Largest threshold head that is ranked as is; a larger one (a flat
@@ -55,7 +64,7 @@ _prefix_sum = np.add.accumulate
 _SETTLE_MARGIN = 1.0 + 1e-9
 
 #: Relative slack of the probability threshold that gathers a superset of the
-#: threshold head in :func:`_certified_nucleus`, far above the power's rounding.
+#: threshold head in :func:`_head`, far above the power's rounding.
 _SUPERSET_SLACK = 1.0 - 1e-6
 
 #: Float32 ratios ``r`` are clamped up to ``2 ** (-_CLAMP_EXP / a)``, so no
@@ -142,22 +151,6 @@ def _weights(
     return w, _sums(w, cumulative)
 
 
-def _threshold_head(w: np.ndarray, top: int | None = None) -> np.ndarray | None:
-    """Ids of the weights at or above ``_HEAD_RATIO`` of the largest (None if over ``_HEAD_CAP``).
-
-    Every weight left out is strictly below every one taken, so the head,
-    ranked, is an exact prefix of the stable ranking of ``w`` whatever the
-    reference weight is.  A positive ``w[top]`` (the most probable id, whose
-    tempered weight is the largest up to rounding) stands in for a pass
-    over ``w`` to find the largest.
-    """
-    ref = w[top] if top is not None else 0.0
-    if not ref > 0.0:
-        ref = w.max()
-    head = np.flatnonzero(w >= float(ref) * _HEAD_RATIO)
-    return head if head.size <= _HEAD_CAP else None
-
-
 def _cutoff(ranked_w: np.ndarray, total: float, top_p: float) -> int:
     """Index of the first ranked weight whose prefix share of ``total`` reaches top_p.
 
@@ -168,35 +161,100 @@ def _cutoff(ranked_w: np.ndarray, total: float, top_p: float) -> int:
     return int(_prefix_sum(ranked_w / total).searchsorted(top_p, side="left"))
 
 
-def _nucleus(w: np.ndarray, total: float, top_p: float, top: int | None = None) -> np.ndarray:
-    """Ids of the smallest stable-ranked prefix whose share of ``total`` reaches top_p.
+def _rank(w: np.ndarray, top_p: float, lo: float, hi: float | None = None) -> np.ndarray | None:
+    """Positions, in order, of the stable-ranked prefix of ``w`` whose share of ``lo`` reaches top_p.
 
-    Tokens are ranked by weight (stable order on ties, so lower ids win); the
-    token that crosses the threshold is kept.  The ranking never sorts the
-    whole vocabulary: the :func:`_threshold_head` is ranked first.  If that
-    head holds more than ``_HEAD_CAP`` entries or falls short of top_p, a
-    partial selection finds the k-th largest weight; the head is every
-    positive entry at or above it, so ties with the pivot all enter and the
-    head is again an exact prefix.  While its share stays below ``top_p``
-    the head grows fourfold.  ``top`` is passed on to the threshold head.
+    Tokens are ranked by weight, stable on ties so lower positions win, and
+    the token that crosses the threshold is kept.  ``w`` must be an exact
+    prefix of the ranking: every weight left out of it is below every weight
+    in it.  None if ``w`` falls short of top_p, or if the total ``hi`` would
+    cut at another index.
     """
-    ranked = _threshold_head(w, top)
-    if ranked is not None:
-        ranked = ranked[np.argsort(-w[ranked], kind="stable")]
-        cutoff = _cutoff(w[ranked], total, top_p)
-        if cutoff < ranked.size:
-            return ranked[: cutoff + 1]
+    order = np.argsort(-w, kind="stable")
+    ranked = w[order]
+    cutoff = _cutoff(ranked, lo, top_p)
+    if cutoff >= order.size or (hi is not None and cutoff != _cutoff(ranked, hi, top_p)):
+        return None
+    return np.sort(order[: cutoff + 1])
+
+
+def _head(
+    probs: np.ndarray, power: float, ref: int, banned: np.ndarray | None, w: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The threshold head (ids in id order, weights); None if over ``_HEAD_CAP``.
+
+    The head is every id whose weight ``probs ** power`` reaches
+    ``_HEAD_RATIO`` of the weight of ``ref``, the most probable id left.
+    Every weight left out is strictly below every one taken, so the head is
+    an exact prefix of the stable ranking.  One compare pass on ``probs``
+    gathers every id at or above ``p_ref * _HEAD_RATIO ** (1 / power)`` less
+    a ``_SUPERSET_SLACK``, a superset of the head; over ``_HEAD_CAP`` of them,
+    it gives up before any other pass over the vocabulary.  Their weights are
+    read from ``w``, the full vector's weights, when it is given; otherwise
+    they are ``probs[ids] ** power`` with the banned ids zeroed, bit for bit
+    the full vector's, because numpy's power rounds each element alone
+    (``probs`` is contiguous, and tests pin this).  The weights are monotone
+    in the probabilities up to rounding far below the slack, so the filter
+    at ``_HEAD_RATIO`` of ``ref``'s weight misses no id.  A bar below
+    float64's normal range (a huge ``T``, or tiny probabilities) could round
+    past an id, so it gives up there too.
+    """
+    bar = probs[ref] * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
+    if not bar >= 2.0**-1022:
+        return None
+    near = probs >= bar
+    if np.count_nonzero(near) > _HEAD_CAP:
+        return None
+    ids = np.flatnonzero(near)
+    hw = probs[ids] ** power if w is None else w[ids]
+    if banned is not None and banned.size:
+        hw[ids.searchsorted(banned[near[banned]])] = 0.0
+    in_head = hw >= hw[ids.searchsorted(ref)] * _HEAD_RATIO
+    return ids[in_head], hw[in_head]
+
+
+def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
+    """Ids, in id order, of the smallest stable-ranked prefix whose share of ``total`` reaches top_p.
+
+    A partial selection finds the k-th largest weight; the head is every
+    positive entry at or above it, so ties with the pivot all enter and the
+    head is an exact prefix of the ranking.  While its share stays below
+    ``top_p`` the head grows fourfold, from ``_HEAD_START``.
+    """
     n = w.size
     k = min(_HEAD_START, n)
     while True:
         pivot = np.partition(w, n - k)[n - k]
         head = np.flatnonzero(w >= pivot) if pivot > 0.0 else np.flatnonzero(w > 0.0)
-        head = head[np.argsort(-w[head], kind="stable")]
-        cutoff = _cutoff(w[head], total, top_p)
+        keep = _rank(w[head], top_p, total)
         # a zero pivot means the head already holds every positive entry
-        if cutoff < head.size or pivot <= 0.0 or k == n:
-            return head[: cutoff + 1]
+        if keep is not None or pivot <= 0.0 or k == n:
+            return head if keep is None else head[keep]
         k = min(4 * k, n)
+
+
+def _exact_nucleus(
+    probs: np.ndarray, w: np.ndarray, power: float, total: float, top_p: float, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nucleus of the weights ``w`` and their exact ``total`` (ids in id order, weights).
+
+    ``w`` is ``probs ** power`` as :func:`_weights` builds it: bans zeroed or
+    ignored, and maybe rebuilt relative to the largest probability; either
+    way each weight left is monotone in its probability, so the
+    :func:`_head` gathered from ``probs`` holds, and its weights are read
+    from ``w``, on ``total``'s scale.  The head is measured against ``top``,
+    the most probable id, or, when its weight is 0 (banned), the largest
+    weight, which spares a pass for the largest when the top is not banned.
+    A head over ``_HEAD_CAP`` or short of top_p goes to the partial
+    selection of :func:`_nucleus`.
+    """
+    ref = top if w[top] > 0.0 else int(np.argmax(w))
+    head = _head(probs, power, ref, None, w)
+    keep = None if head is None else _rank(head[1], top_p, total)
+    if keep is None:
+        keep = _nucleus(w, total, top_p)
+        return keep, w[keep]
+    return head[0][keep], head[1][keep]
 
 
 def _top_settles(probs: np.ndarray, top: int, top_p: float, banned: np.ndarray | None) -> bool:
@@ -284,21 +342,14 @@ def _certified_nucleus(
 
     ``top`` is the most probable id.  When it is banned, the reference is
     the most probable id left (one masked copy and its argmax), as the full
-    path measures its head against the largest weight left.  One compare pass
-    gathers every id whose probability reaches ``p_ref * _HEAD_RATIO ** (1 /
-    a)`` less a ``_SUPERSET_SLACK``: a superset of the :func:`_threshold_head`.
-    Over ``_HEAD_CAP`` of them, it gives up before any other pass over the
-    vocabulary.  Their float64 weights ``p ** a`` are the full vector's, bit
-    for bit, because numpy's power rounds each element alone, whatever its
-    position or the array's length (``probs`` is contiguous, and tests pin
-    this); with the banned ids zeroed and filtered at ``_HEAD_RATIO`` of the
-    reference weight (the top's, or else the largest gathered) they are
-    exactly the threshold head.  :func:`_total_bounds` brackets the float64
-    total.  Division and prefix sums round monotonically, so the
-    :func:`_cutoff` can only grow with the total: when it is the same at both
-    bounds, and inside the head, it is the full path's cutoff, and the kept
-    ids and weights are the full path's.  A ban that leaves no mass is left
-    to the full path.
+    path measures its head against the largest weight left.  Only the
+    :func:`_head` is tempered in float64, and :func:`_total_bounds` brackets
+    the float64 total from the reference's weight in the head.  Division and prefix sums
+    round monotonically, so the :func:`_cutoff` can only grow with the
+    total: when :func:`_rank` finds it the same at both bounds, and inside
+    the head, it is the full path's cutoff, and the kept ids and weights
+    are the full path's.  A ban that leaves no mass is left to the full
+    path.
     """
     p_top = float(probs[top])
     ref_id, p_ref = top, p_top
@@ -310,28 +361,13 @@ def _certified_nucleus(
     # a NaN top or a reference with no mass fails too
     if not (2.0**-125 <= p_ref * 2.0 ** (-_CLAMP_EXP / power) and p_top <= 2.0**64):
         return None
-    near_top = probs >= p_ref * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
-    if np.count_nonzero(near_top) > _HEAD_CAP:
+    head = _head(probs, power, ref_id, banned)
+    if head is None:
         return None
-    ids = np.flatnonzero(near_top)
-    w = probs[ids] ** power
-    if banned is not None and banned.size:
-        w[ids.searchsorted(banned[near_top[banned]])] = 0.0
-    ref = float(w[ids.searchsorted(top)])
-    if not ref > 0.0:
-        ref = float(w.max())
-    lo, hi = _total_bounds(probs, ref_id, ref, power, banned)
-    if not lo >= _MIN_TOTAL:
-        return None
-    in_head = w >= ref * _HEAD_RATIO
-    ids, w = ids[in_head], w[in_head]
-    order = np.argsort(-w, kind="stable")
-    ranked_w = w[order]
-    cutoff = _cutoff(ranked_w, lo, top_p)
-    if cutoff >= order.size or cutoff != _cutoff(ranked_w, hi, top_p):
-        return None
-    keep = np.sort(order[: cutoff + 1])
-    return ids[keep], w[keep]
+    ids, w = head
+    lo, hi = _total_bounds(probs, ref_id, float(w[ids.searchsorted(ref_id)]), power, banned)
+    keep = _rank(w, top_p, lo, hi) if lo >= _MIN_TOTAL else None
+    return None if keep is None else (ids[keep], w[keep])
 
 
 def _draw(vals: np.ndarray, u: float, csum: np.ndarray | None = None) -> int:
@@ -347,15 +383,17 @@ def _draw(vals: np.ndarray, u: float, csum: np.ndarray | None = None) -> int:
 def nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
     """Zero out everything outside the smallest prefix with mass >= top_p.
 
-    ``probs`` must sum to 1.  Tokens are ranked as in :func:`_nucleus`.
-    Returns a renormalized vector.
+    ``probs`` must sum to 1: the shares are taken of a total of 1.  Tokens
+    are ranked as in :func:`_rank`, and the nucleus is found as on the
+    sampler's full path (:func:`_exact_nucleus`).  Returns a renormalized
+    vector.
     """
     _check_top_p(top_p)
     if top_p == 1.0:
         return probs
-    keep = _nucleus(probs, 1.0, top_p)
+    keep, kept = _exact_nucleus(probs, probs, 1.0, 1.0, top_p, int(np.argmax(probs)))
     out = np.zeros_like(probs)
-    out[keep] = probs[keep]
+    out[keep] = kept
     return out / out.sum()
 
 
@@ -378,12 +416,14 @@ def sample_from_probs(
     and ``top_p < 1``, a top token that alone holds top_p of the tempered
     mass (:func:`_top_settles`) is returned without tempering the vocabulary.
     Otherwise, at ``T < 1``, :func:`_certified_nucleus` tempers only the
-    threshold head and certifies the cutoff from a float32 total, measured
-    against the most probable id left when the top is banned; it gives way
-    to the full path when the head is over ``_HEAD_CAP``, the total is too
-    small, the ban leaves no mass, the head falls short of top_p, or a bound
-    of the total would move the cutoff.  On the full
-    path the top's id spares the threshold head a pass for the largest
+    threshold head and ranks it against a float32 bracket of the total,
+    measured against the most probable id left when the top is banned; it
+    gives way to the full path when the head is over ``_HEAD_CAP``, the
+    total is too small, the ban leaves no mass, the head falls short of
+    top_p, or a bound of the total would move the cutoff.  The full path,
+    also taken at ``T >= 1``, tempers the whole vocabulary and ranks the same
+    head, its weights read from the tempered vector, against the exact total
+    (:func:`_exact_nucleus`); the top's id spares it a pass for the largest
     weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the
     whole vocabulary are the only total it takes.
 
@@ -395,23 +435,17 @@ def sample_from_probs(
     _check_draw(temperature, u)
     _check_top_p(top_p)
     probs = np.ascontiguousarray(probs, dtype=np.float64)
-    top = kept = None
-    if top_p < 1.0 and 0.0 < temperature <= 1.0:
-        top = int(np.argmax(probs))
-        if _top_settles(probs, top, top_p, banned):
-            return top
-        if temperature < 1.0:
-            kept = _certified_nucleus(probs, 1.0 / temperature, top_p, banned, top)
+    power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
+    if top_p == 1.0 or temperature == 0.0:
+        w, sums = _weights(probs, power, banned, temperature > 0.0)
+        return _draw(w, u, sums) if temperature > 0.0 else int(np.argmax(w))
+    top = int(np.argmax(probs))
+    if temperature <= 1.0 and _top_settles(probs, top, top_p, banned):
+        return top
+    kept = _certified_nucleus(probs, power, top_p, banned, top) if temperature < 1.0 else None
     if kept is None:
-        power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
-        cumulative = top_p == 1.0 and temperature > 0.0
-        w, sums = _weights(probs, power, banned, cumulative)
-        if temperature == 0.0:
-            return int(np.argmax(w))
-        if cumulative:
-            return _draw(w, u, sums)
-        keep = np.sort(_nucleus(w, float(sums[-1]), top_p, top))
-        kept = keep, w[keep]
+        w, sums = _weights(probs, power, banned)
+        kept = _exact_nucleus(probs, w, power, float(sums[-1]), top_p, top)
     keep, weights = kept
     return int(keep[_draw(weights, u)])
 

@@ -328,6 +328,12 @@ class TestReconstructDistribution:
         with pytest.raises(ValueError, match="finite"):
             reconstruct_distribution({0: float("nan")}, vocab_size=4)
 
+    @pytest.mark.parametrize("bad", [-1, 11])
+    def test_id_outside_vocab_rejected(self, bad):
+        # a negative id would index the vocabulary from its end
+        with pytest.raises(ValueError, match=f"top-k id {bad} "):
+            reconstruct_distribution({bad: math.log(0.6), 5: math.log(0.3)}, vocab_size=11)
+
     def test_more_entries_than_vocab_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_distribution({0: -1.0, 1: -1.0, 2: -1.0}, vocab_size=2)

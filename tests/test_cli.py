@@ -254,6 +254,25 @@ class TestLexiconBuild:
         assert trig["token_ids"] == [0]
 
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("trace.json", json.dumps({"tokens": [0, 1], "text": "Wait"})),
+            ("object.jsonl", json.dumps({"tokens": [0, 1]}) + "\n"),
+            ("word.jsonl", json.dumps([0, "Wait"]) + "\n"),
+        ],
+        ids=["json_object", "jsonl_object", "jsonl_non_integer_id"],
+    )
+    def test_malformed_trace_file_is_named(self, tmp_path, name, content):
+        vocab_path = tmp_path / "vocab.json"
+        vocab_path.write_text(json.dumps(["Wait", "x"]))
+        traces_dir = tmp_path / "traces"
+        traces_dir.mkdir()
+        (traces_dir / name).write_text(content)
+        with pytest.raises(SystemExit, match=rf"{name}: not a token-id trace file \(a \.json"):
+            run_cli(["lexicon", "build", "--traces", traces_dir, "--vocab", vocab_path])
+
+
 class TestAnalyze:
     def test_report_table(self, toy_assets, tmp_path, capsys):
         spec_path, dataset_path = toy_assets
@@ -293,6 +312,13 @@ class TestAnalyze:
         assert trace.finish_reason == "eos"
         assert "final_certainty,0.944538" in outp
         assert "final_p,0.445382" in outp
+
+
+    def test_non_object_file_is_named(self, tmp_path):
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps([0, 1, 2]))
+        with pytest.raises(SystemExit, match=r"ids\.json: expected a JSON object, a mode report"):
+            run_cli(["analyze", "--trace", path])
 
 
 def _declared_scripts() -> dict[str, str]:
