@@ -7,23 +7,23 @@ therefore lives in the counter-based streams of :mod:`cgrs.rng`.
 :func:`sample_from_probs` is the one sampling core.  :func:`nucleus_filter`
 and :func:`sample_from_logits` are thin adapters over its helpers.
 
-Every nucleus starts from one threshold head (:func:`_head`): one compare
-pass on the probabilities gathers the ids whose weight reaches ``2 ** -10``
-of the most probable id left's.  The head is an exact prefix of the stable
-ranking by weight, so :func:`_rank` sorts it alone and reads the cutoff off
-its prefix sums, against one of two totals.  Top-p is defined on the
-tempered total, but the cutoff only needs that total well enough to fix one
-index.  So an unsettled step at ``0 < T < 1`` tempers only the head in
-float64 and brackets the total with one float32 pass, ``exp2(a * log2 r)``
-over the ratios ``r`` to the most probable id left
-(:func:`_certified_nucleus`, :func:`_total_bounds`): the bracket's half
-width is 8 times a stated error budget, about ``9.2e-5`` of the total at
-``T = 0.6`` over 151,936 ids.  The budget takes numpy's own float32
-tolerances for ``log2`` and ``exp2``, which a test measures.  When the
-cutoff is the same at both ends it is the full path's, and the draw picks
-the same id.  Otherwise, and at any other ``T > 0`` and in
-:func:`nucleus_filter`, the full path reads the head's weights from the
-whole tempered vector and ranks them against its exact total
+Every nucleus that a settled top (:func:`_top_settles`) does not answer
+starts from one threshold head (:func:`_head`): one compare pass gathers
+the ids whose weight reaches ``2 ** -10`` of the most probable id left's.
+The head is an exact prefix of the stable ranking by weight, so
+:func:`_rank` sorts it alone and reads the cutoff off its prefix sums,
+against one of two totals.  Top-p is defined on the tempered total, but the
+cutoff only needs that total well enough to fix one index.  So an unsettled
+step at ``0 < T < 1`` tempers only the head in float64 and brackets the
+total with one float32 pass, ``exp2(a * log2 r)`` over the ratios ``r`` to
+the most probable id left (:func:`_certified_nucleus`,
+:func:`_total_bounds`): the bracket's half width is 8 times a stated error
+budget, about ``9.2e-5`` of the total at ``T = 0.6`` over 151,936 ids.  The
+budget takes numpy's own float32 tolerances for ``log2`` and ``exp2``,
+which a test measures.  When the cutoff is the same at both ends it is the
+full path's, and the draw picks the same id.  Otherwise, and at any other
+``T > 0`` and in :func:`nucleus_filter`, the full path gathers the head
+from the whole tempered vector and ranks it against its exact total
 (:func:`_exact_nucleus`).  A head over ``_HEAD_CAP`` ids or short of top_p
 goes to the partial-selection loop (:func:`_nucleus`), the only fallback.
 """
@@ -179,38 +179,37 @@ def _rank(w: np.ndarray, top_p: float, lo: float, hi: float | None = None) -> np
 
 
 def _head(
-    probs: np.ndarray, power: float, ref: int, banned: np.ndarray | None, w: np.ndarray | None = None
+    probs: np.ndarray, power: float, p_ref: float, banned: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The threshold head (ids in id order, weights); None if over ``_HEAD_CAP``.
+    """The threshold head of ``probs ** power`` (ids in id order, weights); None if over ``_HEAD_CAP``.
 
-    The head is every id whose weight ``probs ** power`` reaches
-    ``_HEAD_RATIO`` of the weight of ``ref``, the most probable id left.
-    Every weight left out is strictly below every one taken, so the head is
-    an exact prefix of the stable ranking.  One compare pass on ``probs``
-    gathers every id at or above ``p_ref * _HEAD_RATIO ** (1 / power)`` less
-    a ``_SUPERSET_SLACK``, a superset of the head; over ``_HEAD_CAP`` of them,
-    it gives up before any other pass over the vocabulary.  Their weights are
-    read from ``w``, the full vector's weights, when it is given; otherwise
-    they are ``probs[ids] ** power`` with the banned ids zeroed, bit for bit
-    the full vector's, because numpy's power rounds each element alone
-    (``probs`` is contiguous, and tests pin this).  The weights are monotone
-    in the probabilities up to rounding far below the slack, so the filter
-    at ``_HEAD_RATIO`` of ``ref``'s weight misses no id.  A bar below
-    float64's normal range (a huge ``T``, or tiny probabilities) could round
-    past an id, so it gives up there too.
+    The head is every id whose weight reaches ``_HEAD_RATIO`` of ``p_ref **
+    power``, the weight of the most probable id left (the ``banned`` ids
+    weigh 0).  Every weight left out is strictly below every one taken,
+    whatever the reference, so the head is an exact prefix of the stable
+    ranking.  One compare pass on ``probs`` gathers every id at or above
+    ``p_ref * _HEAD_RATIO ** (1 / power)`` less a ``_SUPERSET_SLACK``, a
+    superset of the head; over ``_HEAD_CAP`` of them it gives up before any
+    power.  Their weights ``probs[ids] ** power`` are the full vector's, bit
+    for bit, because numpy's power rounds each element alone, whatever its
+    position or the array's length (``probs`` is contiguous, and tests pin
+    this); with the banned ids zeroed and filtered at ``_HEAD_RATIO`` of the
+    reference weight they are exactly the head.  The full path passes its
+    tempered weights at ``power = 1`` and no ban: the gather is then itself a
+    threshold on the weights, an exact prefix as it is.  An empty gather (a
+    NaN reference) gives up too.
     """
-    bar = probs[ref] * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
-    if not bar >= 2.0**-1022:
-        return None
-    near = probs >= bar
-    if np.count_nonzero(near) > _HEAD_CAP:
-        return None
+    near = probs >= p_ref * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
     ids = np.flatnonzero(near)
-    hw = probs[ids] ** power if w is None else w[ids]
+    if not 0 < ids.size <= _HEAD_CAP:
+        return None
+    if power == 1.0 and banned is None:  # the gather is itself a threshold on the weights
+        return ids, probs[ids]
+    w = probs[ids] ** power
     if banned is not None and banned.size:
-        hw[ids.searchsorted(banned[near[banned]])] = 0.0
-    in_head = hw >= hw[ids.searchsorted(ref)] * _HEAD_RATIO
-    return ids[in_head], hw[in_head]
+        w[ids.searchsorted(banned[near[banned]])] = 0.0
+    in_head = w >= p_ref**power * _HEAD_RATIO
+    return ids[in_head], w[in_head]
 
 
 def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
@@ -234,22 +233,19 @@ def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
 
 
 def _exact_nucleus(
-    probs: np.ndarray, w: np.ndarray, power: float, total: float, top_p: float, top: int
+    w: np.ndarray, total: float, top_p: float, top: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nucleus of the weights ``w`` and their exact ``total`` (ids in id order, weights).
 
-    ``w`` is ``probs ** power`` as :func:`_weights` builds it: bans zeroed or
-    ignored, and maybe rebuilt relative to the largest probability; either
-    way each weight left is monotone in its probability, so the
-    :func:`_head` gathered from ``probs`` holds, and its weights are read
-    from ``w``, on ``total``'s scale.  The head is measured against ``top``,
-    the most probable id, or, when its weight is 0 (banned), the largest
-    weight, which spares a pass for the largest when the top is not banned.
-    A head over ``_HEAD_CAP`` or short of top_p goes to the partial
-    selection of :func:`_nucleus`.
+    The :func:`_head` is gathered from ``w`` itself, so a ban-free or
+    max-relative rebuild by :func:`_weights` stays on its total's scale.  It
+    is measured against ``top``, the most probable id, or, when its weight
+    is 0 (banned), the largest weight; the top spares a pass for the
+    largest.  A head over ``_HEAD_CAP`` or short of top_p goes to the
+    partial selection of :func:`_nucleus`.
     """
-    ref = top if w[top] > 0.0 else int(np.argmax(w))
-    head = _head(probs, power, ref, None, w)
+    ref = w[top]
+    head = _head(w, 1.0, ref if ref > 0.0 else w.max(), None)
     keep = None if head is None else _rank(head[1], top_p, total)
     if keep is None:
         keep = _nucleus(w, total, top_p)
@@ -344,28 +340,29 @@ def _certified_nucleus(
     the most probable id left (one masked copy and its argmax), as the full
     path measures its head against the largest weight left.  Only the
     :func:`_head` is tempered in float64, and :func:`_total_bounds` brackets
-    the float64 total from the reference's weight in the head.  Division and prefix sums
-    round monotonically, so the :func:`_cutoff` can only grow with the
+    the float64 total from the reference's weight.  Division and prefix
+    sums round monotonically, so the :func:`_cutoff` can only grow with the
     total: when :func:`_rank` finds it the same at both bounds, and inside
     the head, it is the full path's cutoff, and the kept ids and weights
     are the full path's.  A ban that leaves no mass is left to the full
-    path.
+    path.  The reference stays a numpy float, so its power overflows to inf
+    as the vector's does instead of raising.
     """
-    p_top = float(probs[top])
+    p_top = probs[top]
     ref_id, p_ref = top, p_top
     if banned is not None and top in banned:
         masked = probs.copy()
         masked[banned] = -1.0
         ref_id = int(np.argmax(masked))
-        p_ref = float(masked[ref_id])
+        p_ref = masked[ref_id]
     # a NaN top or a reference with no mass fails too
     if not (2.0**-125 <= p_ref * 2.0 ** (-_CLAMP_EXP / power) and p_top <= 2.0**64):
         return None
-    head = _head(probs, power, ref_id, banned)
+    head = _head(probs, power, p_ref, banned)
     if head is None:
         return None
     ids, w = head
-    lo, hi = _total_bounds(probs, ref_id, float(w[ids.searchsorted(ref_id)]), power, banned)
+    lo, hi = _total_bounds(probs, ref_id, p_ref**power, power, banned)
     keep = _rank(w, top_p, lo, hi) if lo >= _MIN_TOTAL else None
     return None if keep is None else (ids[keep], w[keep])
 
@@ -391,7 +388,7 @@ def nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
     _check_top_p(top_p)
     if top_p == 1.0:
         return probs
-    keep, kept = _exact_nucleus(probs, probs, 1.0, 1.0, top_p, int(np.argmax(probs)))
+    keep, kept = _exact_nucleus(probs, 1.0, top_p, int(np.argmax(probs)))
     out = np.zeros_like(probs)
     out[keep] = kept
     return out / out.sum()
@@ -421,8 +418,8 @@ def sample_from_probs(
     gives way to the full path when the head is over ``_HEAD_CAP``, the
     total is too small, the ban leaves no mass, the head falls short of
     top_p, or a bound of the total would move the cutoff.  The full path,
-    also taken at ``T >= 1``, tempers the whole vocabulary and ranks the same
-    head, its weights read from the tempered vector, against the exact total
+    also taken at ``T >= 1``, tempers the whole vocabulary and ranks the
+    same head, gathered from the tempered vector, against the exact total
     (:func:`_exact_nucleus`); the top's id spares it a pass for the largest
     weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the
     whole vocabulary are the only total it takes.
@@ -445,7 +442,7 @@ def sample_from_probs(
     kept = _certified_nucleus(probs, power, top_p, banned, top) if temperature < 1.0 else None
     if kept is None:
         w, sums = _weights(probs, power, banned)
-        kept = _exact_nucleus(probs, w, power, float(sums[-1]), top_p, top)
+        kept = _exact_nucleus(w, float(sums[-1]), top_p, top)
     keep, weights = kept
     return int(keep[_draw(weights, u)])
 
