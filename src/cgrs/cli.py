@@ -80,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-TRACE_SHAPES = (
+_TRACE_SHAPES = (
     "a .json file holds one list of token ids or a list of such lists, "
     "and each line of a .jsonl file holds one list of token ids"
 )
@@ -106,7 +106,7 @@ def _load_trace_files(traces_dir: Path) -> list[list[int]]:
                     rows = [json.loads(line) for line in fh if line.strip()]
             traces.extend(_token_ids(row) for row in rows)
         except (TypeError, ValueError, OverflowError):
-            raise SystemExit(f"{path}: not a token-id trace file ({TRACE_SHAPES})") from None
+            raise SystemExit(f"{path}: not a token-id trace file ({_TRACE_SHAPES})") from None
     return traces
 
 

@@ -237,7 +237,7 @@ def _exact_nucleus(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nucleus of the weights ``w`` and their exact ``total`` (ids in id order, weights).
 
-    The :func:`_head` is gathered from ``w`` itself, so a ban-free or
+    The :func:`_head` is gathered from ``w`` itself, so an unmasked or
     max-relative rebuild by :func:`_weights` stays on its total's scale.  It
     is measured against ``top``, the most probable id, or, when its weight
     is 0 (banned), the largest weight; the top spares a pass for the
