@@ -715,6 +715,23 @@ class TestThresholdHead:
                 got = sample_from_probs(probs, temperature, top_p, u, ban)
                 assert got == tempered_argsort_draw(keep, w, u), (trial, step)
 
+    @pytest.mark.parametrize("ban", ["unmasked", "top_banned"])
+    @pytest.mark.parametrize("name", ["zipf", "ties", "sparse"])
+    def test_flattened_large_vectors_match_the_tempered_oracle(self, large_vectors, name, ban):
+        # T > 1 is drawn on the full path, its head ranked against the exact
+        # total, over the whole vocabulary rather than one head-sized vector
+        probs = large_vectors[name]
+        banned = np.array([int(np.argmax(probs))]) if ban == "top_banned" else None
+        masked = probs.copy()
+        if banned is not None:
+            masked[banned] = 0.0
+        for top_p in (0.5, 0.95):
+            keep, w = tempered_argsort_nucleus(masked, 1.5, top_p)
+            for step in range(4):
+                u = sampling_uniform(21, step)
+                got = sample_from_probs(probs, 1.5, top_p, u, banned)
+                assert got == tempered_argsort_draw(keep, w, u), (top_p, step)
+
 
 class TestSettledTop:
     """A top token that alone holds top_p at 0 < T <= 1 is drawn without tempering."""
@@ -773,23 +790,6 @@ class TestSettledTop:
                     assert got == tempered_argsort_draw(keep, w, u), (trial, top_p, step)
                     tempered = weights_sizes or certified_sizes
                     assert (not tempered) == settles, (trial, top_p, step)
-
-    @pytest.mark.parametrize("ban", ["unmasked", "top_banned"])
-    @pytest.mark.parametrize("name", ["zipf", "ties", "sparse"])
-    def test_flattened_large_vectors_match_the_tempered_oracle(self, large_vectors, name, ban):
-        # T > 1 is drawn on the full path, its head ranked against the exact
-        # total, over the whole vocabulary rather than one head-sized vector
-        probs = large_vectors[name]
-        banned = np.array([int(np.argmax(probs))]) if ban == "top_banned" else None
-        masked = probs.copy()
-        if banned is not None:
-            masked[banned] = 0.0
-        for top_p in (0.5, 0.95):
-            keep, w = tempered_argsort_nucleus(masked, 1.5, top_p)
-            for step in range(4):
-                u = sampling_uniform(21, step)
-                got = sample_from_probs(probs, 1.5, top_p, u, banned)
-                assert got == tempered_argsort_draw(keep, w, u), (top_p, step)
 
     def test_settled_draw_never_tempers(self, weights_sizes, certified_sizes):
         rng = np.random.default_rng(98)
