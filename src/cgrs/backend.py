@@ -384,6 +384,7 @@ class RemoteBackend(ModelBackend):
     through for trigger masking.  A vocabulary file for the served tokenizer
     must be supplied so surfaces map onto stable ids.  Each calling thread
     gets its own HTTP session, so one client may serve a parallel benchmark.
+    Every request is built by ``_complete`` and sent by ``_post``.
     """
 
     def __init__(
@@ -409,8 +410,13 @@ class RemoteBackend(ModelBackend):
         base_url = base_url or os.environ.get(API_BASE_ENV)
         if not base_url:
             raise ValueError(f"no endpoint: pass base_url or set {API_BASE_ENV}")
-        self._base_url = base_url.rstrip("/")
-        self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        if not base_url.lower().startswith(("http://", "https://")):
+            raise ValueError(f"base_url must start with http:// or https://, got {base_url!r}")
+        self._url = base_url.rstrip("/") + "/v1/completions"
+        self._headers = {"Content-Type": "application/json"}
+        api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self._model = model if model is not None else os.environ.get(MODEL_ENV)
         self._vocab = vocab
         if eos_token and eos_token not in vocab:
@@ -446,39 +452,42 @@ class RemoteBackend(ModelBackend):
         return self._eos_id
 
     def _post(self, payload: dict) -> dict:
-        url = self._base_url + "/v1/completions"
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        if self._model and "model" not in payload:
-            payload = {**payload, "model": self._model}
-        last_exc: Exception | None = None
+        """POST ``payload`` and parse the reply; only transport faults and 5xx
+        replies are retried, ``retry_backoff * k`` seconds before attempt ``k``."""
+        errors = self._requests.exceptions
         for attempt in range(self._max_retries + 1):
+            if attempt:
+                time.sleep(self._retry_backoff * attempt)
             try:
                 resp = self._session.post(
-                    url, json=payload, headers=headers, timeout=self._timeout
+                    self._url, json=payload, headers=self._headers, timeout=self._timeout
                 )
-            except (self._requests.ConnectionError, self._requests.Timeout) as exc:
-                last_exc = exc
-                if attempt < self._max_retries:
-                    time.sleep(self._retry_backoff * (attempt + 1))
+            except (errors.ConnectionError, errors.Timeout, errors.ChunkedEncodingError) as exc:
+                failure = f"{type(exc).__name__}: {exc}"
                 continue
-            if resp.status_code >= 500:
-                last_exc = BackendError(f"server error {resp.status_code}: {resp.text[:200]}")
-                if attempt < self._max_retries:
-                    time.sleep(self._retry_backoff * (attempt + 1))
-                continue
-            if resp.status_code != 200:
-                raise BackendError(f"request failed ({resp.status_code}): {resp.text[:200]}")
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise BackendError(
-                    f"malformed completion response: body is not JSON: {resp.text[:200]!r}"
-                ) from exc
-        raise RetryableBackendError(f"transport failure after retries: {last_exc}")
+            except errors.RequestException as exc:
+                raise BackendError(f"request failed: {type(exc).__name__}: {exc}") from exc
+            if resp.status_code < 500:
+                break
+            failure = f"server error {resp.status_code}: {resp.text[:200]}"
+        else:
+            raise RetryableBackendError(f"transport failure after retries: {failure}")
+        if resp.status_code != 200:
+            raise BackendError(f"request failed ({resp.status_code}): {resp.text[:200]}")
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise BackendError(
+                f"malformed completion response: body is not JSON: {resp.text[:200]!r}"
+            ) from exc
 
-    def _first_choice(self, data: dict) -> dict:
+    def _complete(self, context: Sequence[int], **fields) -> Mapping:
+        """The one request builder: ``prompt``, ``max_tokens`` (1 unless ``fields``
+        sets it), ``fields``, then ``model``; returns the checked first choice."""
+        payload = {"prompt": self._vocab.decode(context), "max_tokens": 1, **fields}
+        if self._model:
+            payload["model"] = self._model
+        data = self._post(payload)
         try:
             choice = data["choices"][0]
         except (KeyError, IndexError, TypeError) as exc:
@@ -493,14 +502,7 @@ class RemoteBackend(ModelBackend):
         Requested at temperature 1 / top_p 1 so the log-probs describe the
         model distribution rather than the sampling-time reshaped one.
         """
-        payload = {
-            "prompt": self._vocab.decode(context),
-            "max_tokens": 1,
-            "temperature": 1.0,
-            "top_p": 1.0,
-            "logprobs": self._top_k,
-        }
-        choice = self._first_choice(self._post(payload))
+        choice = self._complete(context, temperature=1.0, top_p=1.0, logprobs=self._top_k)
         try:
             top = choice["logprobs"]["top_logprobs"][0]
         except (KeyError, IndexError, TypeError) as exc:
@@ -527,17 +529,10 @@ class RemoteBackend(ModelBackend):
         seed: int,
         logit_bias: Mapping[int, float] | None = None,
     ) -> int | None:
-        payload: dict = {
-            "prompt": self._vocab.decode(context),
-            "max_tokens": 1,
-            "temperature": temperature,
-            "top_p": top_p,
-            "seed": int(seed),
-        }
+        fields: dict = {"temperature": temperature, "top_p": top_p, "seed": int(seed)}
         if logit_bias:
-            payload["logit_bias"] = {str(int(i)): float(b) for i, b in logit_bias.items()}
-        choice = self._first_choice(self._post(payload))
-        text = choice.get("text", "")
+            fields["logit_bias"] = {str(int(i)): float(b) for i, b in logit_bias.items()}
+        text = self._complete(context, **fields).get("text")
         if not isinstance(text, str):
             raise BackendError(f"malformed completion response: text {text!r:.200}")
         if text == "":

@@ -21,6 +21,10 @@ from .lexicon import (
 )
 
 
+#: Repetitions of ``cgrs run`` when neither ``--seeds`` nor ``--reps`` is given.
+DEFAULT_REPS = 3
+
+
 def _build_backend(args: argparse.Namespace):
     spec = args.backend
     if spec.startswith("toy:"):
@@ -34,11 +38,12 @@ def _build_backend(args: argparse.Namespace):
 
 
 def _parse_seeds(args: argparse.Namespace) -> list[int]:
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-    else:
-        seeds = list(range(args.reps))
-    if args.reps != len(seeds):
+    if not args.seeds:
+        return list(range(DEFAULT_REPS if args.reps is None else args.reps))
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    if not seeds:
+        raise SystemExit(f"--seeds {args.seeds!r} names no seed")
+    if args.reps is not None and args.reps != len(seeds):
         raise SystemExit(f"--reps {args.reps} does not match {len(seeds)} seeds")
     return seeds
 
@@ -81,15 +86,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 _TRACE_SHAPES = (
-    "a .json file holds one list of token ids or a list of such lists, "
-    "and each line of a .jsonl file holds one list of token ids"
+    "a .json file holds one list of integer token ids or a list of such lists, "
+    "and each line of a .jsonl file holds one list of integer token ids"
 )
 
 
 def _token_ids(row) -> list[int]:
-    if not isinstance(row, list):
-        raise TypeError("a trace is a list of token ids")
-    return [int(t) for t in row]
+    # type(...) is int keeps out floats, strings and JSON booleans
+    if not (isinstance(row, list) and all(type(t) is int for t in row)):
+        raise TypeError("a trace is a list of integer token ids")
+    return row
 
 
 def _load_trace_files(traces_dir: Path) -> list[list[int]]:
@@ -105,7 +111,7 @@ def _load_trace_files(traces_dir: Path) -> list[list[int]]:
                 with open(path, encoding="utf-8") as fh:
                     rows = [json.loads(line) for line in fh if line.strip()]
             traces.extend(_token_ids(row) for row in rows)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise SystemExit(f"{path}: not a token-id trace file ({_TRACE_SHAPES})") from None
     return traces
 
@@ -195,7 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--temperature", type=float, default=0.6)
     run.add_argument("--top-p", type=float, default=0.95, dest="top_p")
     run.add_argument("--seeds", help="comma-separated repetition seeds")
-    run.add_argument("--reps", type=int, default=3)
+    run.add_argument(
+        "--reps",
+        type=int,
+        help=f"repetitions (default: one per --seeds entry, else {DEFAULT_REPS})",
+    )
     run.add_argument("--max-tokens", type=int, default=1024, dest="max_tokens")
     run.add_argument("--trigger-config", help="trigger config JSON")
     run.add_argument("--parallelism", type=int, default=1)

@@ -12,8 +12,9 @@ of a normal reply.  ``"http_500"`` answers with a server error,
 ``"non_json"`` with a 200 whose body is not JSON, ``"multi_token"`` with a
 completion that ignores ``max_tokens`` and returns one token more than asked,
 ``"list_text"`` with a completion whose ``text`` is a list, not a string,
-and ``"timeout"`` with a normal reply sent only after ``TIMEOUT_FAULT_DELAY_S``
-seconds, so a client whose timeout is shorter gives up first.
+``"timeout"`` with a normal reply sent only after ``TIMEOUT_FAULT_DELAY_S``
+seconds, so a client whose timeout is shorter gives up first, and
+``"truncated"`` with a normal reply cut off after half its ``Content-Length``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _serve_completion(backend: ToyBackend, payload: dict) -> dict:
     return {"object": "text_completion", "choices": [choice]}
 
 
-FAULTS = ("http_500", "non_json", "multi_token", "list_text", "timeout")
+FAULTS = ("http_500", "non_json", "multi_token", "list_text", "timeout", "truncated")
 
 #: How long a ``"timeout"`` fault holds its reply; clients under test use less.
 TIMEOUT_FAULT_DELAY_S = 1.0
@@ -132,6 +133,8 @@ def _make_handler(backend: ToyBackend, fail_first: int, fault: str):
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
+                if faulty and fault == "truncated":
+                    body = body[: len(body) // 2]
                 self.wfile.write(body)
             except OSError:
                 pass  # the client gave up on a delayed reply and closed the socket

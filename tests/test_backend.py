@@ -8,9 +8,11 @@ import random
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import requests
 
 from cgrs.backend import (
     LOGIT_BIAS_BAN,
@@ -47,6 +49,25 @@ def scan_match_rule(spec: ToyModelSpec, context: list[int]) -> str:
         if n <= len(tail) and tuple(tail[len(tail) - n:]) == rule.suffix:
             return rule.name
     raise BackendError(f"no emission rule matches context tail {tail!r}")
+
+
+class RecordingSession:
+    """Stands in for a client's ``requests.Session``.
+
+    Keeps each request as ``requests`` would prepare it, so ``.body`` holds
+    the exact bytes sent, and answers every one with ``outcome``: a JSON
+    reply, or an exception to raise.
+    """
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+        self.sent: list[requests.PreparedRequest] = []
+
+    def post(self, url, json, headers, timeout):
+        self.sent.append(requests.Request("POST", url, json=json, headers=headers).prepare())
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return SimpleNamespace(status_code=200, json=lambda: self.outcome, text="")
 
 
 def tiny_spec() -> ToyModelSpec:
@@ -493,6 +514,82 @@ class TestRemoteBackend:
             # both faulty replies are used up: the next request is served
             assert remote.next_distribution(ctx).probs.size > 1
 
+    def test_truncated_reply_recovers_on_retry(self):
+        # a body shorter than its Content-Length used to escape as
+        # requests' ChunkedEncodingError and abort the whole benchmark run
+        with toy_completion_server(overthinking_spec(), fail_first=1, fault="truncated") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(
+                vocab=toy.vocabulary,
+                base_url=base_url,
+                eos_token="<eos>",
+                max_retries=1,
+                retry_backoff=0,
+            )
+            ctx = toy.vocabulary.encode("Solve 6*7. ")
+            tok = remote.sample_token(ctx, temperature=0.0, top_p=1.0, seed=0)
+            assert toy.vocabulary.id_to_token[tok] == "Let me compute. "
+
+    def test_persistent_truncated_reply_exhausts_retries(self):
+        with toy_completion_server(overthinking_spec(), fail_first=2, fault="truncated") as (
+            base_url,
+            toy,
+        ):
+            remote = RemoteBackend(
+                vocab=toy.vocabulary,
+                base_url=base_url,
+                eos_token="<eos>",
+                max_retries=1,
+                retry_backoff=0,
+            )
+            ctx = toy.vocabulary.encode("Solve 6*7. ")
+            with pytest.raises(
+                RetryableBackendError,
+                match="transport failure after retries: ChunkedEncodingError",
+            ):
+                remote.next_distribution(ctx)
+            # both faulty replies are used up: the next request is served
+            assert remote.next_distribution(ctx).probs.size > 1
+
+    def test_other_request_failures_are_named_and_not_retried(self):
+        remote = RemoteBackend(
+            vocab=Vocabulary(["<eos>", "Wait"]), base_url="http://unused", max_retries=3
+        )
+        session = RecordingSession(requests.TooManyRedirects("Exceeded 30 redirects."))
+        remote._local.session = session
+        with pytest.raises(BackendError, match="request failed: TooManyRedirects") as err:
+            remote.sample_token([1], temperature=1.0, top_p=1.0, seed=0)
+        assert not isinstance(err.value, RetryableBackendError)
+        assert len(session.sent) == 1
+
+    def test_request_bodies_are_pinned(self, monkeypatch):
+        monkeypatch.delenv("CGRS_MODEL", raising=False)
+        monkeypatch.delenv("CGRS_API_KEY", raising=False)
+        vocab = Vocabulary(["<eos>", "Wait", " so"])
+        remote = RemoteBackend(vocab=vocab, base_url="http://host:8000/", top_k=5)
+        session = remote._local.session = RecordingSession(
+            {"choices": [{"text": "Wait", "logprobs": {"top_logprobs": [{"Wait": 0.0}]}}]}
+        )
+        remote.next_distribution([1, 2])
+        assert remote.sample_token([1, 2], temperature=0.6, top_p=0.95, seed=7) == 1
+        monkeypatch.setenv("CGRS_MODEL", "served-model")
+        remote = RemoteBackend(vocab=vocab, base_url="http://host:8000", api_key="k")
+        remote._local.session = session
+        remote.sample_token([1], 1.0, 1.0, seed=3, logit_bias={2: LOGIT_BIAS_BAN, 0: -5})
+        assert [r.body for r in session.sent] == [
+            b'{"prompt": "Wait so", "max_tokens": 1, "temperature": 1.0, "top_p": 1.0, '
+            b'"logprobs": 5}',
+            b'{"prompt": "Wait so", "max_tokens": 1, "temperature": 0.6, "top_p": 0.95, '
+            b'"seed": 7}',
+            b'{"prompt": "Wait", "max_tokens": 1, "temperature": 1.0, "top_p": 1.0, "seed": 3, '
+            b'"logit_bias": {"2": -100.0, "0": -5.0}, "model": "served-model"}',
+        ]
+        assert {r.url for r in session.sent} == {"http://host:8000/v1/completions"}
+        assert [r.headers.get("Authorization") for r in session.sent] == [None, None, "Bearer k"]
+        assert all(r.headers["Content-Type"] == "application/json" for r in session.sent)
+
     def test_non_json_body_is_a_backend_error(self):
         with toy_completion_server(overthinking_spec(), fail_first=2, fault="non_json") as (
             base_url,
@@ -534,11 +631,16 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="malformed completion response"):
             remote.sample_token([1], temperature=1.0, top_p=1.0, seed=0)
 
-    @pytest.mark.parametrize("text", [["Wait"], {"Wait": 1}, 7], ids=["list", "object", "number"])
-    def test_non_string_text_is_a_backend_error(self, monkeypatch, text):
+    @pytest.mark.parametrize(
+        "choice",
+        [{"text": ["Wait"]}, {"text": {"Wait": 1}}, {"text": 7}, {}],
+        ids=["list", "object", "number", "missing"],
+    )
+    def test_non_string_text_is_a_backend_error(self, monkeypatch, choice):
+        # a choice without text used to read as end of stream, ending the run as eos
         remote = RemoteBackend(vocab=Vocabulary(["<eos>", "Wait"]), base_url="http://unused")
-        monkeypatch.setattr(remote, "_post", lambda payload: {"choices": [{"text": text}]})
-        message = f"malformed completion response: text {text!r}"
+        monkeypatch.setattr(remote, "_post", lambda payload: {"choices": [choice]})
+        message = f"malformed completion response: text {choice.get('text')!r}"
         with pytest.raises(BackendError, match=re.escape(message)):
             remote.sample_token([1], temperature=1.0, top_p=1.0, seed=0)
 
@@ -589,13 +691,15 @@ class TestRemoteBackend:
             {"timeout": math.inf},
             {"timeout": math.nan},
             {"top_k": 0},
+            {"base_url": "localhost:8000"},
         ],
     )
     def test_broken_client_settings_rejected(self, kwargs):
-        # before, max_retries=-1 sent no request, and a negative backoff or a
-        # fractional retry count raised from time.sleep or range mid-run
+        # before, max_retries=-1 sent no request, a negative backoff or a
+        # fractional retry count raised from time.sleep or range mid-run, and a
+        # base URL with no scheme raised requests' InvalidSchema on each request
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            RemoteBackend(vocab=Vocabulary(["<eos>"]), base_url="http://unused", **kwargs)
+            RemoteBackend(vocab=Vocabulary(["<eos>"]), **{"base_url": "http://unused", **kwargs})
 
     def test_no_retries_and_no_backoff_accepted(self):
         remote = RemoteBackend(

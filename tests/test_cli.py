@@ -128,6 +128,39 @@ class TestRunCommand:
                 ]
             )
 
+    def test_seeds_without_reps_set_the_count(self, toy_assets, tmp_path, capsys):
+        # --reps used to default to 3 and reject any other number of --seeds
+        spec_path, dataset_path = toy_assets
+        out = tmp_path / "out"
+        rc = run_cli(
+            [
+                "run",
+                "--dataset", dataset_path,
+                "--backend", f"toy:{spec_path}",
+                "--mode", "vanilla",
+                "--seeds", "4,7",
+                "--out", out,
+            ]
+        )
+        assert rc == 0
+        assert "reps=2" in capsys.readouterr().out
+        data = json.loads((out / "vanilla.json").read_text())
+        assert data["seeds"] == [4, 7]
+        assert data["repetitions"] == 2
+
+    def test_seeds_naming_no_seed_exit(self, toy_assets, tmp_path):
+        spec_path, dataset_path = toy_assets
+        with pytest.raises(SystemExit, match="names no seed"):
+            run_cli(
+                [
+                    "run",
+                    "--dataset", dataset_path,
+                    "--backend", f"toy:{spec_path}",
+                    "--seeds", ",",
+                    "--out", tmp_path / "o",
+                ]
+            )
+
     def test_unknown_backend(self, toy_assets, tmp_path):
         _, dataset_path = toy_assets
         with pytest.raises(SystemExit, match="backend"):
@@ -260,8 +293,18 @@ class TestLexiconBuild:
             ("trace.json", json.dumps({"tokens": [0, 1], "text": "Wait"})),
             ("object.jsonl", json.dumps({"tokens": [0, 1]}) + "\n"),
             ("word.jsonl", json.dumps([0, "Wait"]) + "\n"),
+            ("floats.json", json.dumps([0.9, 1.7])),
+            ("digits.jsonl", json.dumps([0, "1"]) + "\n"),
+            ("booleans.json", json.dumps([[0, 1], [0, True]])),
         ],
-        ids=["json_object", "jsonl_object", "jsonl_non_integer_id"],
+        ids=[
+            "json_object",
+            "jsonl_object",
+            "jsonl_non_integer_id",
+            "json_float_ids",
+            "jsonl_digit_string_id",
+            "json_boolean_id",
+        ],
     )
     def test_malformed_trace_file_is_named(self, tmp_path, name, content):
         vocab_path = tmp_path / "vocab.json"
