@@ -53,7 +53,6 @@ from .lexicon import (
     build_trigger_set,
     default_trigger_words,
     expand_variants,
-    map_to_token_ids,
 )
 from .suppression import (
     mask_triggers,
@@ -99,7 +98,6 @@ __all__ = [
     "generate",
     "length_reduction",
     "load_dataset",
-    "map_to_token_ids",
     "mask_triggers",
     "overthinking_spec",
     "reconstruct_distribution",

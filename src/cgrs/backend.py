@@ -110,24 +110,10 @@ class EmissionRule:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "EmissionRule":
         emit = data["emit"]
-        if emit.get("type") == "scripted":
-            # scripted token with probability trigger_prob of the trigger token
-            q = float(emit["trigger_prob"])
-            if not 0.0 <= q < 1.0:
-                raise ValueError(f"trigger_prob must lie in [0, 1), got {q}")
-            probs = {emit["trigger"]: q, emit["token"]: 1.0 - q}
-        elif emit.get("type") == "dist":
-            probs = {str(k): float(v) for k, v in emit["probs"].items()}
-        else:
-            raise ValueError(f"unknown emission rule type: {emit.get('type')!r}")
+        if emit.get("type") != "dist":
+            raise ValueError(f"unknown emission rule type: {emit.get('type')!r} (expected 'dist')")
+        probs = {str(k): float(v) for k, v in emit["probs"].items()}
         return cls(name=data["name"], suffix=tuple(data["suffix"]), probs=probs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "suffix": list(self.suffix),
-            "emit": {"type": "dist", "probs": dict(self.probs)},
-        }
 
 
 @dataclass(frozen=True)
@@ -137,7 +123,6 @@ class ToyModelSpec:
     tokens: tuple[str, ...]
     eos_token: str
     rules: tuple[EmissionRule, ...]
-    name: str = "toy"
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ToyModelSpec":
@@ -145,20 +130,11 @@ class ToyModelSpec:
             tokens=tuple(data["tokens"]),
             eos_token=data["eos_token"],
             rules=tuple(EmissionRule.from_json_dict(r) for r in data["rules"]),
-            name=data.get("name", "toy"),
         )
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ToyModelSpec":
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tokens": list(self.tokens),
-            "eos_token": self.eos_token,
-            "rules": [r.to_json_dict() for r in self.rules],
-        }
 
 
 class ToyBackend(ModelBackend):
@@ -310,7 +286,7 @@ def overthinking_spec(trigger_prob: float = 0.3) -> ToyModelSpec:
         EmissionRule("close_box", ("42",), {"}": 1.0}),
         EmissionRule("finish", ("}",), {"<eos>": 1.0}),
     )
-    return ToyModelSpec(tokens=tokens, eos_token="<eos>", rules=rules, name="overthinking")
+    return ToyModelSpec(tokens=tokens, eos_token="<eos>", rules=rules)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +389,8 @@ class RemoteBackend(ModelBackend):
         if not base_url.lower().startswith(("http://", "https://")):
             raise ValueError(f"base_url must start with http:// or https://, got {base_url!r}")
         self._url = base_url.rstrip("/") + "/v1/completions"
+        if self._url.lower().endswith("/v1/v1/completions"):
+            raise ValueError(f"base_url must not end in /v1 (the client adds it), got {base_url!r}")
         self._headers = {"Content-Type": "application/json"}
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if api_key:

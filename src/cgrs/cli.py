@@ -39,7 +39,10 @@ def _build_backend(args: argparse.Namespace):
 
 def _parse_seeds(args: argparse.Namespace) -> list[int]:
     if not args.seeds:
-        return list(range(DEFAULT_REPS if args.reps is None else args.reps))
+        reps = DEFAULT_REPS if args.reps is None else args.reps
+        if reps < 1:
+            raise SystemExit(f"--reps must be at least 1, got {reps}")
+        return list(range(reps))
     seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise SystemExit(f"--seeds {args.seeds!r} names no seed")
@@ -99,6 +102,8 @@ def _token_ids(row) -> list[int]:
 
 
 def _load_trace_files(traces_dir: Path) -> list[list[int]]:
+    if not traces_dir.is_dir():
+        raise SystemExit(f"--traces {traces_dir}: not a directory")
     traces: list[list[int]] = []
     for path in sorted(traces_dir.glob("*.json")) + sorted(traces_dir.glob("*.jsonl")):
         try:
@@ -232,7 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input: a value, a file or its contents
+        raise SystemExit(f"cgrs {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

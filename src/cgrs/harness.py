@@ -278,7 +278,7 @@ def run_benchmark(
     if not seeds:
         raise ValueError("at least one seed is required")
     if parallelism < 1:
-        raise ValueError("parallelism must be positive")
+        raise ValueError(f"parallelism must be positive, got {parallelism}")
     words = list(trigger_words) if trigger_words is not None else default_trigger_words()
     triggers = build_trigger_set(words, backend.vocabulary)
     labels = [m.label for m in modes]

@@ -178,18 +178,6 @@ class TriggerTokenSet:
             "skipped_forms": list(self.skipped_forms),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "TriggerTokenSet":
-        prov = {
-            int(i): (entry["surface_form"], entry["base_word"])
-            for i, entry in data.get("provenance", {}).items()
-        }
-        return cls(
-            token_ids=frozenset(int(i) for i in data["token_ids"]),
-            provenance=prov,
-            skipped_forms=tuple(data.get("skipped_forms", ())),
-        )
-
 
 def expand_variants(word: str) -> set[str]:
     """Expand a base word into its case and leading-space surface variants.
@@ -207,45 +195,31 @@ def expand_variants(word: str) -> set[str]:
     return forms
 
 
-def map_to_token_ids(
-    forms: Iterable[str],
-    vocab: Vocabulary,
-    base_by_form: Mapping[str, str] | None = None,
-) -> TriggerTokenSet:
-    """Map surface forms onto vocabulary ids.
-
-    Only forms the vocabulary encodes as a single token are kept; absent forms
-    are recorded as skipped rather than raised.  ``base_by_form`` optionally
-    supplies the base word for provenance; a form is its own base otherwise.
-    """
-    ids: set[int] = set()
-    provenance: dict[int, tuple[str, str]] = {}
-    skipped: list[str] = []
-    for form in sorted(set(forms)):
-        token_id = vocab.token_to_id.get(form)
-        if token_id is None:
-            skipped.append(form)
-            continue
-        ids.add(token_id)
-        base = base_by_form.get(form, form) if base_by_form else form
-        provenance[token_id] = (form, base)
-    return TriggerTokenSet(
-        token_ids=frozenset(ids), provenance=provenance, skipped_forms=tuple(skipped)
-    )
-
-
 def build_trigger_set(
     words: Iterable[TriggerWord | str], vocab: Vocabulary
 ) -> TriggerTokenSet:
-    """Expand base words and map every variant present in the vocabulary."""
-    forms: set[str] = set()
+    """Expand base words and map every variant onto its vocabulary id.
+
+    Only forms the vocabulary encodes as a single token are kept; absent forms
+    are recorded as skipped rather than raised.  Provenance names the base
+    word each kept form came from.
+    """
     base_by_form: dict[str, str] = {}
     for word in words:
         base = word.base if isinstance(word, TriggerWord) else word
         for form in expand_variants(base):
-            forms.add(form)
             base_by_form[form] = base
-    return map_to_token_ids(forms, vocab, base_by_form)
+    provenance: dict[int, tuple[str, str]] = {}
+    skipped: list[str] = []
+    for form in sorted(base_by_form):
+        token_id = vocab.token_to_id.get(form)
+        if token_id is None:
+            skipped.append(form)
+        else:
+            provenance[token_id] = (form, base_by_form[form])
+    return TriggerTokenSet(
+        token_ids=frozenset(provenance), provenance=provenance, skipped_forms=tuple(skipped)
+    )
 
 
 def build_from_traces(
@@ -269,17 +243,11 @@ def build_from_traces(
     if min_count > 0 and not traces:
         raise ValueError("cannot apply a positive min_count to an empty trace set")
     candidates = build_trigger_set(base_words, vocab)
-    counts: dict[int, int] = {i: 0 for i in sorted(candidates.token_ids)}
-    for trace in traces:
-        for token_id in trace:
-            if token_id in counts:
-                counts[token_id] += 1
-    kept = {i for i, c in counts.items() if c >= min_count}
-    provenance = {i: candidates.provenance[i] for i in kept}
+    seen = Counter(token_id for trace in traces for token_id in trace)
+    counts = {i: seen[i] for i in sorted(candidates.token_ids)}
+    kept = {i: candidates.provenance[i] for i, c in counts.items() if c >= min_count}
     trigger_set = TriggerTokenSet(
-        token_ids=frozenset(kept),
-        provenance=provenance,
-        skipped_forms=candidates.skipped_forms,
+        token_ids=frozenset(kept), provenance=kept, skipped_forms=candidates.skipped_forms
     )
     return trigger_set, counts
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,39 +84,13 @@ def tiny_spec() -> ToyModelSpec:
 
 
 class TestEmissionRule:
-    def test_scripted_form(self):
-        rule = EmissionRule.from_json_dict(
-            {
-                "name": "r",
-                "suffix": ["x"],
-                "emit": {"type": "scripted", "token": "y", "trigger": "Wait", "trigger_prob": 0.3},
-            }
-        )
-        assert rule.probs == {"Wait": 0.3, "y": 0.7}
-
-    def test_scripted_trigger_prob_range(self):
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                EmissionRule.from_json_dict(
-                    {
-                        "name": "r",
-                        "suffix": ["x"],
-                        "emit": {
-                            "type": "scripted",
-                            "token": "y",
-                            "trigger": "Wait",
-                            "trigger_prob": bad,
-                        },
-                    }
-                )
-
     def test_unknown_emit_type(self):
-        with pytest.raises(ValueError, match="emission rule type"):
-            EmissionRule.from_json_dict({"name": "r", "suffix": [], "emit": {"type": "?"}})
-
-    def test_dist_round_trip(self):
-        rule = EmissionRule("r", ("x",), {"y": 0.25, "z": 0.75})
-        assert EmissionRule.from_json_dict(rule.to_json_dict()) == rule
+        # "dist" is the one rule form; the old "scripted" form is refused by name
+        for emit_type in ("?", "scripted"):
+            with pytest.raises(ValueError, match=f"emission rule type: '{emit_type}'"):
+                EmissionRule.from_json_dict(
+                    {"name": "r", "suffix": [], "emit": {"type": emit_type}}
+                )
 
 
 class TestToyBackend:
@@ -295,15 +269,9 @@ class TestOverthinkingSpec:
         )
         assert dist.probs[vocab.token_to_id["42"]] == 1.0
 
-    def test_spec_round_trip(self):
-        spec = overthinking_spec()
-        assert ToyModelSpec.from_json_dict(spec.to_json_dict()) == spec
-
     def test_demo_file_in_sync(self):
-        data = json.loads(
-            open("demo/toy_overthinking.json", encoding="utf-8").read()
-        )
-        assert ToyModelSpec.from_json_dict(data) == overthinking_spec()
+        demo = Path(__file__).resolve().parents[1] / "demo" / "toy_overthinking.json"
+        assert ToyModelSpec.from_json_file(demo) == overthinking_spec()
 
     def test_probe_rules_unreachable_from_main_path(self, overthinking_backend):
         vocab = overthinking_backend.vocabulary
@@ -692,12 +660,15 @@ class TestRemoteBackend:
             {"timeout": math.nan},
             {"top_k": 0},
             {"base_url": "localhost:8000"},
+            {"base_url": "http://localhost:8000/v1"},
+            {"base_url": "http://localhost:8000/V1/"},
         ],
     )
     def test_broken_client_settings_rejected(self, kwargs):
         # before, max_retries=-1 sent no request, a negative backoff or a
-        # fractional retry count raised from time.sleep or range mid-run, and a
-        # base URL with no scheme raised requests' InvalidSchema on each request
+        # fractional retry count raised from time.sleep or range mid-run, a
+        # base URL with no scheme raised requests' InvalidSchema on each request,
+        # and one ending in /v1 sent each request to /v1/v1/completions
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             RemoteBackend(vocab=Vocabulary(["<eos>"]), **{"base_url": "http://unused", **kwargs})
 

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import cgrs
-from cgrs.backend import overthinking_spec
 from cgrs.cli import main
 from cgrs.controller import GenerationConfig, generate
 from cgrs.lexicon import (
@@ -30,8 +29,9 @@ DEMO_DIR = REPO_ROOT / "demo"
 
 @pytest.fixture
 def toy_assets(tmp_path):
+    # the demo file is pinned to overthinking_spec() by test_demo_file_in_sync
     spec_path = tmp_path / "toy.json"
-    spec_path.write_text(json.dumps(overthinking_spec().to_json_dict()))
+    shutil.copyfile(DEMO_DIR / "toy_overthinking.json", spec_path)
     dataset_path = tmp_path / "problems.jsonl"
     with open(dataset_path, "w", encoding="utf-8") as fh:
         for i in range(3):
@@ -316,6 +316,20 @@ class TestLexiconBuild:
             run_cli(["lexicon", "build", "--traces", traces_dir, "--vocab", vocab_path])
 
 
+    @pytest.mark.parametrize("min_count", ["0", "2"])
+    def test_missing_traces_directory_is_named(self, tmp_path, min_count):
+        # a misspelled --traces used to read as zero traces: with --min-count 0
+        # it wrote an all-zero frequency table, with a positive count it failed
+        # on "an empty trace set"
+        vocab_path = tmp_path / "vocab.json"
+        vocab_path.write_text(json.dumps(["Wait", "x"]))
+        out = tmp_path / "lex"
+        args = ["lexicon", "build", "--traces", tmp_path / "trcaes", "--vocab", vocab_path]
+        with pytest.raises(SystemExit, match=r"--traces .*trcaes: not a directory"):
+            run_cli(args + ["--min-count", min_count, "--out", out])
+        assert not out.exists()
+
+
 class TestAnalyze:
     def test_report_table(self, toy_assets, tmp_path, capsys):
         spec_path, dataset_path = toy_assets
@@ -362,6 +376,57 @@ class TestAnalyze:
         path.write_text(json.dumps([0, 1, 2]))
         with pytest.raises(SystemExit, match=r"ids\.json: expected a JSON object, a mode report"):
             run_cli(["analyze", "--trace", path])
+
+
+_RUN = ["run", "--dataset", "{dataset}", "--backend", "toy:{spec}", "--out", "{tmp}/out"]
+_BUILD = ["lexicon", "build", "--traces", "{tmp}/traces", "--vocab", "{tmp}/vocab.json"]
+
+
+class TestBadInput:
+    """Bad values and missing files exit with one line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (_RUN + ["--seeds", "0,x"], "'x'"),
+            (_RUN + ["--reps", "0"], "--reps must be at least 1, got 0"),
+            (_RUN + ["--parallelism", "0"], "parallelism must be positive, got 0"),
+            (_RUN + ["--mode", "bogus"], "unknown mode: 'bogus'"),
+            (_RUN + ["--temperature", "-1"], "temperature must be finite and nonnegative, got -1.0"),
+            (_RUN + ["--max-tokens", "-1"], "max_tokens must be nonnegative, got -1"),
+            (_RUN + ["--delta", "1"], "delta must lie in [0, 1), got 1.0"),
+            (["run", "--dataset", "{tmp}/absent.jsonl"] + _RUN[3:], "absent.jsonl"),
+            (_BUILD + ["--min-count", "-1"], "min_count must be nonnegative, got -1"),
+            (_BUILD + ["--config", "{tmp}/config.json"], "'no_such_category'"),
+            (["analyze", "--trace", "{tmp}/absent.json"], "absent.json"),
+        ],
+        ids=[
+            "run_seeds",
+            "run_reps",
+            "run_parallelism",
+            "run_mode",
+            "run_temperature",
+            "run_max_tokens",
+            "run_delta",
+            "run_missing_dataset",
+            "lexicon_min_count",
+            "lexicon_unknown_category",
+            "analyze_missing_trace",
+        ],
+    )
+    def test_exit_names_the_bad_value(self, toy_assets, tmp_path, argv, named):
+        # each case used to end in a bare ValueError or FileNotFoundError traceback
+        spec_path, dataset_path = toy_assets
+        (tmp_path / "vocab.json").write_text(json.dumps(["Wait", "x"]))
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "config.json").write_text(
+            json.dumps({"base_words": [{"base": "Wait", "category": "no_such_category"}]})
+        )
+        fields = {"dataset": dataset_path, "spec": spec_path, "tmp": tmp_path}
+        with pytest.raises(SystemExit) as info:
+            run_cli([arg.format(**fields) for arg in argv])
+        assert isinstance(info.value.code, str) and named in info.value.code
+        assert "\n" not in info.value.code
 
 
 def _declared_scripts() -> dict[str, str]:

@@ -18,7 +18,6 @@ from cgrs.lexicon import (
     default_trigger_words,
     expand_variants,
     load_trigger_config,
-    map_to_token_ids,
     save_trigger_config,
     write_frequency_csv,
 )
@@ -186,17 +185,19 @@ class TestVocabulary:
 
 
 class TestMapToTokenIds:
+    """``build_trigger_set`` maps each expanded surface form onto a token id."""
+
     def test_single_token_forms_mapped_absent_skipped(self):
         vocab = Vocabulary(["Wait", " wait", "x"])
-        ts = map_to_token_ids({"Wait", " wait", "WAIT"}, vocab)
+        ts = build_trigger_set(["Wait"], vocab)
         assert ts.token_ids == frozenset({0, 1})
-        assert ts.provenance[0] == ("Wait", "Wait")
-        assert "WAIT" in ts.skipped_forms
+        assert ts.provenance == {0: ("Wait", "Wait"), 1: (" wait", "Wait")}
+        assert ts.skipped_forms == (" WAIT", " Wait", "WAIT", "wait")
 
     def test_multi_token_encodings_excluded(self):
         # "Wait" spells out of "Wa"+"it" but is not a single token
         vocab = Vocabulary(["Wa", "it"])
-        ts = map_to_token_ids(expand_variants("Wait"), vocab)
+        ts = build_trigger_set(["Wait"], vocab)
         assert ts.token_ids == frozenset()
         assert set(ts.skipped_forms) == expand_variants("Wait")
 
@@ -220,7 +221,7 @@ class TestMapToTokenIds:
 
     def test_immutable(self):
         vocab = Vocabulary(["Wait"])
-        ts = map_to_token_ids({"Wait"}, vocab)
+        ts = build_trigger_set(["Wait"], vocab)
         with pytest.raises(AttributeError):
             ts.token_ids = frozenset()
 
@@ -302,6 +303,14 @@ class TestTriggerConfig:
             TriggerWord(" Wait", TriggerCategory.CONTEMPLATION_CUE)
 
     def test_trigger_set_json_round_trip(self):
+        # the exact form ``cgrs lexicon build`` writes to triggers.json
         vocab = Vocabulary(["Wait", "wait"])
         ts = build_trigger_set(["Wait"], vocab)
-        assert TriggerTokenSet.from_json_dict(ts.to_json_dict()) == ts
+        assert ts.to_json_dict() == {
+            "token_ids": [0, 1],
+            "provenance": {
+                "0": {"surface_form": "Wait", "base_word": "Wait"},
+                "1": {"surface_form": "wait", "base_word": "Wait"},
+            },
+            "skipped_forms": [" WAIT", " Wait", " wait", "WAIT"],
+        }

@@ -492,6 +492,61 @@ class TestSampleFromProbs:
                 sample_from_probs(probs, temperature, top_p, u)
 
 
+@pytest.fixture(scope="module")
+def ban_vectors() -> dict[str, np.ndarray]:
+    """Vectors for the ban checks; each holds some ids at zero probability."""
+    rng = np.random.default_rng(18)
+    zipf = (rng.permutation(QWEN_VOCAB) + 1.0) ** -1.1
+    zipf[rng.choice(QWEN_VOCAB, 1000, replace=False)] = 0.0
+    ids = rng.permutation(QWEN_VOCAB)
+    peaked = np.zeros(QWEN_VOCAB)
+    peaked[ids[0]] = 0.9
+    peaked[ids[1:1001]] = 0.1 * rng.dirichlet(np.ones(1000))
+    # one head token and 2000 exact ties, as in large_vectors, over a zero tail
+    tied = np.zeros(QWEN_VOCAB)
+    tied[ids[0]] = 0.01
+    tied[ids[1:2001]] = 0.9895 / 2000
+    tail = rng.random(50_000)
+    tied[ids[2001:52_001]] = 0.0005 * tail / tail.sum()
+    sparse = np.zeros(QWEN_VOCAB)
+    sparse[rng.choice(QWEN_VOCAB, 40, replace=False)] = rng.dirichlet(np.ones(40))
+    small = rng.dirichlet(np.ones(200))
+    small[rng.choice(200, 20, replace=False)] = 0.0
+    zipf /= zipf.sum()
+    return {"zipf": zipf, "peaked": peaked, "tied": tied, "sparse": sparse, "small": small}
+
+
+class TestBanIsZeroing:
+    """A ban picks the id that zeroing the banned probabilities picks, and a
+    ban that lists each id twice picks the same id."""
+
+    @pytest.mark.parametrize("name", ["zipf", "peaked", "tied", "sparse", "small"])
+    def test_ban_matches_zeroed_probs(self, ban_vectors, name):
+        probs = ban_vectors[name]
+        rng = np.random.default_rng(7)
+        top = np.argsort(-probs, kind="stable")
+        bans = [
+            top[:1],
+            top[:5],
+            rng.choice(probs.size, 50, replace=False),
+            rng.choice(np.flatnonzero(probs == 0.0), 10, replace=False),
+        ]
+        step = 0
+        for ban in map(np.sort, bans):
+            zeroed = probs.copy()
+            zeroed[ban] = 0.0
+            assert zeroed.any()  # every ban here leaves mass
+            twice = np.concatenate([ban, ban])
+            for temperature in (0.0, 0.1, 0.6, 1.0, 1.5):
+                for top_p in (0.05, 0.5, 0.95, 1.0):
+                    u = sampling_uniform(18, step)
+                    step += 1
+                    want = sample_from_probs(zeroed, temperature, top_p, u)
+                    case = (len(ban), temperature, top_p, u)
+                    assert sample_from_probs(probs, temperature, top_p, u, ban) == want, case
+                    assert sample_from_probs(probs, temperature, top_p, u, twice) == want, case
+
+
 class TestDrawAtTopPOne:
     """At top_p = 1 the draw's prefix sums are its only total, and its guard still holds."""
 
