@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .certainty import TokenDistribution
-from .lexicon import Vocabulary
+from .lexicon import Vocabulary, file_errors
 
 #: Wire-level bias that effectively bans a token on OpenAI-compatible servers.
 LOGIT_BIAS_BAN = -100.0
@@ -134,7 +134,9 @@ class ToyModelSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ToyModelSpec":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a spec file; a ValueError names the path of a malformed file."""
+        with file_errors(path, "toy spec"):
+            return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 class ToyBackend(ModelBackend):

@@ -16,6 +16,7 @@ from .lexicon import (
     build_from_traces,
     build_trigger_set,
     default_trigger_words,
+    file_errors,
     load_trigger_config,
     write_frequency_csv,
 )
@@ -43,7 +44,10 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
         if reps < 1:
             raise SystemExit(f"--reps must be at least 1, got {reps}")
         return list(range(reps))
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError as exc:
+        raise ValueError(f"--seeds {args.seeds!r}: {exc}") from None
     if not seeds:
         raise SystemExit(f"--seeds {args.seeds!r} names no seed")
     if args.reps is not None and args.reps != len(seeds):
@@ -149,40 +153,49 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise SystemExit(f"{args.trace}: expected a JSON object, a mode report or a decode trace")
-    base_words = [w.base for w in default_trigger_words()]
-    if "length_distribution" in data:  # a mode report
-        lengths = data["length_distribution"]
-        print("metric,value")
-        print(f"mode,{data.get('mode', '?')}")
-        print(f"runs,{len(lengths)}")
-        if lengths:
-            print(f"mean_length,{sum(lengths) / len(lengths):.2f}")
-            print(f"min_length,{min(lengths)}")
-            print(f"max_length,{max(lengths)}")
-        print()
-        print("trigger_word,count")
-        for word, count in sorted(data.get("trigger_frequencies", {}).items()):
-            print(f"{word},{count}")
-        return 0
-    # a single decode trace
-    counts = count_trigger_words([data.get("text", "")], base_words)
-    print("metric,value")
-    print(f"token_count,{data.get('token_count', len(data.get('tokens', [])))}")
-    print(f"checkpoints,{len(data.get('checkpoint_events', []))}")
-    print(f"finish_reason,{data.get('finish_reason', 'length')}")
-    certainties = [
-        e["probe"]["certainty"]["value"] for e in data.get("checkpoint_events", [])
+def _report_table(report: dict) -> tuple[list[str], list[tuple[str, int]]]:
+    lengths = report["length_distribution"]
+    metrics = [f"mode,{report['mode']}", f"runs,{len(lengths)}"]
+    if lengths:
+        metrics.append(f"mean_length,{sum(lengths) / len(lengths):.2f}")
+        metrics.append(f"min_length,{min(lengths)}")
+        metrics.append(f"max_length,{max(lengths)}")
+    return metrics, sorted(report["trigger_frequencies"].items())
+
+
+def _trace_table(trace: dict) -> tuple[list[str], list[tuple[str, int]]]:
+    events = trace["checkpoint_events"]
+    metrics = [
+        f"token_count,{trace['token_count']}",
+        f"checkpoints,{len(events)}",
+        f"finish_reason,{trace['finish_reason']}",
     ]
-    if certainties:
-        print(f"final_certainty,{certainties[-1]:.6f}")
-        print(f"final_p,{data['checkpoint_events'][-1]['p_after']:.6f}")
+    if events:
+        metrics.append(f"final_certainty,{events[-1]['probe']['certainty']['value']:.6f}")
+        metrics.append(f"final_p,{events[-1]['p_after']:.6f}")
+    base_words = [w.base for w in default_trigger_words()]
+    return metrics, sorted(count_trigger_words([trace["text"]], base_words).items())
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    path = args.trace
+    with file_errors(path, "--trace"):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    # the keys that tell the two writers' records apart: RunReport and DecodeTrace
+    if isinstance(data, dict) and "length_distribution" in data:
+        kind, table = "mode report", _report_table
+    elif isinstance(data, dict) and "tokens" in data and "checkpoint_events" in data:
+        kind, table = "decode trace", _trace_table
+    else:
+        raise SystemExit(f"{path}: expected a JSON object, a mode report or a decode trace")
+    with file_errors(path, kind):
+        metrics, counts = table(data)
+    print("metric,value")
+    for line in metrics:
+        print(line)
     print()
     print("trigger_word,count")
-    for word, count in sorted(counts.items()):
+    for word, count in counts:
         print(f"{word},{count}")
     return 0
 
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--remote-vocab", help="vocabulary file of the served tokenizer")
     run.add_argument("--remote-eos", help="eos token surface in the remote vocabulary")
     run.add_argument("--out", required=True, help="report output directory")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, prog=run.prog)
 
     lexicon = sub.add_parser("lexicon", help="trigger lexicon tools")
     lex_sub = lexicon.add_subparsers(dest="lexicon_command", required=True)
@@ -227,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--min-count", type=int, default=None, dest="min_count")
     build.add_argument("--config", help="trigger config JSON (defaults to built-ins)")
     build.add_argument("--out", default=".", help="output directory")
-    build.set_defaults(func=cmd_lexicon_build)
+    build.set_defaults(func=cmd_lexicon_build, prog=build.prog)
 
     analyze = sub.add_parser("analyze", help="summarize a trace or report JSON")
     analyze.add_argument("--trace", required=True, help="DecodeTrace or report JSON file")
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(func=cmd_analyze, prog=analyze.prog)
     return parser
 
 
@@ -240,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input: a value, a file or its contents
-        raise SystemExit(f"cgrs {args.command}: {exc}") from None
+        raise SystemExit(f"{args.prog}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -257,7 +257,6 @@ class GenerationSession:
                 f"trigger set covers the entire vocabulary of {vocab.size} tokens;"
                 " a masked step would leave nothing to sample"
             )
-        self.prompt = prompt
         self._ctx: list[int] = vocab.encode(prompt)
         self._surfaces = vocab.id_to_token
         self._eos = backend.eos_token_id
@@ -268,8 +267,6 @@ class GenerationSession:
         else:
             self._sample = self._sample_remote
             self._ban = ban_bias(triggers.token_ids)
-        self._tokens: list[int] = []
-        self._pieces: list[str] = []
         # The masking probability: pinned in fixed-p mode, else 0 until a probe sets it.
         self._p = config.fixed_p if config.fixed_p is not None else 0.0
         # Only cgrs mode probes; vanilla and fixed-p never move p.  Under
@@ -280,13 +277,12 @@ class GenerationSession:
         self._think_end = (
             CheckpointDetector(config.think_end_marker) if config.restrict_to_thinking else None
         )
-        self.checkpoint_events: list[CheckpointEvent] = []
-        self.suppression_decisions: list[SuppressionDecision] = []
-        self.finish_reason = "length"
+        # The record the session decodes into; run() sets its text and returns it.
+        self._trace = DecodeTrace(prompt, [], "", [], [], config, "length")
 
     @property
     def tokens(self) -> list[int]:
-        return self._tokens
+        return self._trace.tokens
 
     def _sample_in_engine(self, masked: bool, step: int) -> int:
         dist = self.backend.next_distribution(self._ctx)
@@ -311,21 +307,21 @@ class GenerationSession:
 
     def next_token(self) -> int | None:
         """Advance one step; returns the sampled token id, or None at EOS."""
-        if self.finish_reason == "eos":
+        trace = self._trace
+        if trace.finish_reason == "eos":
             return None
-        step = len(self._tokens)
+        step = len(trace.tokens)
         masked = False
         if self._deciding:
             masked = should_suppress(self._p, self.config.seed, step)
-            self.suppression_decisions.append(SuppressionDecision(step=step, r=masked, p=self._p))
+            trace.suppression_decisions.append(SuppressionDecision(step=step, r=masked, p=self._p))
         token = self._sample(masked, step)
         if token is None or token == self._eos:
-            self.finish_reason = "eos"
+            trace.finish_reason = "eos"
             return None
         self._ctx.append(token)
-        self._tokens.append(token)
+        trace.tokens.append(token)
         surface = self._surfaces[token]
-        self._pieces.append(surface)
         if self._think_end is not None and self._think_end.feed(surface):
             self._think_end = None
             self._deciding = self._probing = False
@@ -339,21 +335,20 @@ class GenerationSession:
         except ProbeEmptyError:
             return  # keep the previous suppression probability
         self._p = update_state(probe.certainty, self.config.delta)
-        self.checkpoint_events.append(CheckpointEvent(step=step, probe=probe, p_after=self._p))
+        event = CheckpointEvent(step=step, probe=probe, p_after=self._p)
+        self._trace.checkpoint_events.append(event)
 
     def run(self) -> DecodeTrace:
-        while len(self._tokens) < self.config.max_tokens:
+        """Decode to EOS or max_tokens; returns the record the session decoded into.
+
+        The session is finished after this call.
+        """
+        trace = self._trace
+        while len(trace.tokens) < self.config.max_tokens:
             if self.next_token() is None:
                 break
-        return DecodeTrace(
-            prompt=self.prompt,
-            tokens=list(self._tokens),
-            text="".join(self._pieces),
-            checkpoint_events=list(self.checkpoint_events),
-            suppression_decisions=list(self.suppression_decisions),
-            config=self.config,
-            finish_reason=self.finish_reason,
-        )
+        trace.text = "".join(self._surfaces[t] for t in trace.tokens)
+        return trace
 
 
 def generate(

@@ -225,11 +225,11 @@ def count_trigger_words(texts: Sequence[str], base_words: Sequence[str]) -> dict
 
 @dataclass
 class _ProblemOutcome:
-    token_count: int
-    text: str
-    correct: bool
-    unparsable: bool
-    failed: bool
+    token_count: int = 0
+    text: str = ""
+    correct: bool = False
+    unparsable: bool = False
+    failed: bool = False
 
 
 def _run_one(
@@ -241,17 +241,15 @@ def _run_one(
     try:
         trace: DecodeTrace = generate(backend, problem.prompt, config, triggers)
     except BackendError:
-        return _ProblemOutcome(0, "", correct=False, unparsable=False, failed=True)
+        return _ProblemOutcome(failed=True)
+    outcome = _ProblemOutcome(trace.token_count, trace.text)
     try:
         predicted = extract_boxed_answer(trace.text)
     except ExtractionError:
-        return _ProblemOutcome(
-            trace.token_count, trace.text, correct=False, unparsable=True, failed=False
-        )
-    correct = score(predicted, problem.gold_answer, problem.answer_style)
-    return _ProblemOutcome(
-        trace.token_count, trace.text, correct=correct, unparsable=False, failed=False
-    )
+        outcome.unparsable = True
+    else:
+        outcome.correct = score(predicted, problem.gold_answer, problem.answer_style)
+    return outcome
 
 
 def run_benchmark(

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class TriggerCategory(str, Enum):
@@ -54,6 +55,23 @@ class TriggerWord:
             )
 
 
+@contextmanager
+def file_errors(path: str | Path, what: str) -> Iterator[None]:
+    """Turn an error met while reading the JSON file at ``path`` into a ValueError naming it.
+
+    Covers text that is not JSON, a missing key (named too), and a value of the
+    wrong type or range.
+    """
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path}: not JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{what} {path}: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{what} {path}: malformed: {exc}") from None
+
+
 class Vocabulary:
     """Bijective token-id table with greedy longest-match text encoding."""
 
@@ -89,16 +107,17 @@ class Vocabulary:
     def from_json_file(cls, path: str | Path) -> "Vocabulary":
         """Load a vocabulary file: a JSON list of tokens, a surface→id map,
         or an object with a "tokens" list."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if isinstance(data, dict) and "tokens" in data:
-            data = data["tokens"]
-            if not isinstance(data, list):
-                raise ValueError(f'vocabulary file {path}: "tokens" is not a list')
-        if isinstance(data, list):
-            return cls(data)
-        if isinstance(data, dict):
-            return cls.from_token_to_id(data)
-        raise ValueError(f"unrecognized vocabulary file format: {path}")
+        with file_errors(path, "vocabulary file"):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            if isinstance(data, dict) and "tokens" in data:
+                data = data["tokens"]
+                if not isinstance(data, list):
+                    raise ValueError('"tokens" is not a list')
+            if isinstance(data, list):
+                return cls(data)
+            if isinstance(data, dict):
+                return cls.from_token_to_id(data)
+            raise ValueError("unrecognized format")
 
     @property
     def size(self) -> int:
@@ -253,13 +272,18 @@ def build_from_traces(
 
 
 def load_trigger_config(path: str | Path) -> tuple[list[TriggerWord], int]:
-    """Read a trigger config file: {"base_words": [{"base", "category"}], "min_count"}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    words = [
-        TriggerWord(base=entry["base"], category=TriggerCategory(entry["category"]))
-        for entry in data["base_words"]
-    ]
-    min_count = int(data.get("min_count", DEFAULT_MIN_COUNT))
+    """Read a trigger config file: {"base_words": [{"base", "category"}], "min_count"}.
+
+    Raises:
+        ValueError: the file is malformed; the message names the path.
+    """
+    with file_errors(path, "trigger config"):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        words = [
+            TriggerWord(base=entry["base"], category=TriggerCategory(entry["category"]))
+            for entry in data["base_words"]
+        ]
+        min_count = int(data.get("min_count", DEFAULT_MIN_COUNT))
     return words, min_count
 
 

@@ -388,7 +388,8 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv, named",
         [
-            (_RUN + ["--seeds", "0,x"], "'x'"),
+            (_RUN + ["--seeds", "0,x"],
+             "cgrs run: --seeds '0,x': invalid literal for int() with base 10: 'x'"),
             (_RUN + ["--reps", "0"], "--reps must be at least 1, got 0"),
             (_RUN + ["--parallelism", "0"], "parallelism must be positive, got 0"),
             (_RUN + ["--mode", "bogus"], "unknown mode: 'bogus'"),
@@ -396,9 +397,33 @@ class TestBadInput:
             (_RUN + ["--max-tokens", "-1"], "max_tokens must be nonnegative, got -1"),
             (_RUN + ["--delta", "1"], "delta must lie in [0, 1), got 1.0"),
             (["run", "--dataset", "{tmp}/absent.jsonl"] + _RUN[3:], "absent.jsonl"),
-            (_BUILD + ["--min-count", "-1"], "min_count must be nonnegative, got -1"),
-            (_BUILD + ["--config", "{tmp}/config.json"], "'no_such_category'"),
+            (["run", "--dataset", "{dataset}", "--backend", "toy:{tmp}/not_json.json"] + _RUN[5:],
+             "toy spec {tmp}/not_json.json: not JSON: Expecting value"),
+            (["run", "--dataset", "{dataset}", "--backend", "toy:{tmp}/no_rules.json"] + _RUN[5:],
+             "toy spec {tmp}/no_rules.json: missing key 'rules'"),
+            (["run", "--dataset", "{dataset}", "--backend", "remote",
+              "--remote-vocab", "{tmp}/vocab_ints.json"] + _RUN[5:],
+             "vocabulary file {tmp}/vocab_ints.json: malformed: vocabulary token 0 is not a string"),
+            (_RUN + ["--trigger-config", "{tmp}/not_json.json"],
+             "trigger config {tmp}/not_json.json: not JSON"),
+            (_RUN + ["--trigger-config", "{tmp}/no_category.json"],
+             "trigger config {tmp}/no_category.json: missing key 'category'"),
+            (_BUILD + ["--min-count", "-1"],
+             "cgrs lexicon build: min_count must be nonnegative, got -1"),
+            (_BUILD + ["--config", "{tmp}/config.json"],
+             "trigger config {tmp}/config.json: malformed: 'no_such_category'"),
+            (_BUILD + ["--config", "{tmp}/no_base_words.json"],
+             "trigger config {tmp}/no_base_words.json: missing key 'base_words'"),
+            (["lexicon", "build", "--traces", "{tmp}/traces", "--vocab", "{tmp}/not_json.json"],
+             "cgrs lexicon build: vocabulary file {tmp}/not_json.json: not JSON"),
             (["analyze", "--trace", "{tmp}/absent.json"], "absent.json"),
+            (["analyze", "--trace", "{tmp}/not_json.json"], "--trace {tmp}/not_json.json: not JSON"),
+            (["analyze", "--trace", "{tmp}/config.json"],
+             "{tmp}/config.json: expected a JSON object, a mode report or a decode trace"),
+            (["analyze", "--trace", "{tmp}/report_string_lengths.json"],
+             "cgrs analyze: mode report {tmp}/report_string_lengths.json: malformed: "),
+            (["analyze", "--trace", "{tmp}/trace_no_certainty.json"],
+             "decode trace {tmp}/trace_no_certainty.json: missing key 'certainty'"),
         ],
         ids=[
             "run_seeds",
@@ -409,23 +434,47 @@ class TestBadInput:
             "run_max_tokens",
             "run_delta",
             "run_missing_dataset",
+            "run_spec_not_json",
+            "run_spec_without_rules",
+            "run_remote_vocab_bad_token",
+            "run_trigger_config_not_json",
+            "run_trigger_config_without_category",
             "lexicon_min_count",
             "lexicon_unknown_category",
+            "lexicon_config_without_base_words",
+            "lexicon_vocab_not_json",
             "analyze_missing_trace",
+            "analyze_not_json",
+            "analyze_trigger_config",
+            "analyze_report_string_lengths",
+            "analyze_trace_without_certainty",
         ],
     )
     def test_exit_names_the_bad_value(self, toy_assets, tmp_path, argv, named):
-        # each case used to end in a bare ValueError or FileNotFoundError traceback
+        # each case used to end in a traceback, exit 0, or a message naming no file or option
         spec_path, dataset_path = toy_assets
         (tmp_path / "vocab.json").write_text(json.dumps(["Wait", "x"]))
         (tmp_path / "traces").mkdir()
         (tmp_path / "config.json").write_text(
             json.dumps({"base_words": [{"base": "Wait", "category": "no_such_category"}]})
         )
+        (tmp_path / "not_json.json").write_text("not json")
+        (tmp_path / "vocab_ints.json").write_text(json.dumps([1, 2]))
+        spec = json.loads(spec_path.read_text())
+        del spec["rules"]
+        (tmp_path / "no_rules.json").write_text(json.dumps(spec))
+        (tmp_path / "no_category.json").write_text(json.dumps({"base_words": [{"base": "Wait"}]}))
+        (tmp_path / "no_base_words.json").write_text(json.dumps({"min_count": 1}))
+        report = {"mode": "cgrs", "length_distribution": "12", "trigger_frequencies": {}}
+        (tmp_path / "report_string_lengths.json").write_text(json.dumps(report))
+        event = {"step": 0, "probe": {"answer_text": "42"}, "p_after": 0.5}
+        trace = {"tokens": [0], "text": "a", "checkpoint_events": [event],
+                 "token_count": 1, "finish_reason": "eos"}
+        (tmp_path / "trace_no_certainty.json").write_text(json.dumps(trace))
         fields = {"dataset": dataset_path, "spec": spec_path, "tmp": tmp_path}
         with pytest.raises(SystemExit) as info:
             run_cli([arg.format(**fields) for arg in argv])
-        assert isinstance(info.value.code, str) and named in info.value.code
+        assert isinstance(info.value.code, str) and named.format(**fields) in info.value.code
         assert "\n" not in info.value.code
 
 

@@ -419,6 +419,35 @@ class TestGenerationLoop:
         b = generate(overthinking_backend, TOY_PROMPT, toy_config(seed=21), overthinking_triggers)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize(
+        "mode",
+        [{"suppression_enabled": False}, {"fixed_p": 0.5}, {"fixed_p": 1.0}, {}],
+        ids=["vanilla", "fixed_p_0.5", "fixed_p_1", "cgrs"],
+    )
+    @pytest.mark.parametrize("max_tokens", [200, 6])
+    def test_stepping_then_run_equals_generate(
+        self, overthinking_backend, overthinking_triggers, mode, max_tokens
+    ):
+        # next_token() until None or max_tokens, then run(): the loop perfbench times
+        finish_reasons = set()
+        for seed in range(12):
+            cfg = toy_config(seed=seed, max_tokens=max_tokens, **mode)
+            expected = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
+            for steps in (3, max_tokens):  # stepped part of the way, and all the way
+                session = GenerationSession(
+                    overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers
+                )
+                while len(session.tokens) < steps:
+                    if session.next_token() is None:
+                        break
+                trace = session.run()
+                assert trace.to_json() == expected.to_json(), (seed, steps)
+                assert session.tokens is trace.tokens
+                assert session.run() is trace  # the finished session keeps its record
+                assert trace.to_json() == expected.to_json()
+            finish_reasons.add(expected.finish_reason)
+        assert finish_reasons == ({"eos"} if max_tokens == 200 else {"length"})
+
     def test_seed_changes_trajectory(self, overthinking_backend, overthinking_triggers):
         lengths = {
             generate(
