@@ -14,6 +14,7 @@ gives 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -61,8 +62,14 @@ class TokenDistribution:
         """Token id of the most probable real outcome (residual excluded)."""
         if self.truncated:
             assert self.outcome_token_ids is not None
-            return self.outcome_token_ids[int(np.argmax(self.probs[:-1]))]
-        return int(np.argmax(self.probs))
+            return self.outcome_token_ids[int(self.probs[:-1].argmax())]
+        return int(self.probs.argmax())
+
+
+@lru_cache(maxsize=64)
+def _log_vocab(vocab_size: int) -> float:
+    """ln |V|, the certainty normalizer; one value per vocabulary size."""
+    return float(np.log(vocab_size))
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,9 @@ class CertaintyScore:
             raise ValueError(f"certainty value must lie in [0, 1], got {self.value}")
         if self.n_tokens <= 0:
             raise ValueError("a certainty score requires at least one answer token")
-        expected = 1.0 - self.mean_entropy / np.log(self.vocab_size)
+        if self.vocab_size < 2:
+            raise ValueError(f"vocab_size must be at least 2, got {self.vocab_size}")
+        expected = 1.0 - self.mean_entropy / _log_vocab(self.vocab_size)
         if abs(self.value - expected) > 1e-9:
             raise ValueError(
                 f"inconsistent certainty: value {self.value} vs derived {expected}"
@@ -115,25 +124,27 @@ def certainty_score(
         raise ValueError("cannot score an empty answer: no token distributions")
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be at least 2, got {vocab_size}")
-    dists = [
-        d if isinstance(d, TokenDistribution) else TokenDistribution(np.asarray(d, dtype=np.float64))
-        for d in distributions
-    ]
-    truncated = any(d.truncated for d in dists)
-    for d in dists:
-        if not d.truncated and d.probs.size != vocab_size:
+    entropies = []
+    truncated = False
+    for d in distributions:
+        if not isinstance(d, TokenDistribution):
+            d = TokenDistribution(np.asarray(d, dtype=np.float64))
+        if d.truncated:
+            truncated = True
+        elif d.probs.size != vocab_size:
             raise ValueError(
                 f"distribution has {d.probs.size} outcomes, expected vocab_size {vocab_size}"
             )
+        entropies.append(token_entropy(d))
     # the reduction and division np.mean makes, without its dispatch
-    mean_entropy = float(np.add.reduce([token_entropy(d) for d in dists])) / len(dists)
-    value = 1.0 - mean_entropy / float(np.log(vocab_size))
+    mean_entropy = float(np.add.reduce(entropies)) / len(entropies)
+    value = 1.0 - mean_entropy / _log_vocab(vocab_size)
     # guard against fp drift just outside the closed interval
     value = min(1.0, max(0.0, value))
     return CertaintyScore(
         value=value,
         mean_entropy=mean_entropy,
-        n_tokens=len(dists),
+        n_tokens=len(entropies),
         vocab_size=vocab_size,
         truncated=truncated,
     )

@@ -29,7 +29,10 @@ DEFAULT_REPS = 3
 def _build_backend(args: argparse.Namespace):
     spec = args.backend
     if spec.startswith("toy:"):
-        return ToyBackend(ToyModelSpec.from_json_file(spec[len("toy:"):]))
+        path = spec[len("toy:"):]
+        model = ToyModelSpec.from_json_file(path)  # names the path of a file it cannot read
+        with file_errors(path, "toy spec"):  # and of one whose contents ToyBackend rejects
+            return ToyBackend(model)
     if spec == "remote":
         if not args.remote_vocab:
             raise SystemExit("--remote-vocab <file> is required with --backend remote")

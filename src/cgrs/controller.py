@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,40 +185,45 @@ def run_probe(
     """Greedily decode the tentative answer in a copied, unmasked context.
 
     The probe prompt is appended to a copy of the main context; decoding stops
-    at the first stop string, at EOS, or after probe_max_tokens.  Tokens that
-    belong to a stop string are excluded from both the answer and the entropy
-    average.
+    at the earliest stop string, at EOS, or after probe_max_tokens.  The answer
+    text ends where the stop string starts; the answer tokens, and the entropy
+    average, are the tokens that start before that cut, so a token such as
+    ``2}`` that straddles it is kept whole.
 
     Raises:
         ProbeEmptyError: no answer token survives (immediate stop or EOS).
     """
     vocab = backend.vocabulary
+    surfaces = vocab.id_to_token
+    eos = backend.eos_token_id
+    stop_strings = config.probe_stop_strings
     ctx = list(context)
     ctx.extend(vocab.encode(config.probe_prompt))
     answer_tokens: list[int] = []
     distributions: list[TokenDistribution] = []
-    spans: list[tuple[int, int]] = []
+    starts: list[int] = []  # where each answer token starts in answer_text
     answer_text = ""
     stop_reason = "max_tokens"
     for _ in range(config.probe_max_tokens):
         dist = backend.next_distribution(ctx)
         token = dist.argmax_token_id()
-        if token == backend.eos_token_id:
+        if token == eos:
             stop_reason = "eos"
             break
-        surface = vocab.id_to_token[token]
         ctx.append(token)
         answer_tokens.append(token)
         distributions.append(dist)
-        spans.append((len(answer_text), len(answer_text) + len(surface)))
-        answer_text += surface
-        hits = [answer_text.find(s) for s in config.probe_stop_strings]
-        hits = [h for h in hits if h != -1]
-        if hits:
-            cut = min(hits)
-            keep = sum(1 for _, end in spans if end <= cut)
-            answer_tokens = answer_tokens[:keep]
-            distributions = distributions[:keep]
+        starts.append(len(answer_text))
+        answer_text += surfaces[token]
+        cut = -1
+        for stop in stop_strings:
+            hit = answer_text.find(stop)
+            if hit != -1 and (cut == -1 or hit < cut):
+                cut = hit
+        if cut != -1:
+            keep = bisect_left(starts, cut)
+            del answer_tokens[keep:]
+            del distributions[keep:]
             answer_text = answer_text[:cut]
             stop_reason = "stop_string"
             break

@@ -50,8 +50,14 @@ def should_suppress(p: float, seed: int, step: int) -> bool:
 
     A pure function of (seed, step, p): the counter-based stream gives every
     step its own uniform, so any step's decision can be drawn in any order
-    and replays identically.
+    and replays identically.  The uniform lies in [0, 1), so at ``p <= 0``
+    or ``p >= 1`` the outcome is fixed and nothing is drawn; a NaN ``p``
+    draws and never fires.
     """
+    if p <= 0.0:
+        return False
+    if p >= 1.0:
+        return True
     return decision_uniform(seed, step) < p
 
 

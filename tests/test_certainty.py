@@ -156,6 +156,35 @@ class TestCertaintyScore:
         assert abs(score.value - expected) < 1e-12
         assert score.truncated
 
+    @pytest.mark.parametrize("vocab", [2, 11, 151_936])
+    def test_bits_match_the_reference_formula(self, vocab):
+        # full ndarrays, full TokenDistributions and truncated top-k ones, mixed,
+        # 1 to 12 tokens; the score must equal the reference to the last bit
+        rng = np.random.default_rng(vocab)
+        for trial in range(12 if vocab > 1000 else 200):
+            dists = []
+            for _ in range(int(rng.integers(1, 13))):
+                kind = int(rng.integers(0, 3))
+                if kind == 2:
+                    k = int(rng.integers(1, min(vocab, 20) + 1))
+                    probs = rng.dirichlet(np.full(k + 1, 0.3))
+                    ids = tuple(int(i) for i in rng.choice(vocab, size=k, replace=False))
+                    dists.append(TokenDistribution(probs, truncated=True, outcome_token_ids=ids))
+                    continue
+                probs = rng.dirichlet(np.full(vocab, 0.05 if trial % 2 else 1.0))
+                probs[probs.argmin()] = 0.0  # an exact zero
+                probs /= probs.sum()
+                dists.append(TokenDistribution(probs) if kind else probs)
+            entropies = [token_entropy(d) for d in dists]
+            mean = float(np.add.reduce(entropies)) / len(dists)
+            score = certainty_score(dists, vocab)
+            assert score.mean_entropy == mean
+            assert score.value == 1 - mean / float(np.log(vocab))
+            assert score.n_tokens == len(dists)
+            assert score.truncated == any(
+                isinstance(d, TokenDistribution) and d.truncated for d in dists
+            )
+
     def test_value_identity_invariant(self):
         rng = np.random.default_rng(202)
         for _ in range(300):
@@ -179,6 +208,13 @@ class TestCertaintyScore:
         with pytest.raises(ValueError):
             CertaintyScore(
                 value=1.0, mean_entropy=0.0, n_tokens=0, vocab_size=4, truncated=False
+            )
+
+    def test_score_requires_two_outcomes(self):
+        # ln 1 = 0 leaves the consistency check nothing to divide by
+        with pytest.raises(ValueError, match="vocab_size must be at least 2"):
+            CertaintyScore(
+                value=1.0, mean_entropy=0.0, n_tokens=1, vocab_size=1, truncated=False
             )
 
     def test_peaked_beats_flat(self):

@@ -478,6 +478,31 @@ class TestBadInput:
         assert "\n" not in info.value.code
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eos_token", "<nope>", "eos token '<nope>' missing from vocabulary"),
+            ("rules", "shared_suffix",
+             "rules 'opening' and 'opening_again' share the suffix ['Solve 6*7. ']"),
+        ],
+        ids=["missing_eos", "shared_suffix"],
+    )
+    def test_toy_spec_contents_name_the_file_once(self, toy_assets, tmp_path, field, value, message):
+        # the file reads as JSON with every key; ToyBackend rejects what it says
+        spec_path, dataset_path = toy_assets
+        spec = json.loads(spec_path.read_text())
+        if value == "shared_suffix":
+            spec["rules"].append({**spec["rules"][0], "name": "opening_again"})
+        else:
+            spec[field] = value
+        bad = tmp_path / "bad_spec.json"
+        bad.write_text(json.dumps(spec))
+        argv = ["run", "--dataset", dataset_path, "--backend", f"toy:{bad}", "--out", tmp_path / "out"]
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == f"cgrs run: toy spec {bad}: malformed: {message}"
+
+
 def _declared_scripts() -> dict[str, str]:
     if sys.version_info >= (3, 11):
         import tomllib

@@ -18,7 +18,7 @@ from cgrs.backend import (
     ToyModelSpec,
     overthinking_spec,
 )
-from cgrs.certainty import CertaintyScore
+from cgrs.certainty import CertaintyScore, token_entropy
 from cgrs.controller import (
     CheckpointDetector,
     DecodeTrace,
@@ -281,6 +281,93 @@ class TestRunProbe:
         assert len(events) == len(trace.checkpoint_events)
         for event in events:
             assert len(json.dumps(event["probe"])) < 1024
+
+
+def probe_backend(tokens, rules) -> ToyBackend:
+    """A toy model over ``("<eos>", "Q", "P") + tokens``; the probe prompt is "P"."""
+    return ToyBackend(
+        ToyModelSpec(
+            tokens=("<eos>", "Q", "P") + tokens,
+            eos_token="<eos>",
+            rules=tuple(EmissionRule(f"r{i}", (k,), v) for i, (k, v) in enumerate(rules.items())),
+        )
+    )
+
+
+def reference_certainty(rows, vocab_size):
+    """The certainty formula over the given probability rows, as run_probe scores them."""
+    mean = float(np.add.reduce([token_entropy(np.array(r)) for r in rows])) / len(rows)
+    return 1 - mean / float(np.log(vocab_size))
+
+
+class TestProbeLoop:
+    """Where a probe stops, which tokens it keeps, and what it scores."""
+
+    def probe(self, backend, **overrides):
+        cfg = toy_config(probe_prompt="P", **overrides)
+        return run_probe(backend, backend.vocabulary.encode("Q"), cfg)
+
+    def test_token_straddling_the_cut_is_kept(self):
+        # "2}" starts before the "}" cut: it is kept and scored, and the text ends at the cut
+        backend = probe_backend(
+            ("4", "2}"),
+            {"Q": {"P": 1.0}, "P": {"4": 0.9, "<eos>": 0.1}, "4": {"2}": 1.0}, "2}": {"<eos>": 1.0}},
+        )
+        probe = self.probe(backend)
+        assert probe.answer_tokens == (3, 4)
+        assert probe.answer_text == "42"
+        assert probe.stop_reason == "stop_string"
+        assert probe.certainty.n_tokens == 2
+        first = [0.1, 0, 0, 0.9, 0]
+        assert probe.certainty.value == reference_certainty([first, [0, 0, 0, 0, 1]], 5)
+
+    def test_first_token_straddling_the_cut_is_an_answer(self):
+        backend = probe_backend(("42}",), {"Q": {"P": 1.0}, "P": {"42}": 1.0}, "42}": {"<eos>": 1.0}})
+        probe = self.probe(backend)
+        assert probe.answer_tokens == (3,)
+        assert probe.answer_text == "42"
+        assert probe.certainty.n_tokens == 1
+        assert probe.certainty.value == 1.0
+
+    def test_stop_string_split_across_two_tokens(self):
+        backend = probe_backend(
+            ("7", "E", "ND"),
+            {"Q": {"P": 1.0}, "P": {"7": 0.6, "E": 0.4}, "7": {"E": 1.0}, "E": {"ND": 1.0},
+             "ND": {"<eos>": 1.0}},
+        )
+        probe = self.probe(backend, probe_stop_strings=("END",))
+        assert probe.answer_tokens == (3,)
+        assert probe.answer_text == "7"
+        assert probe.stop_reason == "stop_string"
+        assert probe.certainty.value == reference_certainty([[0, 0, 0, 0.6, 0.4, 0]], 6)
+
+    def test_earliest_stop_string_wins_over_the_listing_order(self):
+        # "\n}" completes both stop strings at once; "\n", listed second, starts first
+        backend = probe_backend(
+            ("4", "\n}"), {"Q": {"P": 1.0}, "P": {"4": 1.0}, "4": {"\n}": 1.0}, "\n}": {"<eos>": 1.0}}
+        )
+        probe = self.probe(backend, probe_stop_strings=("}", "\n"))
+        assert probe.answer_tokens == (3,)
+        assert probe.answer_text == "4"
+        assert probe.stop_reason == "stop_string"
+
+    def test_max_tokens_cut(self):
+        backend = probe_backend(
+            ("4",), {"Q": {"P": 1.0}, "P": {"4": 0.7, "<eos>": 0.3}, "4": {"4": 0.8, "P": 0.2}}
+        )
+        probe = self.probe(backend, probe_max_tokens=3)
+        assert probe.answer_tokens == (3, 3, 3)
+        assert probe.answer_text == "444"
+        assert probe.stop_reason == "max_tokens"
+        rows = [[0.3, 0, 0, 0.7], [0, 0, 0.2, 0.8], [0, 0, 0.2, 0.8]]
+        assert probe.certainty.value == reference_certainty(rows, 4)
+
+    def test_eos_ends_the_answer(self):
+        backend = probe_backend(("4",), {"Q": {"P": 1.0}, "P": {"4": 1.0}, "4": {"<eos>": 1.0}})
+        probe = self.probe(backend)
+        assert probe.answer_tokens == (3,)
+        assert probe.answer_text == "4"
+        assert probe.stop_reason == "eos"
 
 
 class TestGenerationLoop:

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from cgrs import suppression
 from cgrs.certainty import CertaintyScore
 from cgrs.rng import (
     DECISION_STREAM,
@@ -120,6 +121,32 @@ class TestStateTransitions:
     def test_decisions_are_replayable(self):
         for step in range(50):
             assert should_suppress(0.5, 7, step) == should_suppress(0.5, 7, step)
+
+
+class TestDecisionFastPath:
+    """At p <= 0 or p >= 1 the decision is fixed, so it is made without a draw."""
+
+    # 5e-324 is the least positive double and 1 - 2**-53 the greatest one below 1
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, math.nan])
+    def test_same_decision_as_the_draw(self, p):
+        # steps 0-130 cross two 64-position block edges
+        for seed in range(200):
+            for step in range(131):
+                assert should_suppress(p, seed, step) == (decision_uniform(seed, step) < p)
+
+    @pytest.mark.parametrize("p, fires", [(0.0, False), (1.0, True)])
+    def test_fixed_outcome_draws_nothing(self, monkeypatch, p, fires):
+        calls = []
+
+        def counting(seed, position):
+            calls.append((seed, position))
+            return decision_uniform(seed, position)
+
+        monkeypatch.setattr(suppression, "decision_uniform", counting)
+        assert [should_suppress(p, 5, step) for step in range(130)] == [fires] * 130
+        assert calls == []
+        assert should_suppress(0.5, 5, 3) == (decision_uniform(5, 3) < 0.5)
+        assert calls == [(5, 3)]
 
 
 class TestMaskTriggers:
