@@ -168,14 +168,19 @@ def _report_table(report: dict) -> tuple[list[str], list[tuple[str, int]]]:
 
 def _trace_table(trace: dict) -> tuple[list[str], list[tuple[str, int]]]:
     events = trace["checkpoint_events"]
+    probed = [e for e in events if e["probe"] is not None]
     metrics = [
         f"token_count,{trace['token_count']}",
         f"checkpoints,{len(events)}",
         f"finish_reason,{trace['finish_reason']}",
     ]
-    if events:
-        metrics.append(f"final_certainty,{events[-1]['probe']['certainty']['value']:.6f}")
-        metrics.append(f"final_p,{events[-1]['p_after']:.6f}")
+    if probed:
+        metrics.append(f"final_certainty,{probed[-1]['probe']['certainty']['value']:.6f}")
+        metrics.append(f"final_p,{probed[-1]['p_after']:.6f}")
+    runs = trace["decision_runs"]
+    metrics.append(f"empty_probes,{len(events) - len(probed)}")
+    metrics.append(f"decided_steps,{sum(run['steps'] for run in runs)}")
+    metrics.append(f"masked_steps,{sum(len(run['masked']) for run in runs)}")
     base_words = [w.base for w in default_trigger_words()]
     return metrics, sorted(count_trigger_words([trace["text"]], base_words).items())
 

@@ -141,8 +141,10 @@ class ProbeResult:
 
 @dataclass(frozen=True)
 class CheckpointEvent:
+    """A checkpoint probe; ``probe`` is None when it was empty and p held."""
+
     step: int
-    probe: ProbeResult
+    probe: ProbeResult | None
     p_after: float
 
 
@@ -154,16 +156,46 @@ class SuppressionDecision:
 
 
 @dataclass
+class DecisionRun:
+    """Consecutive decided steps ``first_step .. first_step + steps - 1`` at one p.
+
+    ``masked`` lists the steps of the run whose draw fired.
+    """
+
+    first_step: int
+    p: float
+    steps: int
+    masked: list[int]
+
+
+@dataclass
 class DecodeTrace:
-    """Full record of one generation."""
+    """Full record of one generation.
+
+    The suppression decisions are stored as ``decision_runs``: a new run opens
+    at the first decision and whenever a probe changes p.
+    """
 
     prompt: str
     tokens: list[int]
     text: str
     checkpoint_events: list[CheckpointEvent]
-    suppression_decisions: list[SuppressionDecision]
+    decision_runs: list[DecisionRun]
     config: GenerationConfig
     finish_reason: str  # "eos" | "length"
+
+    @property
+    def suppression_decisions(self) -> list[SuppressionDecision]:
+        """One record per decided step, expanded from ``decision_runs``."""
+        decisions = []
+        for run in self.decision_runs:
+            masked = set(run.masked)
+            end = run.first_step + run.steps
+            decisions.extend(
+                SuppressionDecision(step, step in masked, run.p)
+                for step in range(run.first_step, end)
+            )
+        return decisions
 
     @property
     def token_count(self) -> int:
@@ -285,6 +317,8 @@ class GenerationSession:
         )
         # The record the session decodes into; run() sets its text and returns it.
         self._trace = DecodeTrace(prompt, [], "", [], [], config, "length")
+        # The decision run that the next decided step extends; None opens a new one.
+        self._run: DecisionRun | None = None
 
     @property
     def tokens(self) -> list[int]:
@@ -319,8 +353,14 @@ class GenerationSession:
         step = len(trace.tokens)
         masked = False
         if self._deciding:
+            run = self._run
+            if run is None:
+                run = self._run = DecisionRun(step, self._p, 0, [])
+                trace.decision_runs.append(run)
+            run.steps += 1
             masked = should_suppress(self._p, self.config.seed, step)
-            trace.suppression_decisions.append(SuppressionDecision(step=step, r=masked, p=self._p))
+            if masked:
+                run.masked.append(step)
         token = self._sample(masked, step)
         if token is None or token == self._eos:
             trace.finish_reason = "eos"
@@ -339,8 +379,12 @@ class GenerationSession:
         try:
             probe = run_probe(self.backend, self._ctx, self.config)
         except ProbeEmptyError:
-            return  # keep the previous suppression probability
-        self._p = update_state(probe.certainty, self.config.delta)
+            probe = None  # keep the previous suppression probability
+        else:
+            p = update_state(probe.certainty, self.config.delta)
+            if p != self._p:
+                self._p = p
+                self._run = None
         event = CheckpointEvent(step=step, probe=probe, p_after=self._p)
         self._trace.checkpoint_events.append(event)
 

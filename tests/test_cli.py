@@ -13,11 +13,13 @@ from pathlib import Path
 import pytest
 
 import cgrs
+from cgrs.backend import EmissionRule, ToyBackend, ToyModelSpec
 from cgrs.cli import main
 from cgrs.controller import GenerationConfig, generate
 from cgrs.lexicon import (
     TriggerCategory,
     TriggerWord,
+    build_trigger_set,
     save_trigger_config,
 )
 
@@ -369,6 +371,47 @@ class TestAnalyze:
         assert trace.finish_reason == "eos"
         assert "final_certainty,0.944538" in outp
         assert "final_p,0.445382" in outp
+        decisions = trace.suppression_decisions
+        assert f"decided_steps,{len(decisions)}" in outp
+        assert f"masked_steps,{sum(d.r for d in decisions)}" in outp
+        assert "empty_probes,0" in outp
+
+    def test_decode_trace_table_skips_empty_probes(self, tmp_path, capsys):
+        # Q \n\n Wait \n\n done: the first probe answers A for certain (p = 1),
+        # the second meets EOS at once and keeps that p
+        spec = ToyModelSpec(
+            tokens=("<eos>", "Q", "\n\n", "Wait", "done", "P", "A", "}"),
+            eos_token="<eos>",
+            rules=(
+                EmissionRule("q", ("Q",), {"\n\n": 1.0}),
+                EmissionRule("reflect", ("Q", "\n\n"), {"Wait": 1.0}),
+                EmissionRule("w", ("Wait",), {"\n\n": 1.0}),
+                EmissionRule("end", ("Wait", "\n\n"), {"done": 1.0}),
+                EmissionRule("d", ("done",), {"<eos>": 1.0}),
+                EmissionRule("sure", ("Q", "\n\n", "P"), {"A": 1.0}),
+                EmissionRule("empty", ("Wait", "\n\n", "P"), {"<eos>": 1.0}),
+                EmissionRule("a", ("A",), {"}": 1.0}),
+            ),
+        )
+        backend = ToyBackend(spec)
+        cfg = GenerationConfig(temperature=1.0, top_p=1.0, probe_prompt="P", seed=0)
+        trace = generate(backend, "Q", cfg, build_trigger_set(["Wait"], backend.vocabulary))
+        assert [e.probe is None for e in trace.checkpoint_events] == [False, True]
+        path = tmp_path / "trace.json"
+        path.write_text(trace.to_json())
+        assert run_cli(["analyze", "--trace", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[: lines.index("")] == [
+            "metric,value",
+            "token_count,4",
+            "checkpoints,2",
+            "finish_reason,eos",
+            "final_certainty,1.000000",
+            "final_p,1.000000",
+            "empty_probes,1",
+            "decided_steps,5",
+            "masked_steps,4",
+        ]
 
 
     def test_non_object_file_is_named(self, tmp_path):

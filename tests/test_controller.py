@@ -21,11 +21,12 @@ from cgrs.backend import (
 from cgrs.certainty import CertaintyScore, token_entropy
 from cgrs.controller import (
     CheckpointDetector,
+    CheckpointEvent,
+    DecisionRun,
     DecodeTrace,
     GenerationConfig,
     GenerationSession,
     ProbeEmptyError,
-    SuppressionDecision,
     generate,
     run_probe,
 )
@@ -41,7 +42,7 @@ TRACE_KEYS = {
     "tokens",
     "text",
     "checkpoint_events",
-    "suppression_decisions",
+    "decision_runs",
     "config",
     "finish_reason",
     "token_count",
@@ -65,7 +66,7 @@ CONFIG_KEYS = {
 EVENT_KEYS = {"step", "probe", "p_after"}
 PROBE_KEYS = {"answer_tokens", "answer_text", "certainty", "stop_reason"}
 CERTAINTY_KEYS = {"value", "mean_entropy", "n_tokens", "vocab_size", "truncated"}
-DECISION_KEYS = {"step", "r", "p"}
+RUN_KEYS = {"first_step", "p", "steps", "masked"}
 
 # analytic values of the reference toy model's probe path
 PROBE_CERTAINTY = 0.94453818229027586
@@ -484,6 +485,7 @@ class TestGenerationLoop:
             backend = ToyBackend(think_spec())
             triggers = build_trigger_set(["Wait"], backend.vocabulary)
             prompt = "Q"
+        think_end_id = backend.vocabulary.token_to_id.get("</think>")
         for seed in range(40):
             cfg = toy_config(seed=seed, **overrides)
             trace = generate(backend, prompt, cfg, triggers)
@@ -493,6 +495,23 @@ class TestGenerationLoop:
                 assert d.r == (decision_uniform(seed, d.step) < d.p)
             if not cfg.suppression_enabled:
                 assert decisions == []
+            # the runs tile the decided steps: contiguous from 0, nonempty,
+            # maximal in p, each holding only its own masked steps
+            runs = trace.decision_runs
+            end = 0
+            for i, run in enumerate(runs):
+                assert run.first_step == end and run.steps > 0
+                end = run.first_step + run.steps
+                assert run.masked == sorted(set(run.masked))
+                assert all(run.first_step <= k < end for k in run.masked)
+                assert i == 0 or run.p != runs[i - 1].p
+            assert end == len(decisions)
+            if not cfg.suppression_enabled:
+                assert runs == []
+            elif cfg.fixed_p is not None:
+                assert len(runs) == 1 and runs[0].p == cfg.fixed_p
+            if think:
+                assert end == trace.tokens.index(think_end_id) + 1
 
     def test_truncation_by_max_tokens(self, overthinking_backend, overthinking_triggers):
         cfg = toy_config(max_tokens=3, suppression_enabled=False)
@@ -554,7 +573,7 @@ class TestGenerationLoop:
             "tokens",
             "text",
             "checkpoint_events",
-            "suppression_decisions",
+            "decision_runs",
             "token_count",
             "truncated",
             "finish_reason",
@@ -572,7 +591,7 @@ class TestGenerationLoop:
         # exact key sets at every level: a renamed or added record field fails here
         cfg = toy_config(seed=0, restrict_to_thinking=True)
         trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
-        assert trace.checkpoint_events and trace.suppression_decisions
+        assert trace.checkpoint_events and trace.decision_runs
         data = json.loads(trace.to_json())
         assert set(data) == TRACE_KEYS
         for key in ("prompt", "tokens", "text", "finish_reason", "token_count", "truncated"):
@@ -590,10 +609,9 @@ class TestGenerationLoop:
             assert probe["stop_reason"] == record.probe.stop_reason
             assert set(probe["certainty"]) == CERTAINTY_KEYS
             assert CertaintyScore(**probe["certainty"]) == record.probe.certainty
-        for decision in data["suppression_decisions"]:
-            assert set(decision) == DECISION_KEYS
-        decisions = [SuppressionDecision(**d) for d in data["suppression_decisions"]]
-        assert decisions == trace.suppression_decisions
+        for run in data["decision_runs"]:
+            assert set(run) == RUN_KEYS
+        assert [DecisionRun(**d) for d in data["decision_runs"]] == trace.decision_runs
 
     def test_trigger_ids_validated_against_vocab(self, overthinking_backend):
         bogus = TriggerTokenSet(
@@ -671,8 +689,17 @@ class TestGenerationLoop:
         triggers = build_trigger_set(["Wait"], backend.vocabulary)
         cfg = toy_config(probe_prompt="P", seed=4)
         trace = generate(backend, "Q", cfg, triggers)
-        assert trace.checkpoint_events == []
+        # every checkpoint records its empty probe and the p it kept
+        marker_id = backend.vocabulary.token_to_id["\n\n"]
+        checkpoints = [i for i, t in enumerate(trace.tokens) if t == marker_id]
+        assert checkpoints
+        assert trace.checkpoint_events == [
+            CheckpointEvent(step, None, 0.0) for step in checkpoints
+        ]
+        events = json.loads(trace.to_json())["checkpoint_events"]
+        assert events == [{"step": step, "probe": None, "p_after": 0.0} for step in checkpoints]
         assert all(d.p == 0.0 for d in trace.suppression_decisions)
+        assert trace.decision_runs == [DecisionRun(0, 0.0, trace.token_count + 1, [])]
         assert trace.finish_reason == "eos"
 
     def test_restrict_to_thinking(self):
