@@ -511,7 +511,7 @@ class RemoteBackend(ModelBackend):
     ) -> int | None:
         fields: dict = {"temperature": temperature, "top_p": top_p, "seed": int(seed)}
         if logit_bias:
-            fields["logit_bias"] = {str(int(i)): float(b) for i, b in logit_bias.items()}
+            fields["logit_bias"] = logit_bias  # JSON writes its int keys as strings
         text = self._complete(context, **fields).get("text")
         if not isinstance(text, str):
             raise BackendError(f"malformed completion response: text {text!r:.200}")

@@ -74,26 +74,15 @@ def _log_vocab(vocab_size: int) -> float:
 
 @dataclass(frozen=True)
 class CertaintyScore:
-    """Certainty of a probed answer, with the entropy evidence behind it."""
+    """Certainty of a probed answer, with the entropy evidence behind it.
+
+    ``value`` is ``1 - mean_entropy / ln|V|``, where |V| is the backend
+    vocabulary's size.
+    """
 
     value: float
     mean_entropy: float  # nats
-    n_tokens: int
-    vocab_size: int
     truncated: bool = False  # True when any distribution was a top-k reconstruction
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"certainty value must lie in [0, 1], got {self.value}")
-        if self.n_tokens <= 0:
-            raise ValueError("a certainty score requires at least one answer token")
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be at least 2, got {self.vocab_size}")
-        expected = 1.0 - self.mean_entropy / _log_vocab(self.vocab_size)
-        if abs(self.value - expected) > 1e-9:
-            raise ValueError(
-                f"inconsistent certainty: value {self.value} vs derived {expected}"
-            )
 
 
 def token_entropy(dist: TokenDistribution | np.ndarray | Sequence[float]) -> float:
@@ -141,10 +130,4 @@ def certainty_score(
     value = 1.0 - mean_entropy / _log_vocab(vocab_size)
     # guard against fp drift just outside the closed interval
     value = min(1.0, max(0.0, value))
-    return CertaintyScore(
-        value=value,
-        mean_entropy=mean_entropy,
-        n_tokens=len(entropies),
-        vocab_size=vocab_size,
-        truncated=truncated,
-    )
+    return CertaintyScore(value=value, mean_entropy=mean_entropy, truncated=truncated)

@@ -35,26 +35,26 @@ def _build_backend(args: argparse.Namespace):
             return ToyBackend(model)
     if spec == "remote":
         if not args.remote_vocab:
-            raise SystemExit("--remote-vocab <file> is required with --backend remote")
+            raise ValueError("--remote-vocab <file> is required with --backend remote")
         vocab = Vocabulary.from_json_file(args.remote_vocab)
         return RemoteBackend(vocab=vocab, eos_token=args.remote_eos)
-    raise SystemExit(f"unknown backend {spec!r} (expected toy:<spec.json> or remote)")
+    raise ValueError(f"unknown backend {spec!r} (expected toy:<spec.json> or remote)")
 
 
 def _parse_seeds(args: argparse.Namespace) -> list[int]:
     if not args.seeds:
         reps = DEFAULT_REPS if args.reps is None else args.reps
         if reps < 1:
-            raise SystemExit(f"--reps must be at least 1, got {reps}")
+            raise ValueError(f"--reps must be at least 1, got {reps}")
         return list(range(reps))
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"--seeds {args.seeds!r}: {exc}") from None
     if not seeds:
-        raise SystemExit(f"--seeds {args.seeds!r} names no seed")
+        raise ValueError(f"--seeds {args.seeds!r} names no seed")
     if args.reps is not None and args.reps != len(seeds):
-        raise SystemExit(f"--reps {args.reps} does not match {len(seeds)} seeds")
+        raise ValueError(f"--reps {args.reps} does not match {len(seeds)} seeds")
     return seeds
 
 
@@ -110,7 +110,7 @@ def _token_ids(row) -> list[int]:
 
 def _load_trace_files(traces_dir: Path) -> list[list[int]]:
     if not traces_dir.is_dir():
-        raise SystemExit(f"--traces {traces_dir}: not a directory")
+        raise ValueError(f"--traces {traces_dir}: not a directory")
     traces: list[list[int]] = []
     for path in sorted(traces_dir.glob("*.json")) + sorted(traces_dir.glob("*.jsonl")):
         try:
@@ -124,7 +124,7 @@ def _load_trace_files(traces_dir: Path) -> list[list[int]]:
                     rows = [json.loads(line) for line in fh if line.strip()]
             traces.extend(_token_ids(row) for row in rows)
         except (TypeError, ValueError):
-            raise SystemExit(f"{path}: not a token-id trace file ({_TRACE_SHAPES})") from None
+            raise ValueError(f"{path}: not a token-id trace file ({_TRACE_SHAPES})") from None
     return traces
 
 
@@ -195,7 +195,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif isinstance(data, dict) and "tokens" in data and "checkpoint_events" in data:
         kind, table = "decode trace", _trace_table
     else:
-        raise SystemExit(f"{path}: expected a JSON object, a mode report or a decode trace")
+        raise ValueError(f"{path}: expected a JSON object, a mode report or a decode trace")
     with file_errors(path, kind):
         metrics, counts = table(data)
     print("metric,value")

@@ -72,6 +72,9 @@ class GenerationConfig:
             raise ValueError("probe_prompt must be nonempty")
         if self.fixed_p is not None and not 0.0 <= self.fixed_p <= 1.0:
             raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
+        if isinstance(self.probe_stop_strings, str):
+            # tuple() would split it into one stop string per character
+            raise ValueError("probe_stop_strings must be a sequence of strings, not one string")
         self.probe_stop_strings = tuple(self.probe_stop_strings)
         if not all(self.probe_stop_strings):
             raise ValueError("probe_stop_strings must all be nonempty")
@@ -133,10 +136,6 @@ class ProbeResult:
     answer_text: str
     certainty: CertaintyScore
     stop_reason: str  # "stop_string" | "max_tokens" | "eos"
-
-    def __post_init__(self) -> None:
-        if self.stop_reason not in ("stop_string", "max_tokens", "eos"):
-            raise ValueError(f"unknown stop_reason: {self.stop_reason!r}")
 
 
 @dataclass(frozen=True)

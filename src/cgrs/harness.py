@@ -72,12 +72,15 @@ class ModeSpec:
     @classmethod
     def parse(cls, text: str) -> "ModeSpec":
         """Parse a CLI mode string: vanilla | fixed-p=<p> | cgrs."""
-        if text == "vanilla":
-            return cls("vanilla")
-        if text == "cgrs":
-            return cls("cgrs")
+        if text in ("vanilla", "cgrs"):
+            return cls(text)
         if text.startswith("fixed-p="):
-            return cls("fixed_p", fixed_p=float(text.split("=", 1)[1]))
+            try:
+                p = float(text[len("fixed-p="):])
+            except ValueError:
+                pass  # not a number: the error below names the whole mode string
+            else:
+                return cls("fixed_p", fixed_p=p)
         raise ValueError(f"unknown mode: {text!r} (expected vanilla, fixed-p=<p>, or cgrs)")
 
     def apply(self, base: GenerationConfig, seed: int) -> GenerationConfig:

@@ -167,19 +167,18 @@ class Vocabulary:
 class TriggerTokenSet:
     """Immutable set of vocabulary ids treated as reflection triggers.
 
-    ``provenance`` maps each id back to the surface form and base word it came
-    from; ``skipped_forms`` lists candidate surfaces that the vocabulary does
-    not encode as a single token (multi-token encodings are excluded by
-    design).
+    ``provenance`` maps each trigger id back to the surface form and base word
+    it came from, and ``token_ids`` is the set of its keys; ``skipped_forms``
+    lists candidate surfaces that the vocabulary does not encode as a single
+    token (multi-token encodings are excluded by design).
     """
 
-    token_ids: frozenset[int]
     provenance: Mapping[int, tuple[str, str]]  # id -> (surface form, base word)
     skipped_forms: tuple[str, ...] = field(default_factory=tuple)
+    token_ids: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if set(self.provenance) != set(self.token_ids):
-            raise ValueError("provenance must cover exactly the trigger token ids")
+        object.__setattr__(self, "token_ids", frozenset(self.provenance))
 
     def __contains__(self, token_id: int) -> bool:
         return token_id in self.token_ids
@@ -236,9 +235,7 @@ def build_trigger_set(
             skipped.append(form)
         else:
             provenance[token_id] = (form, base_by_form[form])
-    return TriggerTokenSet(
-        token_ids=frozenset(provenance), provenance=provenance, skipped_forms=tuple(skipped)
-    )
+    return TriggerTokenSet(provenance=provenance, skipped_forms=tuple(skipped))
 
 
 def build_from_traces(
@@ -265,9 +262,7 @@ def build_from_traces(
     seen = Counter(token_id for trace in traces for token_id in trace)
     counts = {i: seen[i] for i in sorted(candidates.token_ids)}
     kept = {i: candidates.provenance[i] for i, c in counts.items() if c >= min_count}
-    trigger_set = TriggerTokenSet(
-        token_ids=frozenset(kept), provenance=kept, skipped_forms=candidates.skipped_forms
-    )
+    trigger_set = TriggerTokenSet(provenance=kept, skipped_forms=candidates.skipped_forms)
     return trigger_set, counts
 
 

@@ -545,7 +545,7 @@ class TestRemoteBackend:
         monkeypatch.setenv("CGRS_MODEL", "served-model")
         remote = RemoteBackend(vocab=vocab, base_url="http://host:8000", api_key="k")
         remote._local.session = session
-        remote.sample_token([1], 1.0, 1.0, seed=3, logit_bias={2: LOGIT_BIAS_BAN, 0: -5})
+        remote.sample_token([1], 1.0, 1.0, seed=3, logit_bias={2: LOGIT_BIAS_BAN, 0: -5.0})
         assert [r.body for r in session.sent] == [
             b'{"prompt": "Wait so", "max_tokens": 1, "temperature": 1.0, "top_p": 1.0, '
             b'"logprobs": 5}',

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cgrs.certainty import (
-    CertaintyScore,
     TokenDistribution,
     certainty_score,
     token_entropy,
@@ -120,8 +119,6 @@ class TestCertaintyScore:
         score = certainty_score(dists, vocab_size=4)
         assert abs(score.value - 0.5) < 1e-12
         assert abs(score.mean_entropy - math.log(4) / 2) < 1e-12
-        assert score.n_tokens == 2
-        assert score.vocab_size == 4
 
     def test_all_onehot_gives_one(self):
         dists = [TokenDistribution(probs=np.array([0.0, 1.0]))] * 3
@@ -180,7 +177,6 @@ class TestCertaintyScore:
             score = certainty_score(dists, vocab)
             assert score.mean_entropy == mean
             assert score.value == 1 - mean / float(np.log(vocab))
-            assert score.n_tokens == len(dists)
             assert score.truncated == any(
                 isinstance(d, TokenDistribution) and d.truncated for d in dists
             )
@@ -197,25 +193,6 @@ class TestCertaintyScore:
             score = certainty_score(dists, vocab_size=vocab)
             assert 0.0 <= score.value <= 1.0
             assert abs(score.value - (1.0 - score.mean_entropy / math.log(vocab))) < 1e-9
-
-    def test_score_invariant_enforced_on_construction(self):
-        with pytest.raises(ValueError):
-            CertaintyScore(
-                value=0.9, mean_entropy=0.5, n_tokens=1, vocab_size=4, truncated=False
-            )
-
-    def test_score_requires_positive_tokens(self):
-        with pytest.raises(ValueError):
-            CertaintyScore(
-                value=1.0, mean_entropy=0.0, n_tokens=0, vocab_size=4, truncated=False
-            )
-
-    def test_score_requires_two_outcomes(self):
-        # ln 1 = 0 leaves the consistency check nothing to divide by
-        with pytest.raises(ValueError, match="vocab_size must be at least 2"):
-            CertaintyScore(
-                value=1.0, mean_entropy=0.0, n_tokens=1, vocab_size=1, truncated=False
-            )
 
     def test_peaked_beats_flat(self):
         rng = np.random.default_rng(77)

@@ -434,8 +434,16 @@ class TestBadInput:
             (_RUN + ["--seeds", "0,x"],
              "cgrs run: --seeds '0,x': invalid literal for int() with base 10: 'x'"),
             (_RUN + ["--reps", "0"], "--reps must be at least 1, got 0"),
+            (_RUN + ["--seeds", ","], "--seeds ',' names no seed"),
+            (_RUN + ["--seeds", "0,1", "--reps", "3"], "--reps 3 does not match 2 seeds"),
+            (["run", "--dataset", "{dataset}", "--backend", "bogus"] + _RUN[5:],
+             "unknown backend 'bogus' (expected toy:<spec.json> or remote)"),
+            (["run", "--dataset", "{dataset}", "--backend", "remote"] + _RUN[5:],
+             "--remote-vocab <file> is required with --backend remote"),
             (_RUN + ["--parallelism", "0"], "parallelism must be positive, got 0"),
             (_RUN + ["--mode", "bogus"], "unknown mode: 'bogus'"),
+            (_RUN + ["--mode", "fixed-p=abc"], "unknown mode: 'fixed-p=abc' (expected vanilla"),
+            (_RUN + ["--mode", "fixed-p="], "unknown mode: 'fixed-p=' (expected vanilla"),
             (_RUN + ["--temperature", "-1"], "temperature must be finite and nonnegative, got -1.0"),
             (_RUN + ["--max-tokens", "-1"], "max_tokens must be nonnegative, got -1"),
             (_RUN + ["--delta", "1"], "delta must lie in [0, 1), got 1.0"),
@@ -453,6 +461,10 @@ class TestBadInput:
              "trigger config {tmp}/no_category.json: missing key 'category'"),
             (_BUILD + ["--min-count", "-1"],
              "cgrs lexicon build: min_count must be nonnegative, got -1"),
+            (["lexicon", "build", "--traces", "{tmp}/absent", "--vocab", "{tmp}/vocab.json"],
+             "--traces {tmp}/absent: not a directory"),
+            (["lexicon", "build", "--traces", "{tmp}/bad_traces", "--vocab", "{tmp}/vocab.json"],
+             "{tmp}/bad_traces/floats.json: not a token-id trace file"),
             (_BUILD + ["--config", "{tmp}/config.json"],
              "trigger config {tmp}/config.json: malformed: 'no_such_category'"),
             (_BUILD + ["--config", "{tmp}/no_base_words.json"],
@@ -471,8 +483,14 @@ class TestBadInput:
         ids=[
             "run_seeds",
             "run_reps",
+            "run_seeds_empty",
+            "run_reps_mismatch",
+            "run_unknown_backend",
+            "run_remote_without_vocab",
             "run_parallelism",
             "run_mode",
+            "run_mode_fixed_p_not_a_number",
+            "run_mode_fixed_p_empty",
             "run_temperature",
             "run_max_tokens",
             "run_delta",
@@ -483,6 +501,8 @@ class TestBadInput:
             "run_trigger_config_not_json",
             "run_trigger_config_without_category",
             "lexicon_min_count",
+            "lexicon_traces_not_a_directory",
+            "lexicon_bad_trace_file",
             "lexicon_unknown_category",
             "lexicon_config_without_base_words",
             "lexicon_vocab_not_json",
@@ -498,6 +518,8 @@ class TestBadInput:
         spec_path, dataset_path = toy_assets
         (tmp_path / "vocab.json").write_text(json.dumps(["Wait", "x"]))
         (tmp_path / "traces").mkdir()
+        (tmp_path / "bad_traces").mkdir()
+        (tmp_path / "bad_traces" / "floats.json").write_text(json.dumps([0.5]))
         (tmp_path / "config.json").write_text(
             json.dumps({"base_words": [{"base": "Wait", "category": "no_such_category"}]})
         )
@@ -517,8 +539,12 @@ class TestBadInput:
         fields = {"dataset": dataset_path, "spec": spec_path, "tmp": tmp_path}
         with pytest.raises(SystemExit) as info:
             run_cli([arg.format(**fields) for arg in argv])
-        assert isinstance(info.value.code, str) and named.format(**fields) in info.value.code
-        assert "\n" not in info.value.code
+        code = info.value.code
+        assert isinstance(code, str) and named.format(**fields) in code
+        assert "\n" not in code
+        # the subcommand comes first: cgrs run, cgrs lexicon build or cgrs analyze
+        subcommand = " ".join(argv[:2]) if argv[0] == "lexicon" else argv[0]
+        assert code.startswith(f"cgrs {subcommand}: ")
 
 
     @pytest.mark.parametrize(

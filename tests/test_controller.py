@@ -65,7 +65,7 @@ CONFIG_KEYS = {
 }
 EVENT_KEYS = {"step", "probe", "p_after"}
 PROBE_KEYS = {"answer_tokens", "answer_text", "certainty", "stop_reason"}
-CERTAINTY_KEYS = {"value", "mean_entropy", "n_tokens", "vocab_size", "truncated"}
+CERTAINTY_KEYS = {"value", "mean_entropy", "truncated"}
 RUN_KEYS = {"first_step", "p", "steps", "masked"}
 
 # analytic values of the reference toy model's probe path
@@ -124,6 +124,11 @@ class TestGenerationConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GenerationConfig(**kwargs)
+
+    def test_bare_stop_string_rejected(self):
+        # tuple("</a>") would be four one-character stop strings, the first an "a"
+        with pytest.raises(ValueError, match="probe_stop_strings must be a sequence of strings"):
+            GenerationConfig(probe_stop_strings="</a>")
 
     def test_json_dict_round_trip(self, overthinking_backend, overthinking_triggers):
         cfg = toy_config(fixed_p=0.5, probe_stop_strings=["}"])
@@ -212,7 +217,7 @@ class TestRunProbe:
         probe = run_probe(overthinking_backend, ctx, cfg)
         assert probe.answer_text == "{42"
         assert probe.stop_reason == "stop_string"
-        assert probe.certainty.n_tokens == len(probe.answer_tokens) == 2
+        assert len(probe.answer_tokens) == 2
         assert abs(probe.certainty.value - PROBE_CERTAINTY) < 1e-12
 
     def test_probe_leaves_context_untouched(self, overthinking_backend):
@@ -228,7 +233,7 @@ class TestRunProbe:
         probe = run_probe(overthinking_backend, ctx, toy_config(probe_max_tokens=1))
         assert probe.stop_reason == "max_tokens"
         assert probe.answer_text == "{"
-        assert probe.certainty.n_tokens == 1
+        assert len(probe.answer_tokens) == 1
 
     def test_stop_tokens_excluded_from_entropy(self, overthinking_backend):
         # the "}" close token is greedy-decoded but must not enter the average
@@ -277,7 +282,9 @@ class TestRunProbe:
         trace = generate(backend, TOY_PROMPT, toy_config(seed=0), triggers)
         assert trace.checkpoint_events
         for event in trace.checkpoint_events:
-            assert event.probe.certainty.vocab_size == 50_011
+            # scored against the backend's |V|
+            score = event.probe.certainty
+            assert score.value == 1 - score.mean_entropy / float(np.log(50_011))
         events = json.loads(trace.to_json())["checkpoint_events"]
         assert len(events) == len(trace.checkpoint_events)
         for event in events:
@@ -318,7 +325,6 @@ class TestProbeLoop:
         assert probe.answer_tokens == (3, 4)
         assert probe.answer_text == "42"
         assert probe.stop_reason == "stop_string"
-        assert probe.certainty.n_tokens == 2
         first = [0.1, 0, 0, 0.9, 0]
         assert probe.certainty.value == reference_certainty([first, [0, 0, 0, 0, 1]], 5)
 
@@ -327,7 +333,6 @@ class TestProbeLoop:
         probe = self.probe(backend)
         assert probe.answer_tokens == (3,)
         assert probe.answer_text == "42"
-        assert probe.certainty.n_tokens == 1
         assert probe.certainty.value == 1.0
 
     def test_stop_string_split_across_two_tokens(self):
@@ -614,17 +619,14 @@ class TestGenerationLoop:
         assert [DecisionRun(**d) for d in data["decision_runs"]] == trace.decision_runs
 
     def test_trigger_ids_validated_against_vocab(self, overthinking_backend):
-        bogus = TriggerTokenSet(
-            token_ids=frozenset({99}), provenance={99: ("zz", "zz")}
-        )
+        bogus = TriggerTokenSet(provenance={99: ("zz", "zz")})
         with pytest.raises(ValueError, match="trigger id"):
             GenerationSession(overthinking_backend, TOY_PROMPT, toy_config(), bogus)
 
     def test_trigger_set_covering_vocabulary_rejected(self, overthinking_backend):
         vocab = overthinking_backend.vocabulary
         every = TriggerTokenSet(
-            token_ids=frozenset(range(vocab.size)),
-            provenance={i: (vocab.id_to_token[i], "x") for i in range(vocab.size)},
+            provenance={i: (vocab.id_to_token[i], "x") for i in range(vocab.size)}
         )
         with pytest.raises(ValueError, match="entire vocabulary of 11 tokens"):
             GenerationSession(overthinking_backend, TOY_PROMPT, toy_config(), every)
@@ -642,9 +644,7 @@ class TestGenerationLoop:
             ),
         )
         backend = ToyBackend(spec)
-        triggers = TriggerTokenSet(
-            token_ids=frozenset({1, 2}), provenance={1: ("Wait", "wait"), 2: ("Hmm", "hmm")}
-        )
+        triggers = TriggerTokenSet(provenance={1: ("Wait", "wait"), 2: ("Hmm", "hmm")})
         for seed in range(200):
             cfg = toy_config(seed=seed, fixed_p=1.0, max_tokens=1)
             trace = generate(backend, "Q", cfg, triggers)

@@ -225,8 +225,10 @@ class TestMapToTokenIds:
         with pytest.raises(AttributeError):
             ts.token_ids = frozenset()
 
-    def test_provenance_must_cover_ids(self):
-        with pytest.raises(ValueError):
+    def test_ids_are_the_provenance_keys(self):
+        ts = TriggerTokenSet(provenance={4: (" but", "But"), 1: ("Wait", "Wait")})
+        assert ts.token_ids == frozenset({1, 4}) == frozenset(ts.provenance)
+        with pytest.raises(TypeError):
             TriggerTokenSet(token_ids=frozenset({1}), provenance={})
 
 

@@ -83,14 +83,9 @@ class TestSuppressionProbability:
             assert above <= eps / (1.0 - delta) + 1e-15
 
 
-def make_score(value: float, vocab_size: int = 11) -> CertaintyScore:
-    return CertaintyScore(
-        value=value,
-        mean_entropy=(1.0 - value) * math.log(vocab_size),
-        n_tokens=1,
-        vocab_size=vocab_size,
-        truncated=False,
-    )
+def make_score(value: float) -> CertaintyScore:
+    """The score of an answer at certainty ``value`` over the toy's 11 tokens."""
+    return CertaintyScore(value=value, mean_entropy=(1.0 - value) * math.log(11))
 
 
 class TestStateTransitions:
