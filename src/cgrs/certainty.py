@@ -85,13 +85,44 @@ class CertaintyScore:
     truncated: bool = False  # True when any distribution was a top-k reconstruction
 
 
+#: Mean entries per run of nonzero probabilities below which the two ufunc
+#: calls each run costs in Python outweigh the masked copy they save.
+_MIN_ENTRIES_PER_RUN = 2048
+
+
 def token_entropy(dist: TokenDistribution | np.ndarray | Sequence[float]) -> float:
-    """Shannon entropy in nats of one token distribution, with 0*ln(0) = 0."""
+    """Shannon entropy in nats of one token distribution, with 0*ln(0) = 0.
+
+    A long vector with few exact zeros takes ``p ln p`` run by run, straight
+    from ``probs`` into one buffer; any other takes it from the masked copy
+    ``p[p > 0]``.  Both buffers hold the nonzero terms in index order, so the
+    one reduction returns the same bits either way.
+    """
     if not isinstance(dist, TokenDistribution):
         dist = TokenDistribution(np.asarray(dist, dtype=np.float64))
     p = dist.probs
+    if p.size >= _MIN_ENTRIES_PER_RUN:
+        zeros = np.flatnonzero(p == 0.0)
+        # k zeros split the vector into at most k + 1 runs
+        if (zeros.size + 1) * _MIN_ENTRIES_PER_RUN <= p.size:
+            return _entropy_by_runs(p, zeros)
     nz = p[p > 0.0]
     return float(-np.add.reduce(nz * np.log(nz)))
+
+
+def _entropy_by_runs(p: np.ndarray, zeros: np.ndarray) -> float:
+    """``token_entropy`` of ``p``, whose exact zeros sit at the sorted ``zeros``."""
+    terms = np.empty(p.size - zeros.size)
+    start = filled = 0
+    for stop in [*zeros.tolist(), p.size]:
+        if stop > start:
+            run = p[start:stop]
+            seg = terms[filled:filled + run.size]
+            np.log(run, out=seg)
+            np.multiply(run, seg, out=seg)
+            filled += run.size
+        start = stop + 1
+    return float(-np.add.reduce(terms))
 
 
 def certainty_score(

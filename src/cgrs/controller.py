@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,6 +57,23 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # type checks first: a range test on a string raises a bare TypeError
+        for name in ("max_tokens", "probe_max_tokens", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, operator.index(value))
+        for name in ("checkpoint_marker", "probe_prompt", "think_end_marker"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a string, got {value!r}")
+        if isinstance(self.probe_stop_strings, str):
+            # tuple() would split it into one stop string per character
+            raise ValueError("probe_stop_strings must be a sequence of strings, not one string")
+        self.probe_stop_strings = tuple(self.probe_stop_strings)
+        for value in self.probe_stop_strings:
+            if not isinstance(value, str):
+                raise TypeError(f"probe_stop_strings must all be strings, got {value!r}")
         if not 0.0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and nonnegative, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
@@ -72,10 +90,6 @@ class GenerationConfig:
             raise ValueError("probe_prompt must be nonempty")
         if self.fixed_p is not None and not 0.0 <= self.fixed_p <= 1.0:
             raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
-        if isinstance(self.probe_stop_strings, str):
-            # tuple() would split it into one stop string per character
-            raise ValueError("probe_stop_strings must be a sequence of strings, not one string")
-        self.probe_stop_strings = tuple(self.probe_stop_strings)
         if not all(self.probe_stop_strings):
             raise ValueError("probe_stop_strings must all be nonempty")
 

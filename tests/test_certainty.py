@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cgrs import certainty
 from cgrs.certainty import (
     TokenDistribution,
     certainty_score,
     token_entropy,
 )
+
+QWEN_VOCAB = 151_936
 
 
 def entropy_oracle(probs):
@@ -51,6 +55,135 @@ class TestTokenEntropy:
             probs = rng.dirichlet(np.ones(n))
             h = token_entropy(probs)
             assert -1e-15 <= h <= math.log(n) + 1e-12
+
+
+def masked_copy_entropy(p):
+    """The masked-copy formula: the bits every entropy path must return."""
+    nz = p[p > 0.0]
+    return float(-np.add.reduce(nz * np.log(nz)))
+
+
+def zero_layout(name, vocab, rng):
+    """Indices to zero in a ``vocab``-entry vector; every layout leaves a nonzero."""
+    k = min(29, vocab - 1)
+    if name == "no_zeros":
+        return np.arange(0)
+    if name == "leading_run":
+        return np.arange(k)
+    if name == "zipf":  # as in perfbench's model: a run, one nonzero, another run
+        return np.delete(np.arange(k + 1), (k + 1) // 2)
+    if name == "trailing_run":
+        return np.arange(vocab - k, vocab)
+    if name == "scattered_and_adjacent":
+        scattered = rng.choice(vocab, size=min(12, vocab - 1), replace=False)
+        return np.unique(np.concatenate([scattered, scattered[:4] + 1])) % vocab
+    if name == "all_zero_but_one":
+        return np.delete(np.arange(vocab), int(rng.integers(vocab)))
+    raise AssertionError(name)
+
+
+LAYOUTS = (
+    "no_zeros", "leading_run", "zipf", "trailing_run", "scattered_and_adjacent",
+    "all_zero_but_one",
+)
+
+
+def layout_probs(name, vocab, rng, alpha=1.0):
+    probs = rng.dirichlet(np.full(vocab, alpha))
+    probs[zero_layout(name, vocab, rng)] = 0.0
+    if probs.sum() == 0.0:  # a low alpha can leave all mass on zeroed entries
+        probs[0 if name == "trailing_run" else -1] = 1.0
+    return probs / probs.sum()
+
+
+@pytest.fixture
+def runs_taken(monkeypatch):
+    """Counts the calls that take the run-by-run path."""
+    calls = []
+    inner = certainty._entropy_by_runs
+
+    def spy(p, zeros):
+        calls.append(p.size)
+        return inner(p, zeros)
+
+    monkeypatch.setattr(certainty, "_entropy_by_runs", spy)
+    return calls
+
+
+class TestEntropyBits:
+    """Every path of ``token_entropy`` returns the masked-copy formula's bits."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("vocab", [2, 11, QWEN_VOCAB])
+    def test_layouts(self, vocab, layout):
+        rng = np.random.default_rng([vocab, LAYOUTS.index(layout)])
+        for alpha in (0.05, 1.0):
+            probs = layout_probs(layout, vocab, rng, alpha)
+            probs.flags.writeable = False  # the path must not write into probs
+            before = probs.copy()
+            expected = masked_copy_entropy(probs)
+            assert token_entropy(probs) == expected
+            assert token_entropy(TokenDistribution(probs)) == expected
+            assert np.array_equal(probs, before)
+
+    def test_zipf_layout_takes_the_runs(self, runs_taken):
+        probs = layout_probs("zipf", QWEN_VOCAB, np.random.default_rng(3))
+        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert runs_taken == [QWEN_VOCAB]
+
+    @pytest.mark.parametrize("vocab", [2, 11])
+    def test_small_vectors_keep_the_masked_copy(self, vocab, runs_taken):
+        probs = layout_probs("zipf", vocab, np.random.default_rng(vocab))
+        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert runs_taken == []
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_size_boundary(self, offset, runs_taken):
+        vocab = certainty._MIN_ENTRIES_PER_RUN + offset
+        probs = layout_probs("no_zeros", vocab, np.random.default_rng(vocab))
+        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert runs_taken == ([vocab] if offset == 0 else [])
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("placement", ["scattered", "adjacent"])
+    def test_zero_count_boundary(self, extra, placement, runs_taken):
+        # the most zeros the run path accepts at |V| = 151,936, then one more
+        n_zeros = QWEN_VOCAB // certainty._MIN_ENTRIES_PER_RUN - 1 + extra
+        rng = np.random.default_rng([n_zeros, len(placement)])
+        probs = rng.dirichlet(np.ones(QWEN_VOCAB))
+        if placement == "scattered":
+            zeros = rng.choice(QWEN_VOCAB, size=n_zeros, replace=False)
+        else:
+            zeros = np.arange(500, 500 + n_zeros)
+        probs[zeros] = 0.0
+        probs /= probs.sum()
+        assert np.count_nonzero(probs == 0.0) == n_zeros
+        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert runs_taken == ([] if extra else [QWEN_VOCAB])
+
+    def test_truncated_top_k(self, runs_taken):
+        rng = np.random.default_rng(23)
+        for k in (1, 5, 20):
+            probs = rng.dirichlet(np.full(k + 1, 0.3))
+            probs[0] = 0.0  # a top-k entry can round to zero
+            probs /= probs.sum()
+            ids = tuple(int(i) for i in rng.choice(QWEN_VOCAB, size=k, replace=False))
+            dist = TokenDistribution(probs, truncated=True, outcome_token_ids=ids)
+            assert token_entropy(dist) == masked_copy_entropy(probs)
+        assert runs_taken == []
+
+    def test_zipf_layout_makes_no_vector_copy(self):
+        # one 8|V|-byte buffer of terms; the masked copy needed two such arrays
+        dist = TokenDistribution(layout_probs("zipf", QWEN_VOCAB, np.random.default_rng(7)))
+        token_entropy(dist)  # warm any lazy allocation
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            token_entropy(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * QWEN_VOCAB
 
 
 class TestTokenDistribution:

@@ -130,6 +130,29 @@ class TestGenerationConfig:
         with pytest.raises(ValueError, match="probe_stop_strings must be a sequence of strings"):
             GenerationConfig(probe_stop_strings="</a>")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("checkpoint_marker", 5),
+            ("probe_prompt", b"**Final Answer"),
+            ("think_end_marker", None),
+            ("probe_stop_strings", ["}", 1]),
+            ("max_tokens", 3.5),
+            ("max_tokens", True),
+            ("probe_max_tokens", 2.5),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_wrong_type_rejected_by_name(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must "):
+            GenerationConfig(**{field: value})
+
+    def test_integer_fields_become_int(self):
+        cfg = GenerationConfig(max_tokens=np.int64(7), probe_max_tokens=np.int32(3), seed=np.uint8(9))
+        assert [type(v) for v in (cfg.max_tokens, cfg.probe_max_tokens, cfg.seed)] == [int] * 3
+        assert (cfg.max_tokens, cfg.probe_max_tokens, cfg.seed) == (7, 3, 9)
+
     def test_json_dict_round_trip(self, overthinking_backend, overthinking_triggers):
         cfg = toy_config(fixed_p=0.5, probe_stop_strings=["}"])
         trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
