@@ -43,9 +43,12 @@ class TokenDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
-        # a NaN or negative entry fails the min test; +inf or an overflow, the sum
+        # a NaN or negative entry fails the min test; +inf or an overflow, the
+        # sum.  einsum adds in SIMD lanes, not pairwise: on nonnegative
+        # entries its error is at most n * 2 ** -53 of the total (1.7e-11 at
+        # n = 151,936), far inside NORMALIZATION_ATOL, and it is the faster pass.
         lo = probs.min()
-        total = float(probs.sum())
+        total = float(np.einsum("i->", probs))
         if not (lo >= 0.0 and np.isfinite(total)):
             raise ValueError("probs must be finite and nonnegative, with a finite sum")
         if abs(total - 1.0) > NORMALIZATION_ATOL:

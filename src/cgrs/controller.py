@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -74,6 +75,16 @@ class GenerationConfig:
         for value in self.probe_stop_strings:
             if not isinstance(value, str):
                 raise TypeError(f"probe_stop_strings must all be strings, got {value!r}")
+        for name in ("temperature", "top_p", "delta", "fixed_p"):
+            value = getattr(self, name)
+            if name == "fixed_p" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+        for name in ("suppression_enabled", "restrict_to_thinking"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
         if not 0.0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and nonnegative, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
@@ -221,7 +232,13 @@ class DecodeTrace:
     def to_json(self) -> str:
         """JSON keyed by each record's field names, plus token_count and truncated."""
         data = {**vars(self), "token_count": self.token_count, "truncated": self.truncated}
-        return json.dumps(data, default=vars, sort_keys=True)
+        return _TRACE_ENCODER.encode(data)
+
+
+#: The one encoder of :meth:`DecodeTrace.to_json`; it writes what
+#: ``json.dumps(data, default=vars, sort_keys=True)`` writes, without
+#: building an encoder per call.
+_TRACE_ENCODER = json.JSONEncoder(default=vars, sort_keys=True)
 
 
 def run_probe(

@@ -9,21 +9,24 @@ and :func:`sample_from_logits` are thin adapters over its helpers.
 
 Every nucleus that a settled top (:func:`_top_settles`) does not answer
 starts from one threshold head (:func:`_head`): one compare pass gathers
-the ids whose weight reaches ``2 ** -10`` of the most probable id left's.
-The head is an exact prefix of the stable ranking by weight, so
-:func:`_rank` sorts it alone and reads the cutoff off its prefix sums,
-against one of two totals.  Top-p is defined on the tempered total, but the
-cutoff only needs that total well enough to fix one index.  So an unsettled
-step at ``0 < T < 1`` tempers only the head in float64 and brackets the
-total with one float32 pass, ``exp2(a * log2 r)`` over the ratios ``r`` to
-the most probable id left (:func:`_certified_nucleus`,
-:func:`_total_bounds`): the bracket's half width is 8 times a stated error
-budget, about ``9.2e-5`` of the total at ``T = 0.6`` over 151,936 ids.  The
-budget takes numpy's own float32 tolerances for ``log2`` and ``exp2``,
-which a test measures.  When the cutoff is the same at both ends it is the
-full path's, and the draw picks the same id.  Otherwise, and at any other
-``T > 0`` and in :func:`nucleus_filter`, the full path gathers the head
-from the whole tempered vector and ranks it against its exact total
+the ids whose weight reaches ``2 ** -10`` of the most probable id left's
+(up to float32 rounding when the top is banned).  The head is an exact
+prefix of the stable ranking by weight, so :func:`_rank` sorts it alone and
+reads the cutoff off its prefix sums, against one of two totals.  Top-p is
+defined on the tempered total, but the cutoff only needs that total well
+enough to fix one index.  So an unsettled step at ``0 < T < 1`` tempers
+only the head in float64 and brackets the total with one float32 pass,
+``exp2(a * log2 r)`` over the ratios ``r`` to the most probable id left
+(:func:`_certified_nucleus`, :func:`_total_bounds`).  Zero and subnormal
+ratios go through ``log2`` and ``exp2`` as they are: every weight below
+``2 ** -_TAIL_EXP`` of the reference's enters the bracket as an absolute
+error.  The bracket's half width is 8 times a stated error budget, about
+``9.2e-5`` of the total at ``T = 0.6`` over 151,936 ids.  The budget takes
+numpy's own float32 tolerances for ``log2`` and ``exp2``, which a test
+measures.  When the cutoff is the same at both ends it is the full path's,
+and the draw picks the same id.  Otherwise, and at any other ``T > 0`` and
+in :func:`nucleus_filter`, the full path gathers the head from the whole
+tempered vector and ranks it against its exact total
 (:func:`_exact_nucleus`).  A head over ``_HEAD_CAP`` ids or short of top_p
 goes to the partial-selection loop (:func:`_nucleus`), the only fallback.
 """
@@ -67,9 +70,10 @@ _SETTLE_MARGIN = 1.0 + 1e-9
 #: threshold head in :func:`_head`, far above the power's rounding.
 _SUPERSET_SLACK = 1.0 - 1e-6
 
-#: Float32 ratios ``r`` are clamped up to ``2 ** (-_CLAMP_EXP / a)``, so no
-#: ``r ** a`` is subnormal (float32's smallest normal is ``2 ** -126``).
-_CLAMP_EXP = 120.0
+#: A tempered ratio ``r ** a`` below ``2 ** -_TAIL_EXP`` enters the float32
+#: total's bounds as an absolute error, not a relative one; float32's
+#: smallest normal is ``2 ** -126``.
+_TAIL_EXP = 120.0
 
 #: Largest errors, in float32 ulp, of numpy's float32 ``log2`` and ``exp2``
 #: that the float32 total's error budget allows: the ``ulperror`` tolerances
@@ -184,8 +188,9 @@ def _head(
     """The threshold head of ``probs ** power`` (ids in id order, weights); None if over ``_HEAD_CAP``.
 
     The head is every id whose weight reaches ``_HEAD_RATIO`` of ``p_ref **
-    power``, the weight of the most probable id left (the ``banned`` ids
-    weigh 0).  Every weight left out is strictly below every one taken,
+    power``, the weight of a reference id that is not banned: the most
+    probable id left, or one within float32 rounding of it (the ``banned``
+    ids weigh 0).  Every weight left out is strictly below every one taken,
     whatever the reference, so the head is an exact prefix of the stable
     ranking.  One compare pass on ``probs`` gathers every id at or above
     ``p_ref * _HEAD_RATIO ** (1 / power)`` less a ``_SUPERSET_SLACK``, a
@@ -273,31 +278,40 @@ def _top_settles(probs: np.ndarray, top: int, top_p: float, banned: np.ndarray |
     return banned is None or top not in banned
 
 
-def _total_bounds(
-    probs: np.ndarray, top: int, ref: float, power: float, banned: np.ndarray | None
-) -> tuple[float, float]:
+def _masked_f32(probs: np.ndarray, banned: np.ndarray | None) -> np.ndarray:
+    """``probs`` cast to float32, with the ``banned`` ids zeroed."""
+    r = probs.astype(np.float32)
+    if banned is not None and banned.size:
+        r[banned] = 0.0
+    return r
+
+
+def _total_bounds(r: np.ndarray, p_ref: float, ref: float, power: float) -> tuple[float, float]:
     """Bounds on the tempered total ``sum(probs ** power)`` (banned ids zeroed), from float32.
 
-    ``top`` is the most probable id not banned and ``ref`` its float64 weight
-    ``probs[top] ** power``; the total is ``ref * sum(r ** a)`` with ``r =
-    probs / probs[top]`` and ``a = power``.  The banned ids are zeroed in the
-    cast ``fl32(p)``; each ratio is ``fl32(fl32(p) * fl32(1 / p_top))``,
-    clamped up to ``2 ** (-_CLAMP_EXP / a)`` so that every ``log2`` input and
-    every ``exp2`` result is a normal float, and raised to ``a`` as ``exp2(
-    fl32(a) * log2(r))``; the results are summed pairwise in float32.  The
-    relative error budget, in float32 unit roundoffs ``u = 2 ** -24``:
+    ``r`` is :func:`_masked_f32` of the probabilities, and is overwritten.
+    ``p_ref`` is the probability of an id not banned and ``ref`` its float64
+    weight ``p_ref ** power``; the total is ``ref * sum(rho ** a)`` with
+    ``rho = probs / p_ref`` and ``a = power``.  Each ratio is ``fl32(fl32(p)
+    * fl32(1 / p_ref))``, raised to ``a`` as ``exp2(fl32(a) * log2(r))``,
+    and the results are summed pairwise in float32.  A zero ratio (an exact
+    zero, a ban, an underflow) gives ``log2 = -inf`` and ``exp2 = 0``, and a
+    subnormal one goes through as it is.  The relative error budget, in
+    float32 unit roundoffs ``u = 2 ** -24``, holds for every entry whose
+    weight ``rho ** a`` is at least ``2 ** -_TAIL_EXP`` of the reference's
+    (``E = _TAIL_EXP``):
 
     - the ratio's three roundings, raised to ``a``: ``4a u``;
     - ``exp2``, at most ``_EXP2_ULP`` ulp: ``2 * _EXP2_ULP u``;
     - the exponent ``y = a * log2(r)``: ``log2`` at most ``_LOG2_ULP`` ulp,
       ``fl32(a)`` and the product one rounding each, so ``|dy| <= (2 *
       _LOG2_ULP + 2) u |y|``, which scales the result by ``2 ** dy``, at most
-      ``ln 2 * 8 u * |y|``.  With ``|y|`` up to ``_CLAMP_EXP`` that is ``665 u``
-      in the worst case, so the ratios are split at ``|y| = Y0 = ceil(log2 V)
-      + 6``: an entry above ``2 ** -Y0`` of the top's weight is off by at most
-      ``ln 2 * 8 u * Y0``, and the rest, at most ``V * 2 ** -Y0 <= 2 ** -6``
-      of a total of at least 1 (the top's ratio is 1), add at most
-      ``2 ** -6 * ln 2 * 8 u * _CLAMP_EXP``;
+      ``ln 2 * 8 u * |y|``.  Such an entry has ``|y| <= E``, which gives
+      ``665 u`` in the worst case, so the ratios are split at ``|y| = Y0 =
+      ceil(log2 V) + 6``: an entry above ``2 ** -Y0`` of the reference's
+      weight is off by at most ``ln 2 * 8 u * Y0``, and the rest, at most
+      ``V * 2 ** -Y0 <= 2 ** -6`` of a total of at least 1 (the reference's
+      ratio is 1), add at most ``2 ** -6 * ln 2 * 8 u * E``;
     - numpy's pairwise sum, blocks of at most 128 held in eight running
       sums and halved down from V: ``(ceil(log2 V) + 20) u``;
     - the float64 weights and their total, which the float32 sum stands
@@ -306,29 +320,34 @@ def _total_bounds(
     ``_LOG2_ULP`` and ``_EXP2_ULP`` are the ``ulperror`` tolerances of numpy's
     own float32 validation sets (``umath-validation-set-log2.csv`` and
     ``-exp2.csv``); a test measures both functions against float64 over the
-    ratios and exponents used here.  The margin is ``_MARGIN_FACTOR`` times
-    the budget, about ``9.2e-5`` at ``T = 0.6`` and ``V = 151,936``.  A
-    clamped entry, banned ones included, adds at most ``2 ** -119`` of the
-    top's weight, so the lower bound also drops ``V * 2 ** -119 * ref``.
-    Entries below float32's normal range are clamped like any other, which
-    holds while ``p_top * 2 ** (-_CLAMP_EXP / a) >= 2 ** -125``, and a largest
-    probability up to ``2 ** 64`` keeps the cast finite;
-    :func:`_certified_nucleus` checks both.
+    ratios, subnormal ones included, and the exponents down to where
+    ``exp2`` underflows.  The margin is ``_MARGIN_FACTOR`` times the budget,
+    about ``9.2e-5`` at ``T = 0.6`` and ``V = 151,936``.
+
+    Every other entry, banned ones included, weighs below ``2 ** -E`` of the
+    reference's in float64, and its float32 result is below ``2 ** -119``:
+    the cast and the product round monotonically, so its ratio is 0 or at
+    most that of a probability ``p_ref * 2 ** (-E / a)``, and ``log2`` and
+    ``exp2``, inside their tolerances, take such a ratio to within a few
+    ulp of ``2 ** -E``, or to 0.  Each such entry is off by at most ``2 **
+    -119`` of the reference's weight either way, so both bounds move by ``V
+    * 2 ** -119 * ref``.  An entry whose probability is
+    below float32's normal range is one of these while ``p_ref * 2 ** (-E /
+    a) >= 2 ** -125``, and a largest probability up to ``2 ** 64`` keeps the
+    cast finite; :func:`_certified_nucleus` checks both.
     """
-    r = probs.astype(np.float32)
-    if banned is not None and banned.size:
-        r[banned] = 0.0
-    r *= np.float32(1.0 / float(probs[top]))
-    np.maximum(r, np.float32(2.0 ** (-_CLAMP_EXP / power)), out=r)
-    np.log2(r, out=r)
-    r *= np.float32(power)
-    np.exp2(r, out=r)
+    with np.errstate(divide="ignore", under="ignore"):
+        r *= np.float32(1.0 / float(p_ref))
+        np.log2(r, out=r)
+        r *= np.float32(power)
+        np.exp2(r, out=r)
     total = float(np.add.reduce(r))
-    log_v = math.ceil(math.log2(probs.size))
-    exponent = math.log(2.0) * (2 * _LOG2_ULP + 2) * (log_v + 6 + _CLAMP_EXP / 64)
+    log_v = math.ceil(math.log2(r.size))
+    exponent = math.log(2.0) * (2 * _LOG2_ULP + 2) * (log_v + 6 + _TAIL_EXP / 64)
     budget = (4.0 * power + 2 * _EXP2_ULP + exponent + log_v + 20) * 2.0**-24 + 2.0**-40
     margin = _MARGIN_FACTOR * budget
-    return ref * (total * (1.0 - margin) - probs.size * 2.0**-119), ref * total * (1.0 + margin)
+    tail = r.size * 2.0**-119
+    return ref * (total * (1.0 - margin) - tail), ref * (total * (1.0 + margin) + tail)
 
 
 def _certified_nucleus(
@@ -337,32 +356,40 @@ def _certified_nucleus(
     """The full path's nucleus at ``power > 1`` (ids in id order, weights); None if not certified.
 
     ``top`` is the most probable id.  When it is banned, the reference is
-    the most probable id left (one masked copy and its argmax), as the full
-    path measures its head against the largest weight left.  Only the
-    :func:`_head` is tempered in float64, and :func:`_total_bounds` brackets
-    the float64 total from the reference's weight.  Division and prefix
-    sums round monotonically, so the :func:`_cutoff` can only grow with the
-    total: when :func:`_rank` finds it the same at both bounds, and inside
-    the head, it is the full path's cutoff, and the kept ids and weights
-    are the full path's.  A ban that leaves no mass is left to the full
-    path.  The reference stays a numpy float, so its power overflows to inf
-    as the vector's does instead of raising.
+    the argmax of the float32 cast with the bans zeroed, which the float32
+    pass reuses: an id not banned whose probability is within float32
+    rounding of the largest left.  The full path measures its head against
+    the largest weight left instead, but every :func:`_head` is an exact
+    prefix of the ranking whatever its reference, so the cutoff found in
+    either is the same.  Only the head is tempered in float64, and
+    :func:`_total_bounds` brackets the float64 total from the reference's
+    weight.  Division and prefix sums round monotonically, so the
+    :func:`_cutoff` can only grow with the total: when :func:`_rank` finds
+    it the same at both bounds, and inside the head, it is the full path's
+    cutoff, and the kept ids and weights are the full path's.  A ban that
+    leaves no mass in float32 is left to the full path.  The reference
+    stays a numpy float, so its power overflows to inf as the vector's does
+    instead of raising.
     """
     p_top = probs[top]
-    ref_id, p_ref = top, p_top
+    if not p_top <= 2.0**64:  # a NaN top fails too
+        return None
+    p_ref, r = p_top, None
     if banned is not None and top in banned:
-        masked = probs.copy()
-        masked[banned] = -1.0
-        ref_id = int(np.argmax(masked))
-        p_ref = masked[ref_id]
-    # a NaN top or a reference with no mass fails too
-    if not (2.0**-125 <= p_ref * 2.0 ** (-_CLAMP_EXP / power) and p_top <= 2.0**64):
+        r = _masked_f32(probs, banned)
+        ref_id = int(np.argmax(r))
+        if not r[ref_id] > 0.0:  # no mass left, or a NaN
+            return None
+        p_ref = probs[ref_id]
+    if not 2.0**-125 <= p_ref * 2.0 ** (-_TAIL_EXP / power):
         return None
     head = _head(probs, power, p_ref, banned)
     if head is None:
         return None
     ids, w = head
-    lo, hi = _total_bounds(probs, ref_id, p_ref**power, power, banned)
+    if r is None:
+        r = _masked_f32(probs, banned)
+    lo, hi = _total_bounds(r, p_ref, p_ref**power, power)
     keep = _rank(w, top_p, lo, hi) if lo >= _MIN_TOTAL else None
     return None if keep is None else (ids[keep], w[keep])
 
@@ -414,14 +441,14 @@ def sample_from_probs(
     mass (:func:`_top_settles`) is returned without tempering the vocabulary.
     Otherwise, at ``T < 1``, :func:`_certified_nucleus` tempers only the
     threshold head and ranks it against a float32 bracket of the total,
-    measured against the most probable id left when the top is banned; it
-    gives way to the full path when the head is over ``_HEAD_CAP``, the
-    total is too small, the ban leaves no mass, the head falls short of
-    top_p, or a bound of the total would move the cutoff.  The full path,
-    also taken at ``T >= 1``, tempers the whole vocabulary and ranks the
-    same head, gathered from the tempered vector, against the exact total
-    (:func:`_exact_nucleus`); the top's id spares it a pass for the largest
-    weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the
+    measured, when the top is banned, against the id left that the float32
+    cast ranks first; it gives way to the full path when the head is over
+    ``_HEAD_CAP``, the total is too small, the ban leaves no mass, the head
+    falls short of top_p, or a bound of the total would move the cutoff.
+    The full path, also taken at ``T >= 1``, tempers the whole vocabulary
+    and ranks the same head, gathered from the tempered vector, against the
+    exact total (:func:`_exact_nucleus`); the top's id spares it a pass for
+    the largest weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the
     whole vocabulary are the only total it takes.
 
     ``probs`` is made contiguous first, so a strided view draws as its

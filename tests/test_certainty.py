@@ -198,6 +198,18 @@ class TestTokenDistribution:
     def test_accepts_within_normalization_tolerance(self):
         TokenDistribution(probs=np.array([0.5, 0.5 + 5e-7]))
 
+    @pytest.mark.parametrize("layout", ["zipf", "uniform"])
+    def test_normalization_edge_over_the_vocabulary(self, layout):
+        # the validation sum errs by far less than the 1e-8 between each pair
+        base = np.full(QWEN_VOCAB, 1.0)
+        if layout == "zipf":
+            base = (np.random.default_rng(3).permutation(QWEN_VOCAB) + 1.0) ** -1.1
+        base /= math.fsum(base)
+        for sign in (1.0, -1.0):
+            TokenDistribution(probs=base * (1.0 + sign * 0.99e-6))
+            with pytest.raises(ValueError, match="sum to 1"):
+                TokenDistribution(probs=base * (1.0 + sign * 1.01e-6))
+
     def test_rejects_nan_inf(self):
         with pytest.raises(ValueError):
             TokenDistribution(probs=np.array([np.nan, 1.0]))

@@ -142,11 +142,39 @@ class TestGenerationConfig:
             ("probe_max_tokens", 2.5),
             ("seed", 1.5),
             ("seed", False),
+            ("temperature", "0.6"),
+            ("temperature", True),
+            ("top_p", None),
+            ("top_p", "0.95"),
+            ("delta", False),
+            ("delta", [0.9]),
+            ("fixed_p", "1"),
+            ("fixed_p", True),
+            ("fixed_p", 1j),
+            ("suppression_enabled", "no"),
+            ("suppression_enabled", 0),
+            ("suppression_enabled", np.bool_(True)),
+            ("restrict_to_thinking", "false"),
+            ("restrict_to_thinking", None),
         ],
     )
     def test_wrong_type_rejected_by_name(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must "):
             GenerationConfig(**{field: value})
+
+    def test_real_fields_are_kept_as_given(self):
+        # stored as given, not converted, so the trace bytes do not change
+        cfg = GenerationConfig(
+            temperature=1, top_p=np.float64(0.9), delta=np.float32(0.5), fixed_p=0
+        )
+        assert (cfg.temperature, cfg.top_p, cfg.fixed_p) == (1, 0.9, 0)
+        assert [type(v) for v in (cfg.temperature, cfg.top_p, cfg.delta, cfg.fixed_p)] == [
+            int,
+            np.float64,
+            np.float32,
+            int,
+        ]
+        assert GenerationConfig(fixed_p=None).fixed_p is None
 
     def test_integer_fields_become_int(self):
         cfg = GenerationConfig(max_tokens=np.int64(7), probe_max_tokens=np.int32(3), seed=np.uint8(9))
@@ -552,6 +580,15 @@ class TestGenerationLoop:
         a = generate(overthinking_backend, TOY_PROMPT, toy_config(seed=21), overthinking_triggers)
         b = generate(overthinking_backend, TOY_PROMPT, toy_config(seed=21), overthinking_triggers)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("mode", [{"suppression_enabled": False}, {"fixed_p": 0.5}, {}])
+    def test_to_json_equals_json_dumps(self, overthinking_backend, overthinking_triggers, mode):
+        # the one module-level encoder writes json.dumps' bytes
+        for seed in range(4):
+            cfg = toy_config(seed=seed, **mode)
+            trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
+            data = {**vars(trace), "token_count": trace.token_count, "truncated": trace.truncated}
+            assert trace.to_json() == json.dumps(data, default=vars, sort_keys=True)
 
     @pytest.mark.parametrize(
         "mode",

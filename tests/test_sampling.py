@@ -885,29 +885,41 @@ class TestCertifiedDraw:
     @pytest.mark.parametrize("temperature", [0.9, 0.6, 0.3, 0.1, 0.02])
     def test_bounds_bracket_the_float64_total(self, temperature):
         # the float32 bounds must hold today's pairwise float64 total of the
-        # tempered weights, on Zipf, sparse, subnormal-heavy and banned vectors
+        # tempered weights, on Zipf, sparse, subnormal-heavy and banned
+        # vectors, and on vectors that mix exact zeros, bans and ratios in
+        # float32's subnormal range; log2(0) and exp2's underflow must not
+        # warn
         rng = np.random.default_rng(int(temperature * 1000))
         power = 1.0 / temperature
         checked = 0
-        for trial in range(60):
+        for trial in range(80):
             n = int(rng.choice([7, 300, 5000, QWEN_VOCAB]))
             probs = (rng.permutation(n) + 1.0) ** -float(rng.uniform(0.5, 3.0))
             top = int(np.argmax(probs))
-            if trial % 3 == 1:  # mostly exact zeros
-                probs[(rng.random(n) < 0.9) & (np.arange(n) != top)] = 0.0
-            if trial % 3 == 2:  # entries far below float32's normal range
-                probs[(rng.random(n) < 0.3) & (np.arange(n) != top)] *= 1e-300
+            rest = np.arange(n) != top
+            if trial % 4 == 1:  # mostly exact zeros
+                probs[(rng.random(n) < 0.9) & rest] = 0.0
+            if trial % 4 == 2:  # entries far below float32's normal range
+                probs[(rng.random(n) < 0.3) & rest] *= 1e-300
+            if trial % 4 == 3:  # zeros, and ratios across float32's subnormal range
+                mix = rng.random(n)
+                probs[(mix < 0.3) & rest] = 0.0
+                tiny = (mix > 0.6) & rest
+                probs[tiny] = probs[top] * np.exp2(-rng.uniform(120.0, 155.0, int(tiny.sum())))
             probs /= probs.sum()
             ban = None
             if trial % 2:
                 ban = np.setdiff1d(rng.choice(n, max(1, n // 10), replace=False), [top])
             w, sums = _weights(probs, power, ban)
-            lo, hi = sampling._total_bounds(probs, top, float(w[top]), power, ban)
+            r = sampling._masked_f32(probs, ban)
+            with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+                warnings.simplefilter("error")
+                lo, hi = sampling._total_bounds(r, probs[top], float(w[top]), power)
             if lo >= sampling._MIN_TOTAL:
                 assert lo <= float(sums[-1]) <= hi, (trial, n)
                 assert hi - lo < 1e-3 * hi
                 checked += 1
-        assert checked >= 50
+        assert checked >= 70
 
     def test_zipf_vector_tempers_only_its_head(
         self, large_vectors, weights_sizes, bounds_sizes, argsort_sizes
@@ -941,6 +953,32 @@ class TestCertifiedDraw:
         assert not weights_sizes
         assert bounds_sizes == [QWEN_VOCAB] * 60
 
+    @pytest.mark.parametrize("temperature", [0.9, 0.6, 0.1])
+    def test_banned_top_reference_from_the_float32_cast(
+        self, large_vectors, weights_sizes, bounds_sizes, temperature
+    ):
+        # the top is banned and the two largest left round to one float32, so
+        # the cast's argmax (the lower id) is not the float64 argmax (the
+        # higher id); the certified draw must still pick the full path's ids
+        probs = large_vectors["zipf"].copy()
+        order = np.argsort(-probs, kind="stable")
+        lo_id, hi_id = sorted(order[1:3].tolist())
+        second = float(probs[order[1]])
+        probs[lo_id] = second
+        probs[hi_id] = np.nextafter(second, 1.0)
+        ban = np.array([order[0]])
+        r = sampling._masked_f32(probs, ban)
+        assert int(np.argmax(r)) == lo_id and r[lo_id] == r[hi_id]
+        masked = probs.copy()
+        masked[ban] = 0.0
+        assert int(np.argmax(masked)) == hi_id
+        keep, w = tempered_argsort_nucleus(masked, temperature, 0.95)
+        us = [sampling_uniform(20, step) for step in range(40)]
+        tokens = [sample_from_probs(probs, temperature, 0.95, u, ban) for u in us]
+        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert not weights_sizes
+        assert bounds_sizes == [QWEN_VOCAB] * len(us)
+
     @pytest.mark.parametrize("temperature", [0.6, 0.1])
     def test_banned_top_far_above_the_rest_raises_no_warning(self, weights_sizes, temperature):
         # unnormalised probs whose banned top is 1e18 times the next: its
@@ -964,25 +1002,32 @@ class TestCertifiedDraw:
 
     def test_float32_log2_and_exp2_stay_inside_the_budget(self):
         # the float32 total's error budget takes numpy's float32 log2 and
-        # exp2 to err by at most _LOG2_ULP and _EXP2_ULP ulp over the clamped
-        # ratios [2 ** -120, 1] and the exponents [-120, 0]; a numpy or SIMD
+        # exp2 to err by at most _LOG2_ULP and _EXP2_ULP ulp over every
+        # positive ratio up to 1, subnormal ones included, and the exponents
+        # from 0 down past where exp2 underflows to 0; a numpy or SIMD
         # dispatch change that breaks that must fail here
         def ulps(got: np.ndarray, exact: np.ndarray) -> float:
             _, e = np.frexp(exact)
-            return float(np.max(np.abs(got.astype(np.float64) - exact) / np.ldexp(1.0, e - 24)))
+            ulp = np.maximum(np.ldexp(1.0, e - 24), 2.0**-149)  # subnormals: one fixed ulp
+            return float(np.max(np.abs(got.astype(np.float64) - exact) / ulp))
 
         rng = np.random.default_rng(19)
+        tiny = np.finfo(np.float32).smallest_subnormal
+        subnormals = rng.integers(1, 2**23, 200_000, dtype=np.int32).view(np.float32)
         ratios = np.concatenate(
             [
-                np.exp2(rng.uniform(-120.0, 0.0, 1_000_000)),
-                1.0 - rng.integers(1, 2**20, 200_000) * 2.0**-24,  # near 1, log2 near 0
-                [2.0**-120],
+                np.exp2(rng.uniform(-126.0, 0.0, 1_000_000)).astype(np.float32),
+                (1.0 - rng.integers(1, 2**20, 200_000) * 2.0**-24).astype(np.float32),
+                subnormals,  # random bit patterns below float32's smallest normal
+                np.float32([tiny, 2.0**-126, 2.0**-120]),
             ]
-        ).astype(np.float32)
+        )
         ratios = ratios[ratios < 1.0]
-        assert ratios.size >= 1_000_000
+        assert ratios.size >= 1_300_000 and (ratios < 2.0**-126).sum() >= 200_000
         assert ulps(np.log2(ratios), np.log2(ratios.astype(np.float64))) <= sampling._LOG2_ULP
-        ys = np.concatenate([rng.uniform(-120.0, 0.0, 1_000_000), [-120.0, 0.0]]).astype(np.float32)
+        ys = np.concatenate([rng.uniform(-160.0, 0.0, 1_000_000), [-160.0, -150.0, -149.0, 0.0]])
+        ys = ys.astype(np.float32)
+        assert (np.exp2(ys) == 0.0).any() and (np.exp2(ys) < 2.0**-126).sum() >= 100_000
         assert ulps(np.exp2(ys), np.exp2(ys.astype(np.float64))) <= sampling._EXP2_ULP
 
     def test_flat_vector_makes_no_float32_pass(self, large_vectors, weights_sizes, bounds_sizes):
@@ -1003,7 +1048,9 @@ class TestCertifiedDraw:
         w, sums = _weights(probs, power, None)
         total = float(sums[-1])
         top = int(np.argmax(probs))
-        lo, hi = sampling._total_bounds(probs, top, float(w[top]), power, None)
+        lo, hi = sampling._total_bounds(
+            sampling._masked_f32(probs, None), probs[top], float(w[top]), power
+        )
         other = {"above": (total + lo) / 2, "below": (total + hi) / 2, "estimate": (lo + hi) / 2}
         order = np.argsort(-w, kind="stable")
         share = sampling._prefix_sum(w[order[:64]] / total)
