@@ -27,6 +27,7 @@ from .controller import (
     DecodeTrace,
     GenerationConfig,
     GenerationSession,
+    ModeSpec,
     ProbeEmptyError,
     ProbeResult,
     generate,
@@ -34,7 +35,6 @@ from .controller import (
 )
 from .harness import (
     ExtractionError,
-    ModeSpec,
     Problem,
     RunReport,
     extract_boxed_answer,

@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from .backend import RemoteBackend, ToyBackend, ToyModelSpec
-from .controller import GenerationConfig
-from .harness import ModeSpec, count_trigger_words, load_dataset, run_benchmark, write_reports
+from .controller import GenerationConfig, ModeSpec
+from .harness import count_trigger_words, load_dataset, run_benchmark, write_reports
 from .lexicon import (
     DEFAULT_MIN_COUNT,
     Vocabulary,
@@ -170,6 +170,7 @@ def _trace_table(trace: dict) -> tuple[list[str], list[tuple[str, int]]]:
     events = trace["checkpoint_events"]
     probed = [e for e in events if e["probe"] is not None]
     metrics = [
+        f"mode,{ModeSpec(**trace['config']['mode']).label}",
         f"token_count,{trace['token_count']}",
         f"checkpoints,{len(events)}",
         f"finish_reason,{trace['finish_reason']}",

@@ -15,11 +15,10 @@ into the main stream.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +27,8 @@ from .backend import ModelBackend, ban_bias
 from .certainty import CertaintyScore, TokenDistribution, certainty_score
 from .lexicon import TriggerTokenSet
 from .rng import derive_seed, sampling_uniform
-from .sampling import sample_from_probs
-from .suppression import should_suppress, update_state
+from .sampling import check_temperature, check_top_p, sample_from_probs
+from .suppression import check_delta, check_trigger_ids, should_suppress, update_state
 
 # Unused; perfbench test_traced_run_restores_every_wrapped_attribute needs them (ROADMAP item 1).
 from .sampling import distribution_to_logits, sample_from_logits  # noqa: F401
@@ -37,6 +36,58 @@ from .suppression import mask_triggers  # noqa: F401
 
 class ProbeEmptyError(RuntimeError):
     """The probe produced no answer tokens; the caller keeps the previous p."""
+
+
+def _check_real(name: str, value) -> None:
+    # a bool is an int to Python, and a range test on a string raises a bare TypeError
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """One decoding mode: which steps draw a suppression decision, and at what p.
+
+    ``vanilla`` never masks; ``fixed_p`` masks each step with the pinned
+    probability ``fixed_p`` and never probes; ``cgrs`` probes at checkpoints
+    and masks with the probability the last probe set.
+    """
+
+    kind: str  # "vanilla" | "fixed_p" | "cgrs"
+    fixed_p: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("vanilla", "fixed_p", "cgrs"):
+            raise ValueError(f"unknown mode kind: {self.kind!r}")
+        if (self.kind == "fixed_p") != (self.fixed_p is not None):
+            raise ValueError("fixed_p modes and only fixed_p modes carry a probability")
+        if self.fixed_p is not None:
+            _check_real("fixed_p", self.fixed_p)
+            if not 0.0 <= self.fixed_p <= 1.0:
+                raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
+
+    @property
+    def label(self) -> str:
+        if self.kind == "fixed_p":
+            return f"fixed_p_{self.fixed_p:g}"
+        return self.kind
+
+    @classmethod
+    def parse(cls, text: str) -> "ModeSpec":
+        """Parse a CLI mode string: vanilla | fixed-p=<p> | cgrs."""
+        if text in ("vanilla", "cgrs"):
+            return cls(text)
+        if text.startswith("fixed-p="):
+            try:
+                p = float(text[len("fixed-p="):])
+            except ValueError:
+                pass  # not a number: the error below names the whole mode string
+            else:
+                return cls("fixed_p", fixed_p=p)
+        raise ValueError(f"unknown mode: {text!r} (expected vanilla, fixed-p=<p>, or cgrs)")
+
+    def apply(self, base: GenerationConfig, seed: int) -> GenerationConfig:
+        return replace(base, seed=seed, mode=self)
 
 
 @dataclass
@@ -51,14 +102,11 @@ class GenerationConfig:
     probe_prompt: str = "**Final Answer: \\boxed"
     probe_max_tokens: int = 32
     probe_stop_strings: tuple[str, ...] = ("}", "\n")
-    suppression_enabled: bool = True
-    fixed_p: float | None = None  # ablation: pin p, skip probing
-    restrict_to_thinking: bool = False
-    think_end_marker: str = "</think>"
+    mode: ModeSpec = ModeSpec("cgrs")
+    think_end_marker: str | None = None  # None: no cut; else decisions and probes stop after it
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # type checks first: a range test on a string raises a bare TypeError
         for name in ("max_tokens", "probe_max_tokens", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
@@ -66,8 +114,12 @@ class GenerationConfig:
             setattr(self, name, operator.index(value))
         for name in ("checkpoint_marker", "probe_prompt", "think_end_marker"):
             value = getattr(self, name)
+            if value is None and name == "think_end_marker":
+                continue
             if not isinstance(value, str):
                 raise TypeError(f"{name} must be a string, got {value!r}")
+            if not value:
+                raise ValueError(f"{name} must be nonempty")
         if isinstance(self.probe_stop_strings, str):
             # tuple() would split it into one stop string per character
             raise ValueError("probe_stop_strings must be a sequence of strings, not one string")
@@ -75,32 +127,17 @@ class GenerationConfig:
         for value in self.probe_stop_strings:
             if not isinstance(value, str):
                 raise TypeError(f"probe_stop_strings must all be strings, got {value!r}")
-        for name in ("temperature", "top_p", "delta", "fixed_p"):
-            value = getattr(self, name)
-            if name == "fixed_p" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
-        for name in ("suppression_enabled", "restrict_to_thinking"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise TypeError(f"{name} must be a bool, got {value!r}")
-        if not 0.0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and nonnegative, got {self.temperature}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+        for name in ("temperature", "top_p", "delta"):
+            _check_real(name, getattr(self, name))
+        if not isinstance(self.mode, ModeSpec):
+            raise TypeError(f"mode must be a ModeSpec, got {self.mode!r}")
+        check_temperature(self.temperature)
+        check_top_p(self.top_p)
+        check_delta(self.delta)
         if self.max_tokens < 0:
             raise ValueError(f"max_tokens must be nonnegative, got {self.max_tokens}")
         if self.probe_max_tokens < 1:
             raise ValueError("probe_max_tokens must be positive")
-        if not self.checkpoint_marker:
-            raise ValueError("checkpoint_marker must be nonempty")
-        if not self.probe_prompt:
-            raise ValueError("probe_prompt must be nonempty")
-        if self.fixed_p is not None and not 0.0 <= self.fixed_p <= 1.0:
-            raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
         if not all(self.probe_stop_strings):
             raise ValueError("probe_stop_strings must all be nonempty")
 
@@ -317,14 +354,7 @@ class GenerationSession:
         self.backend = backend
         self.config = config
         vocab = backend.vocabulary
-        for token_id in triggers.token_ids:
-            if not 0 <= token_id < vocab.size:
-                raise ValueError(f"trigger id {token_id} outside vocabulary of {vocab.size}")
-        if len(triggers.token_ids) == vocab.size:
-            raise ValueError(
-                f"trigger set covers the entire vocabulary of {vocab.size} tokens;"
-                " a masked step would leave nothing to sample"
-            )
+        check_trigger_ids(triggers.token_ids, vocab.size)
         self._ctx: list[int] = vocab.encode(prompt)
         self._surfaces = vocab.id_to_token
         self._eos = backend.eos_token_id
@@ -335,16 +365,16 @@ class GenerationSession:
         else:
             self._sample = self._sample_remote
             self._ban = ban_bias(triggers.token_ids)
+        mode = config.mode
         # The masking probability: pinned in fixed-p mode, else 0 until a probe sets it.
-        self._p = config.fixed_p if config.fixed_p is not None else 0.0
-        # Only cgrs mode probes; vanilla and fixed-p never move p.  Under
-        # restrict_to_thinking both flags turn False at the think end.
-        self._deciding = config.suppression_enabled
-        self._probing = config.suppression_enabled and config.fixed_p is None
+        self._p = mode.fixed_p if mode.fixed_p is not None else 0.0
+        # Only cgrs mode probes; vanilla and fixed-p never move p.  Both flags
+        # turn False at the think-end marker, if there is one.
+        self._deciding = mode.kind != "vanilla"
+        self._probing = mode.kind == "cgrs"
         self._detector = CheckpointDetector(config.checkpoint_marker)
-        self._think_end = (
-            CheckpointDetector(config.think_end_marker) if config.restrict_to_thinking else None
-        )
+        marker = config.think_end_marker
+        self._think_end = None if marker is None else CheckpointDetector(marker)
         # The record the session decodes into; run() sets its text and returns it.
         self._trace = DecodeTrace(prompt, [], "", [], [], config, "length")
         # The decision run that the next decided step extends; None opens a new one.

@@ -9,17 +9,16 @@ reduction of each mode against the vanilla baseline from the same seeds.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import BackendError, ModelBackend
-from .controller import DecodeTrace, GenerationConfig, generate
+from .controller import DecodeTrace, GenerationConfig, ModeSpec, generate
 from .lexicon import TriggerTokenSet, TriggerWord, build_trigger_set, default_trigger_words
 from .rng import derive_seed
 
@@ -46,47 +45,6 @@ class Problem:
             raise ValueError(f"prompt must be a string, got {self.prompt!r}")
         if self.answer_style not in (None, "choice"):
             raise ValueError(f"unknown answer_style: {self.answer_style!r}")
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """One decoding mode of a comparison run."""
-
-    kind: str  # "vanilla" | "fixed_p" | "cgrs"
-    fixed_p: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("vanilla", "fixed_p", "cgrs"):
-            raise ValueError(f"unknown mode kind: {self.kind!r}")
-        if (self.kind == "fixed_p") != (self.fixed_p is not None):
-            raise ValueError("fixed_p modes and only fixed_p modes carry a probability")
-        if self.fixed_p is not None and not 0.0 <= self.fixed_p <= 1.0:
-            raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
-
-    @property
-    def label(self) -> str:
-        if self.kind == "fixed_p":
-            return f"fixed_p_{self.fixed_p:g}"
-        return self.kind
-
-    @classmethod
-    def parse(cls, text: str) -> "ModeSpec":
-        """Parse a CLI mode string: vanilla | fixed-p=<p> | cgrs."""
-        if text in ("vanilla", "cgrs"):
-            return cls(text)
-        if text.startswith("fixed-p="):
-            try:
-                p = float(text[len("fixed-p="):])
-            except ValueError:
-                pass  # not a number: the error below names the whole mode string
-            else:
-                return cls("fixed_p", fixed_p=p)
-        raise ValueError(f"unknown mode: {text!r} (expected vanilla, fixed-p=<p>, or cgrs)")
-
-    def apply(self, base: GenerationConfig, seed: int) -> GenerationConfig:
-        return dataclasses.replace(
-            base, seed=seed, suppression_enabled=self.kind != "vanilla", fixed_p=self.fixed_p
-        )
 
 
 @dataclass

@@ -102,14 +102,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _check_top_p(top_p: float) -> None:
+def check_temperature(temperature: float) -> None:
+    """The one temperature rule: finite and nonnegative (0 is greedy)."""
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and nonnegative, got {temperature}")
+
+
+def check_top_p(top_p: float) -> None:
+    """The one top-p rule: it lies in (0, 1]."""
     if not 0.0 < top_p <= 1.0:
         raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
 
 
 def _check_draw(temperature: float, u: float) -> None:
-    if not 0.0 <= temperature < math.inf:
-        raise ValueError(f"temperature must be finite and nonnegative, got {temperature}")
+    check_temperature(temperature)
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u}")
 
@@ -126,9 +132,10 @@ def _weights(
 
     Either way the last entry of the sums is the weights' total.  If the ban
     leaves no probability mass it is ignored, so the draw falls back to the
-    unmasked weights.  If the power underflows, the weights are taken
-    relative to the largest probability, which keeps their ratios.  A NaN
-    total is rebuilt too, and the NaN largest probability is rejected.
+    unmasked weights.  If the power underflows, or overflows (probabilities
+    above 1, which numpy warns of), the weights are taken relative to the
+    largest probability, which keeps their ratios.  A NaN total is rebuilt
+    too, and the NaN largest probability is rejected.
 
     The last prefix sum and the pairwise ``sum`` differ only by rounding, so
     the test against ``_MIN_TOTAL`` could go either way between the two only
@@ -140,7 +147,7 @@ def _weights(
             w = probs.copy()
         w[banned] = 0.0
     sums = _sums(w, cumulative)
-    if sums[-1] >= _MIN_TOTAL:
+    if _MIN_TOTAL <= sums[-1] < math.inf:
         return w, sums
     base = probs
     if banned is not None and banned.size:
@@ -367,13 +374,15 @@ def _certified_nucleus(
     :func:`_cutoff` can only grow with the total: when :func:`_rank` finds
     it the same at both bounds, and inside the head, it is the full path's
     cutoff, and the kept ids and weights are the full path's.  A ban that
-    leaves no mass in float32 is left to the full path.  The reference
-    stays a numpy float, so its power overflows to inf as the vector's does
-    instead of raising.
+    leaves no mass in float32 is left to the full path, and so is a top
+    whose weight ``p_top ** power``, times V, could overflow float64: it
+    bounds every weight in the head and the total.
     """
     p_top = probs[top]
     if not p_top <= 2.0**64:  # a NaN top fails too
         return None
+    if p_top > 1.0 and power * math.log2(p_top) + math.log2(probs.size) >= 1023.0:
+        return None  # the head's weights or the total could overflow
     p_ref, r = p_top, None
     if banned is not None and top in banned:
         r = _masked_f32(probs, banned)
@@ -412,7 +421,7 @@ def nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
     sampler's full path (:func:`_exact_nucleus`).  Returns a renormalized
     vector.
     """
-    _check_top_p(top_p)
+    check_top_p(top_p)
     if top_p == 1.0:
         return probs
     keep, kept = _exact_nucleus(probs, 1.0, top_p, int(np.argmax(probs)))
@@ -457,7 +466,7 @@ def sample_from_probs(
     (a test pins this for gathers of 1 to 64 ids and larger).
     """
     _check_draw(temperature, u)
-    _check_top_p(top_p)
+    check_top_p(top_p)
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
     if top_p == 1.0 or temperature == 0.0:
@@ -484,6 +493,7 @@ def sample_from_logits(
     """
     logits = np.asarray(logits, dtype=np.float64)
     _check_draw(temperature, u)
+    check_top_p(top_p)
     if temperature == 0.0:
         return int(np.argmax(logits))
     return sample_from_probs(softmax(logits / temperature), 1.0, top_p, u)

@@ -15,7 +15,7 @@ Either way the relative probabilities of all other tokens are untouched.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -26,17 +26,34 @@ from .rng import decision_uniform
 MASK_NEG_VALUE = -1e9
 
 
+def check_delta(delta: float) -> None:
+    """The one delta rule: it lies in [0, 1); delta = 1 would make the ramp degenerate."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+
+
+def check_trigger_ids(trigger_ids: Collection[int], vocab_size: int) -> None:
+    """The one trigger-id rule: the distinct ids lie in the vocabulary, and leave one out."""
+    for t in trigger_ids:
+        if not 0 <= t < vocab_size:
+            raise ValueError(f"trigger id {t} out of range for vocabulary of {vocab_size}")
+    if len(trigger_ids) == vocab_size:
+        raise ValueError(
+            f"trigger set covers the entire vocabulary of {vocab_size} tokens;"
+            " a mask would leave nothing to sample"
+        )
+
+
 def suppression_probability(certainty: float, delta: float) -> float:
     """Map a certainty score to a suppression probability.
 
     Raises:
         ValueError: certainty outside [0, 1], or delta outside [0, 1)
-            (delta = 1 would make the ramp degenerate).
+            (:func:`check_delta`).
     """
     if not 0.0 <= certainty <= 1.0:
         raise ValueError(f"certainty must lie in [0, 1], got {certainty}")
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    check_delta(delta)
     return max(0.0, (certainty - delta) / (1.0 - delta))
 
 
@@ -69,8 +86,8 @@ def mask_triggers(logits: np.ndarray, triggers: Iterable[int]) -> np.ndarray:
     token's probability underflows to zero.
 
     Raises:
-        ValueError: non-finite logits, a trigger id out of range, or a mask
-            covering the whole vocabulary.
+        ValueError: non-finite logits, or trigger ids that
+            :func:`check_trigger_ids` rejects.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size == 0:
@@ -78,11 +95,7 @@ def mask_triggers(logits: np.ndarray, triggers: Iterable[int]) -> np.ndarray:
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
     trigger_ids = sorted(set(int(t) for t in triggers))
-    for t in trigger_ids:
-        if not 0 <= t < logits.size:
-            raise ValueError(f"trigger id {t} out of range for vocabulary of {logits.size}")
-    if len(trigger_ids) == logits.size:
-        raise ValueError("mask would cover the entire vocabulary")
+    check_trigger_ids(trigger_ids, logits.size)
     masked = logits.copy()
     masked[trigger_ids] = MASK_NEG_VALUE
     return masked

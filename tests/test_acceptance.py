@@ -21,7 +21,7 @@ import pytest
 from cgrs.backend import ToyBackend, overthinking_spec
 from cgrs.certainty import TokenDistribution, certainty_score
 from cgrs.cli import main as cli_main
-from cgrs.controller import DecodeTrace, GenerationConfig, generate
+from cgrs.controller import DecodeTrace, GenerationConfig, ModeSpec, generate
 from cgrs.harness import RunReport, length_reduction, write_reports
 from cgrs.lexicon import (
     TriggerCategory,
@@ -203,7 +203,7 @@ def test_criterion_04_decode_loop_conformance(
                 generate(
                     backend,
                     TOY_PROMPT,
-                    toy_cfg(seed=seed, suppression_enabled=False),
+                    toy_cfg(seed=seed, mode=ModeSpec("vanilla")),
                     overthinking_triggers,
                 )
             )
@@ -215,7 +215,10 @@ def test_criterion_04_decode_loop_conformance(
         while total < 10_000:
             trace = record(
                 generate(
-                    backend, TOY_PROMPT, toy_cfg(seed=seed, fixed_p=1.0), overthinking_triggers
+                    backend,
+                    TOY_PROMPT,
+                    toy_cfg(seed=seed, mode=ModeSpec("fixed_p", 1.0)),
+                    overthinking_triggers,
                 )
             )
             assert wait_id not in trace.tokens
@@ -268,13 +271,16 @@ def test_criterion_05_overthinking_reduction_oracle(
                 generate(
                     backend,
                     TOY_PROMPT,
-                    toy_cfg(seed=seed, suppression_enabled=False),
+                    toy_cfg(seed=seed, mode=ModeSpec("vanilla")),
                     overthinking_triggers,
                 )
             )
             fixed1 = record(
                 generate(
-                    backend, TOY_PROMPT, toy_cfg(seed=seed, fixed_p=1.0), overthinking_triggers
+                    backend,
+                    TOY_PROMPT,
+                    toy_cfg(seed=seed, mode=ModeSpec("fixed_p", 1.0)),
+                    overthinking_triggers,
                 )
             )
             cgrs = record(
@@ -321,7 +327,10 @@ def test_criterion_06_fixed_p_trend(capsys, overthinking_backend, overthinking_t
             for p in ps:
                 trace = record(
                     generate(
-                        backend, TOY_PROMPT, toy_cfg(seed=seed, fixed_p=p), overthinking_triggers
+                        backend,
+                        TOY_PROMPT,
+                        toy_cfg(seed=seed, mode=ModeSpec("fixed_p", p)),
+                        overthinking_triggers,
                     )
                 )
                 lengths[p].append(trace.token_count)
@@ -366,7 +375,10 @@ def test_criterion_07_probe_isolation(capsys, overthinking_backend, overthinking
                 record(generate(remote, TOY_PROMPT, toy_cfg(seed=seed), overthinking_triggers))
                 record(
                     generate(
-                        remote, TOY_PROMPT, toy_cfg(seed=seed, fixed_p=1.0), overthinking_triggers
+                        remote,
+                        TOY_PROMPT,
+                        toy_cfg(seed=seed, mode=ModeSpec("fixed_p", 1.0)),
+                        overthinking_triggers,
                     )
                 )
 

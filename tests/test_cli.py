@@ -15,7 +15,7 @@ import pytest
 import cgrs
 from cgrs.backend import EmissionRule, ToyBackend, ToyModelSpec
 from cgrs.cli import main
-from cgrs.controller import GenerationConfig, generate
+from cgrs.controller import GenerationConfig, ModeSpec, generate
 from cgrs.lexicon import (
     TriggerCategory,
     TriggerWord,
@@ -366,6 +366,7 @@ class TestAnalyze:
         rc = run_cli(["analyze", "--trace", path])
         assert rc == 0
         outp = capsys.readouterr().out
+        assert outp.splitlines()[:2] == ["metric,value", "mode,cgrs"]
         assert f"token_count,{trace.token_count}" in outp
         assert f"finish_reason,{trace.finish_reason}" in outp
         assert trace.finish_reason == "eos"
@@ -375,6 +376,22 @@ class TestAnalyze:
         assert f"decided_steps,{len(decisions)}" in outp
         assert f"masked_steps,{sum(d.r for d in decisions)}" in outp
         assert "empty_probes,0" in outp
+
+    @pytest.mark.parametrize(
+        "mode", [ModeSpec("vanilla"), ModeSpec("fixed_p", 0.5), ModeSpec("fixed_p", 1.0)]
+    )
+    def test_decode_trace_table_names_the_mode(
+        self, overthinking_backend, overthinking_triggers, tmp_path, capsys, mode
+    ):
+        # the label a report of the same mode carries, read from the trace's config
+        cfg = GenerationConfig(temperature=1.0, top_p=1.0, mode=mode, seed=0)
+        trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
+        path = tmp_path / "trace.json"
+        path.write_text(trace.to_json())
+        assert run_cli(["analyze", "--trace", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["metric,value", f"mode,{mode.label}"]
+        assert lines[2] == f"token_count,{trace.token_count}"
 
     def test_decode_trace_table_skips_empty_probes(self, tmp_path, capsys):
         # Q \n\n Wait \n\n done: the first probe answers A for certain (p = 1),
@@ -403,6 +420,7 @@ class TestAnalyze:
         lines = capsys.readouterr().out.splitlines()
         assert lines[: lines.index("")] == [
             "metric,value",
+            "mode,cgrs",
             "token_count,4",
             "checkpoints,2",
             "finish_reason,eos",
@@ -534,7 +552,8 @@ class TestBadInput:
         (tmp_path / "report_string_lengths.json").write_text(json.dumps(report))
         event = {"step": 0, "probe": {"answer_text": "42"}, "p_after": 0.5}
         trace = {"tokens": [0], "text": "a", "checkpoint_events": [event],
-                 "token_count": 1, "finish_reason": "eos"}
+                 "token_count": 1, "finish_reason": "eos",
+                 "config": {"mode": {"kind": "cgrs", "fixed_p": None}}}
         (tmp_path / "trace_no_certainty.json").write_text(json.dumps(trace))
         fields = {"dataset": dataset_path, "spec": spec_path, "tmp": tmp_path}
         with pytest.raises(SystemExit) as info:

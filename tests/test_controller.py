@@ -26,6 +26,7 @@ from cgrs.controller import (
     DecodeTrace,
     GenerationConfig,
     GenerationSession,
+    ModeSpec,
     ProbeEmptyError,
     generate,
     run_probe,
@@ -57,12 +58,11 @@ CONFIG_KEYS = {
     "probe_prompt",
     "probe_max_tokens",
     "probe_stop_strings",
-    "suppression_enabled",
-    "fixed_p",
-    "restrict_to_thinking",
+    "mode",
     "think_end_marker",
     "seed",
 }
+MODE_KEYS = {"kind", "fixed_p"}
 EVENT_KEYS = {"step", "probe", "p_after"}
 PROBE_KEYS = {"answer_tokens", "answer_text", "certainty", "stop_reason"}
 CERTAINTY_KEYS = {"value", "mean_entropy", "truncated"}
@@ -116,7 +116,7 @@ class TestGenerationConfig:
             {"checkpoint_marker": ""},
             {"probe_prompt": ""},
             {"probe_stop_strings": ("}", "")},
-            {"fixed_p": 1.5},
+            {"think_end_marker": ""},
             {"temperature": float("nan")},
             {"temperature": float("inf")},
         ],
@@ -135,7 +135,7 @@ class TestGenerationConfig:
         [
             ("checkpoint_marker", 5),
             ("probe_prompt", b"**Final Answer"),
-            ("think_end_marker", None),
+            ("think_end_marker", 5),
             ("probe_stop_strings", ["}", 1]),
             ("max_tokens", 3.5),
             ("max_tokens", True),
@@ -151,30 +151,35 @@ class TestGenerationConfig:
             ("fixed_p", "1"),
             ("fixed_p", True),
             ("fixed_p", 1j),
-            ("suppression_enabled", "no"),
-            ("suppression_enabled", 0),
-            ("suppression_enabled", np.bool_(True)),
-            ("restrict_to_thinking", "false"),
-            ("restrict_to_thinking", None),
+            ("mode", "cgrs"),
+            ("mode", None),
+            ("mode", {"kind": "cgrs", "fixed_p": None}),  # a trace's JSON, not rebuilt
+            ("think_end_marker", False),
+            ("think_end_marker", b"END"),
         ],
     )
     def test_wrong_type_rejected_by_name(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must "):
-            GenerationConfig(**{field: value})
+            if field == "fixed_p":  # a field of the mode
+                GenerationConfig(mode=ModeSpec("fixed_p", value))
+            else:
+                GenerationConfig(**{field: value})
 
     def test_real_fields_are_kept_as_given(self):
         # stored as given, not converted, so the trace bytes do not change
         cfg = GenerationConfig(
-            temperature=1, top_p=np.float64(0.9), delta=np.float32(0.5), fixed_p=0
+            temperature=1,
+            top_p=np.float64(0.9),
+            delta=np.float32(0.5),
+            mode=ModeSpec("fixed_p", 0),
         )
-        assert (cfg.temperature, cfg.top_p, cfg.fixed_p) == (1, 0.9, 0)
-        assert [type(v) for v in (cfg.temperature, cfg.top_p, cfg.delta, cfg.fixed_p)] == [
+        assert (cfg.temperature, cfg.top_p, cfg.mode.fixed_p) == (1, 0.9, 0)
+        assert [type(v) for v in (cfg.temperature, cfg.top_p, cfg.delta, cfg.mode.fixed_p)] == [
             int,
             np.float64,
             np.float32,
             int,
         ]
-        assert GenerationConfig(fixed_p=None).fixed_p is None
 
     def test_integer_fields_become_int(self):
         cfg = GenerationConfig(max_tokens=np.int64(7), probe_max_tokens=np.int32(3), seed=np.uint8(9))
@@ -182,9 +187,10 @@ class TestGenerationConfig:
         assert (cfg.max_tokens, cfg.probe_max_tokens, cfg.seed) == (7, 3, 9)
 
     def test_json_dict_round_trip(self, overthinking_backend, overthinking_triggers):
-        cfg = toy_config(fixed_p=0.5, probe_stop_strings=["}"])
+        cfg = toy_config(mode=ModeSpec("fixed_p", 0.5), probe_stop_strings=["}"])
         trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
         data = json.loads(trace.to_json())["config"]
+        data["mode"] = ModeSpec(**data["mode"])
         assert GenerationConfig(**data) == trace.config == cfg
 
 
@@ -429,7 +435,7 @@ class TestProbeLoop:
 
 class TestGenerationLoop:
     def test_vanilla_reaches_boxed_answer(self, overthinking_backend, overthinking_triggers):
-        cfg = toy_config(suppression_enabled=False, seed=3)
+        cfg = toy_config(mode=ModeSpec("vanilla"), seed=3)
         trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
         assert trace.finish_reason == "eos"
         assert not trace.truncated
@@ -441,7 +447,7 @@ class TestGenerationLoop:
         wait_id = overthinking_backend.vocabulary.token_to_id["Wait"]
         found_wait = False
         for seed in range(40):
-            cfg = toy_config(suppression_enabled=False, seed=seed)
+            cfg = toy_config(mode=ModeSpec("vanilla"), seed=seed)
             trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
             found_wait = found_wait or wait_id in trace.tokens
         assert found_wait  # the trigger does appear when nothing is masked
@@ -449,7 +455,7 @@ class TestGenerationLoop:
     def test_fixed_p_one_bans_triggers(self, overthinking_backend, overthinking_triggers):
         wait_id = overthinking_backend.vocabulary.token_to_id["Wait"]
         for seed in range(40):
-            cfg = toy_config(fixed_p=1.0, seed=seed)
+            cfg = toy_config(mode=ModeSpec("fixed_p", 1.0), seed=seed)
             trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
             assert wait_id not in trace.tokens
             assert trace.token_count == 6  # deterministic shortest path
@@ -460,13 +466,13 @@ class TestGenerationLoop:
             vanilla = generate(
                 overthinking_backend,
                 TOY_PROMPT,
-                toy_config(suppression_enabled=False, seed=seed),
+                toy_config(mode=ModeSpec("vanilla"), seed=seed),
                 overthinking_triggers,
             )
             fixed0 = generate(
                 overthinking_backend,
                 TOY_PROMPT,
-                toy_config(fixed_p=0.0, seed=seed),
+                toy_config(mode=ModeSpec("fixed_p", 0.0), seed=seed),
                 overthinking_triggers,
             )
             assert fixed0.tokens == vanilla.tokens
@@ -522,12 +528,12 @@ class TestGenerationLoop:
     @pytest.mark.parametrize(
         "think, overrides",
         [
-            (False, {"suppression_enabled": False}),
-            (False, {"fixed_p": 0.5}),
-            (False, {"fixed_p": 1.0}),
+            (False, {"mode": ModeSpec("vanilla")}),
+            (False, {"mode": ModeSpec("fixed_p", 0.5)}),
+            (False, {"mode": ModeSpec("fixed_p", 1.0)}),
             (False, {}),
-            (True, {"fixed_p": 0.5, "restrict_to_thinking": True}),
-            (True, {"fixed_p": 1.0, "restrict_to_thinking": True}),
+            (True, {"mode": ModeSpec("fixed_p", 0.5), "think_end_marker": "</think>"}),
+            (True, {"mode": ModeSpec("fixed_p", 1.0), "think_end_marker": "</think>"}),
         ],
         ids=["vanilla", "fixed-0.5", "fixed-1", "cgrs", "think-0.5", "think-1"],
     )
@@ -549,7 +555,7 @@ class TestGenerationLoop:
             assert [d.step for d in decisions] == list(range(len(decisions)))
             for d in decisions:
                 assert d.r == (decision_uniform(seed, d.step) < d.p)
-            if not cfg.suppression_enabled:
+            if cfg.mode.kind == "vanilla":
                 assert decisions == []
             # the runs tile the decided steps: contiguous from 0, nonempty,
             # maximal in p, each holding only its own masked steps
@@ -562,15 +568,15 @@ class TestGenerationLoop:
                 assert all(run.first_step <= k < end for k in run.masked)
                 assert i == 0 or run.p != runs[i - 1].p
             assert end == len(decisions)
-            if not cfg.suppression_enabled:
+            if cfg.mode.kind == "vanilla":
                 assert runs == []
-            elif cfg.fixed_p is not None:
-                assert len(runs) == 1 and runs[0].p == cfg.fixed_p
+            elif cfg.mode.kind == "fixed_p":
+                assert len(runs) == 1 and runs[0].p == cfg.mode.fixed_p
             if think:
                 assert end == trace.tokens.index(think_end_id) + 1
 
     def test_truncation_by_max_tokens(self, overthinking_backend, overthinking_triggers):
-        cfg = toy_config(max_tokens=3, suppression_enabled=False)
+        cfg = toy_config(max_tokens=3, mode=ModeSpec("vanilla"))
         trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
         assert trace.truncated
         assert trace.finish_reason == "length"
@@ -581,7 +587,9 @@ class TestGenerationLoop:
         b = generate(overthinking_backend, TOY_PROMPT, toy_config(seed=21), overthinking_triggers)
         assert a.to_json() == b.to_json()
 
-    @pytest.mark.parametrize("mode", [{"suppression_enabled": False}, {"fixed_p": 0.5}, {}])
+    @pytest.mark.parametrize(
+        "mode", [{"mode": ModeSpec("vanilla")}, {"mode": ModeSpec("fixed_p", 0.5)}, {}]
+    )
     def test_to_json_equals_json_dumps(self, overthinking_backend, overthinking_triggers, mode):
         # the one module-level encoder writes json.dumps' bytes
         for seed in range(4):
@@ -592,7 +600,12 @@ class TestGenerationLoop:
 
     @pytest.mark.parametrize(
         "mode",
-        [{"suppression_enabled": False}, {"fixed_p": 0.5}, {"fixed_p": 1.0}, {}],
+        [
+            {"mode": ModeSpec("vanilla")},
+            {"mode": ModeSpec("fixed_p", 0.5)},
+            {"mode": ModeSpec("fixed_p", 1.0)},
+            {},
+        ],
         ids=["vanilla", "fixed_p_0.5", "fixed_p_1", "cgrs"],
     )
     @pytest.mark.parametrize("max_tokens", [200, 6])
@@ -654,7 +667,7 @@ class TestGenerationLoop:
         self, overthinking_backend, overthinking_triggers
     ):
         # exact key sets at every level: a renamed or added record field fails here
-        cfg = toy_config(seed=0, restrict_to_thinking=True)
+        cfg = toy_config(seed=0, think_end_marker="</think>")
         trace = generate(overthinking_backend, TOY_PROMPT, cfg, overthinking_triggers)
         assert trace.checkpoint_events and trace.decision_runs
         data = json.loads(trace.to_json())
@@ -662,7 +675,10 @@ class TestGenerationLoop:
         for key in ("prompt", "tokens", "text", "finish_reason", "token_count", "truncated"):
             assert data[key] == getattr(trace, key)
         assert set(data["config"]) == CONFIG_KEYS
-        assert GenerationConfig(**data["config"]) == trace.config
+        assert data["config"]["mode"] == {"kind": "cgrs", "fixed_p": None}
+        assert set(data["config"]["mode"]) == MODE_KEYS
+        config = {**data["config"], "mode": ModeSpec(**data["config"]["mode"])}
+        assert GenerationConfig(**config) == trace.config
         assert len(data["checkpoint_events"]) == len(trace.checkpoint_events)
         for event, record in zip(data["checkpoint_events"], trace.checkpoint_events):
             assert set(event) == EVENT_KEYS
@@ -706,7 +722,7 @@ class TestGenerationLoop:
         backend = ToyBackend(spec)
         triggers = TriggerTokenSet(provenance={1: ("Wait", "wait"), 2: ("Hmm", "hmm")})
         for seed in range(200):
-            cfg = toy_config(seed=seed, fixed_p=1.0, max_tokens=1)
+            cfg = toy_config(seed=seed, mode=ModeSpec("fixed_p", 1.0), max_tokens=1)
             trace = generate(backend, "Q", cfg, triggers)
             assert trace.suppression_decisions[0].r
             assert trace.tokens == [1 if sampling_uniform(seed, 0) < 0.7 else 2], seed
@@ -726,7 +742,7 @@ class TestGenerationLoop:
             vanilla = generate(
                 overthinking_backend,
                 TOY_PROMPT,
-                toy_config(seed=seed, suppression_enabled=False),
+                toy_config(seed=seed, mode=ModeSpec("vanilla")),
                 overthinking_triggers,
             )
             assert probing.tokens == vanilla.tokens
@@ -766,7 +782,7 @@ class TestGenerationLoop:
         backend = ToyBackend(think_spec())
         vocab = backend.vocabulary
         triggers = build_trigger_set(["Wait"], vocab)
-        cfg = toy_config(fixed_p=1.0, restrict_to_thinking=True, seed=0)
+        cfg = toy_config(mode=ModeSpec("fixed_p", 1.0), think_end_marker="</think>", seed=0)
         trace = generate(backend, "Q", cfg, triggers)
         surfaces = [vocab.id_to_token[t] for t in trace.tokens]
         # in-think Wait is masked away; the forced post-think Wait survives
@@ -796,7 +812,7 @@ class TestGenerationLoop:
         triggers = build_trigger_set(["Wait"], vocab)
         probed = 0
         for seed in range(20):
-            cfg = toy_config(probe_prompt="P", restrict_to_thinking=True, seed=seed)
+            cfg = toy_config(probe_prompt="P", think_end_marker="</think>", seed=seed)
             trace = generate(backend, "Q", cfg, triggers)
             surfaces = [vocab.id_to_token[t] for t in trace.tokens]
             think_end = surfaces.index("</think>")
@@ -806,32 +822,12 @@ class TestGenerationLoop:
             probed += len(trace.checkpoint_events)
         assert probed  # probes did run inside the think block
 
-    def test_fixed_p_without_suppression_is_vanilla(
-        self, overthinking_backend, overthinking_triggers
-    ):
-        for seed in range(20):
-            off = generate(
-                overthinking_backend,
-                TOY_PROMPT,
-                toy_config(seed=seed, suppression_enabled=False, fixed_p=0.5),
-                overthinking_triggers,
-            )
-            vanilla = generate(
-                overthinking_backend,
-                TOY_PROMPT,
-                toy_config(seed=seed, suppression_enabled=False),
-                overthinking_triggers,
-            )
-            assert off.suppression_decisions == []
-            assert off.checkpoint_events == []
-            assert off.tokens == vanilla.tokens
-
     def test_fixed_p_pins_every_decision(self, overthinking_backend, overthinking_triggers):
         for seed in range(20):
             trace = generate(
                 overthinking_backend,
                 TOY_PROMPT,
-                toy_config(seed=seed, fixed_p=0.5),
+                toy_config(seed=seed, mode=ModeSpec("fixed_p", 0.5)),
                 overthinking_triggers,
             )
             assert trace.suppression_decisions
@@ -859,9 +855,8 @@ class TestRemoteGeneration:
             remote = RemoteBackend(vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>")
             wait_id = toy.vocabulary.token_to_id["Wait"]
             for seed in range(10):
-                trace = generate(
-                    remote, TOY_PROMPT, toy_config(fixed_p=1.0, seed=seed), overthinking_triggers
-                )
+                cfg = toy_config(mode=ModeSpec("fixed_p", 1.0), seed=seed)
+                trace = generate(remote, TOY_PROMPT, cfg, overthinking_triggers)
                 assert wait_id not in trace.tokens
 
     def test_remote_run_deterministic(self, overthinking_triggers):
@@ -916,10 +911,10 @@ class TestBackendFactsReadOnce:
         monkeypatch.setattr(controller, "run_probe", uncounted_probe)
         triggers = build_trigger_set(default_trigger_words(), inner.vocabulary)
         configs = [
-            toy_config(suppression_enabled=False),
+            toy_config(mode=ModeSpec("vanilla")),
             toy_config(),
-            toy_config(fixed_p=0.5),
-            toy_config(fixed_p=1.0),
+            toy_config(mode=ModeSpec("fixed_p", 0.5)),
+            toy_config(mode=ModeSpec("fixed_p", 1.0)),
         ]
         lengths = set()
         for cfg in configs:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import sys
 
 import pytest
 
+import cgrs
+from cgrs import controller, harness
 from cgrs.controller import GenerationConfig
 from cgrs.harness import (
     DatasetError,
@@ -251,13 +254,13 @@ class TestModeSpec:
 
     def test_apply(self):
         base = bench_config()
-        v = ModeSpec("vanilla").apply(base, seed=7)
-        assert not v.suppression_enabled and v.fixed_p is None and v.seed == 7
-        f = ModeSpec("fixed_p", 0.25).apply(base, seed=8)
-        assert f.suppression_enabled and f.fixed_p == 0.25 and f.seed == 8
-        c = ModeSpec("cgrs").apply(base, seed=9)
-        assert c.suppression_enabled and c.fixed_p is None and c.seed == 9
-        assert base.seed == 0  # base untouched
+        modes = [ModeSpec("vanilla"), ModeSpec("fixed_p", 0.25), ModeSpec("cgrs")]
+        for seed, mode in zip((7, 8, 9), modes):
+            assert mode.apply(base, seed=seed) == dataclasses.replace(base, seed=seed, mode=mode)
+        assert base.seed == 0 and base.mode == ModeSpec("cgrs")  # base untouched
+
+    def test_one_class_behind_every_import(self):
+        assert harness.ModeSpec is controller.ModeSpec is cgrs.ModeSpec
 
 
 class TestLengthReduction:

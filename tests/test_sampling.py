@@ -309,6 +309,8 @@ class TestSampleFromLogits:
             sample_from_logits(logits, 1.0, 0.9, 1.5)
         with pytest.raises(ValueError):
             sample_from_logits(logits, 1.0, 0.9, -0.1)
+        with pytest.raises(ValueError, match="top_p must lie in"):
+            sample_from_logits(logits, 0.0, 5.0, 0.5)  # greedy checks top_p too
 
     def test_nucleus_excludes_tail(self):
         # top token holds 0.97: top_p=0.95 keeps only it
@@ -470,6 +472,25 @@ class TestSampleFromProbs:
         # the draw's prefix sums come from the same rebuilt weights
         w_all, csum = _weights(probs, 1020.0, None, cumulative=True)
         assert np.array_equal(w_all, w) and np.array_equal(csum, np.cumsum(w))
+
+    @pytest.mark.parametrize("banned", [False, True])
+    @pytest.mark.parametrize("top_p", [1.0, 0.95])
+    @pytest.mark.parametrize("temperature", [0.02, 0.3])
+    def test_overflowing_power_draws_as_normalised(self, temperature, top_p, banned):
+        # scaled by 1e15, the top's p ** 50 overflows at T = 0.02: the weights
+        # are rebuilt relative to the largest probability, as after an
+        # underflow, and numpy's warning on the power is the only one
+        zipf = np.arange(1, 5001) ** -1.2
+        probs = np.random.default_rng(0).permutation(zipf / zipf.sum())
+        ban = np.array([int(np.argmax(probs))]) if banned else None
+        for u in [0.1, 0.5, 0.9] + [sampling_uniform(3, step) for step in range(20)]:
+            expected = sample_from_probs(probs, temperature, top_p, u, ban)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                got = sample_from_probs(probs * 1e15, temperature, top_p, u, ban)
+            assert got == expected, u
+            overflowed = ["overflow encountered in power"] if temperature == 0.02 else []
+            assert [str(w.message) for w in seen] == overflowed
 
     def test_no_mass_rejected(self):
         with pytest.raises(ValueError, match="no probability mass"):
