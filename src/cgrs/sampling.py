@@ -382,7 +382,7 @@ def _certified_nucleus(
     if not p_top <= 2.0**64:  # a NaN top fails too
         return None
     if p_top > 1.0 and power * math.log2(p_top) + math.log2(probs.size) >= 1023.0:
-        return None  # the head's weights or the total could overflow
+        return None
     p_ref, r = p_top, None
     if banned is not None and top in banned:
         r = _masked_f32(probs, banned)
