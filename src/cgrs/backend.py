@@ -150,8 +150,9 @@ class ToyBackend(ModelBackend):
         names = [r.name for r in spec.rules]
         if len(set(names)) != len(names):
             raise ValueError("emission rule names must be unique")
-        # Each rule's vector is validated once, here, and shared read-only by
-        # every step that matches the rule.
+        # Each rule's distribution is validated once, here, and shared
+        # read-only by every step that matches the rule, so its entropy and
+        # top id are computed once too.
         self._rules: dict[tuple[int, ...], tuple[TokenDistribution, str]] = {}
         for rule in spec.rules:
             suffix = tuple(self._require_id(t, rule.name) for t in rule.suffix)
@@ -167,7 +168,6 @@ class ToyBackend(ModelBackend):
                 vec[self._require_id(token, rule.name)] = prob
             if abs(vec.sum() - 1.0) > 1e-9:
                 raise ValueError(f"rule {rule.name!r}: probabilities sum to {vec.sum()}")
-            vec.flags.writeable = False
             try:
                 dist = TokenDistribution(probs=vec)  # a NaN passes both checks above
             except ValueError as exc:

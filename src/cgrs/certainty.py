@@ -13,7 +13,7 @@ gives 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -32,15 +32,27 @@ class TokenDistribution:
     reconstructed from top-k log-probs (``truncated=True``) the first k
     outcomes map to real token ids via ``outcome_token_ids`` and the final
     outcome is the aggregated residual bucket.
+
+    ``probs`` is read-only once validated: a writable array is stored as a
+    read-only view of it, so nothing can write through ``probs``.  The
+    caller's own array stays writable, and a write to it would leave the
+    kept facts below stale, so a backend must not reuse the buffer it built
+    a distribution from (none in this package does).  Each fact derived from
+    ``probs`` is computed by the distribution once and kept:
+    ``total``, the sum validation takes, and the top id of
+    :meth:`argmax_token_id` at construction; the entropy of
+    :func:`token_entropy` on first use.  A backend that returns the same
+    object for a repeated state pays for them once.
     """
 
     probs: np.ndarray
     truncated: bool = False
     outcome_token_ids: tuple[int, ...] | None = None
+    total: float = field(init=False, repr=False, compare=False)
+    _top_id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
         # a NaN or negative entry fails the min test; +inf or an overflow, the
@@ -60,13 +72,26 @@ class TokenDistribution:
                 raise ValueError(
                     "outcome_token_ids must cover all outcomes except the residual bucket"
                 )
+            top = self.outcome_token_ids[int(probs[:-1].argmax())]
+        else:
+            # taken before probs is made read-only, since numpy's argmax copies
+            # a read-only array; an input that is read-only already pays that copy
+            top = int(probs.argmax())
+        if probs.flags.writeable:
+            probs = probs.view()  # no copy; the caller's array keeps its flags
+            probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "_top_id", top)
+
+    def __reduce__(self):
+        # a copy or an unpickled distribution is built anew: validated, its
+        # probs read-only, its entropy not yet kept
+        return type(self), (self.probs, self.truncated, self.outcome_token_ids)
 
     def argmax_token_id(self) -> int:
         """Token id of the most probable real outcome (residual excluded)."""
-        if self.truncated:
-            assert self.outcome_token_ids is not None
-            return self.outcome_token_ids[int(self.probs[:-1].argmax())]
-        return int(self.probs.argmax())
+        return self._top_id
 
 
 @lru_cache(maxsize=64)
@@ -96,14 +121,26 @@ _MIN_ENTRIES_PER_RUN = 2048
 def token_entropy(dist: TokenDistribution | np.ndarray | Sequence[float]) -> float:
     """Shannon entropy in nats of one token distribution, with 0*ln(0) = 0.
 
-    A long vector with few exact zeros takes ``p ln p`` run by run, straight
-    from ``probs`` into one buffer; any other takes it from the masked copy
+    A :class:`TokenDistribution` computes it once and keeps it in its
+    instance dict; two threads that race on the first call compute the same
+    value twice.  (``functools.cached_property`` would hold one lock per
+    attribute, shared by all instances, on Python 3.10 and 3.11.)  A long
+    vector with few exact zeros takes ``p ln p`` run by run, straight from
+    ``probs`` into one buffer; any other takes it from the masked copy
     ``p[p > 0]``.  Both buffers hold the nonzero terms in index order, so the
     one reduction returns the same bits either way.
     """
     if not isinstance(dist, TokenDistribution):
         dist = TokenDistribution(np.asarray(dist, dtype=np.float64))
-    p = dist.probs
+    entropy = dist.__dict__.get("_entropy")
+    if entropy is None:
+        entropy = _entropy(dist.probs)
+        object.__setattr__(dist, "_entropy", entropy)
+    return entropy
+
+
+def _entropy(p: np.ndarray) -> float:
+    """The entropy kernel of :func:`token_entropy`."""
     if p.size >= _MIN_ENTRIES_PER_RUN:
         zeros = np.flatnonzero(p == 0.0)
         # k zeros split the vector into at most k + 1 runs

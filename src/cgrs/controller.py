@@ -393,6 +393,8 @@ class GenerationSession:
             self.config.top_p,
             u,
             self._ban if masked else None,
+            total=dist.total,
+            top=dist.argmax_token_id(),
         )
 
     def _sample_remote(self, masked: bool, step: int) -> int | None:

@@ -63,7 +63,7 @@ _MIN_TOTAL = np.finfo(np.float64).tiny * 2.0**60
 _prefix_sum = np.add.accumulate
 
 #: Relative slack of the settled-top test in :func:`_top_settles`, far above
-#: the rounding of the power, the pairwise sum and the division.
+#: the rounding of the power, the sum (pairwise or einsum) and the division.
 _SETTLE_MARGIN = 1.0 + 1e-9
 
 #: Relative slack of the probability threshold that gathers a superset of the
@@ -265,7 +265,9 @@ def _exact_nucleus(
     return head[0][keep], head[1][keep]
 
 
-def _top_settles(probs: np.ndarray, top: int, top_p: float, banned: np.ndarray | None) -> bool:
+def _top_settles(
+    probs: np.ndarray, top: int, top_p: float, banned: np.ndarray | None, total: float | None
+) -> bool:
     """Whether the most probable id ``top``, tempered at ``0 < T <= 1``, alone holds top_p.
 
     Tempering with ``a = 1/T >= 1`` only sharpens: ``p_j ** a <= p_top **
@@ -276,11 +278,22 @@ def _top_settles(probs: np.ndarray, top: int, top_p: float, banned: np.ndarray |
     top's weight and take its place in the stable ranking.  A largest
     probability below the bar cannot settle probabilities that sum to 1, so
     it is turned away before paying for the sum.
+
+    ``total`` is the sum of ``probs`` if the caller has it, else the pairwise
+    sum is taken here.  The caller's is :class:`~cgrs.certainty.TokenDistribution`'s
+    ``einsum`` total, within ``n * 2 ** -53`` of the pairwise sum (1.7e-11
+    at n = 151,936), two orders of magnitude inside the ``1e-9`` of
+    ``_SETTLE_MARGIN``.  So the two sums can only decide differently for a
+    top that holds ``max(top_p, 0.5)`` of the mass with room to spare; the
+    full path then keeps that top alone and draws it, the id the settled
+    path returns.
     """
     bar = max(top_p, 0.5)
     if not probs[top] >= bar:  # argmax stops at a NaN, which fails too
         return False
-    if probs[top] < bar * float(probs.sum()) * _SETTLE_MARGIN:
+    if total is None:
+        total = float(probs.sum())
+    if probs[top] < bar * total * _SETTLE_MARGIN:
         return False
     return banned is None or top not in banned
 
@@ -436,6 +449,8 @@ def sample_from_probs(
     top_p: float,
     u: float,
     banned: np.ndarray | None = None,
+    total: float | None = None,
+    top: int | None = None,
 ) -> int:
     """Pick a token id by inverse CDF over the tempered, banned, nucleus-filtered probs.
 
@@ -460,6 +475,13 @@ def sample_from_probs(
     the largest weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the
     whole vocabulary are the only total it takes.
 
+    ``total`` and ``top``, the sum of ``probs`` and the first id of its
+    largest entry, spare the nucleus draw at ``T > 0`` and ``top_p < 1``
+    those passes over the vocabulary when the caller has them, as a
+    :class:`~cgrs.certainty.TokenDistribution` does; numpy's argmax would
+    also copy its read-only ``probs`` first.  Greedy and ``top_p = 1`` draws
+    do not read them.
+
     ``probs`` is made contiguous first, so a strided view draws as its
     contiguous copy, and the head's gathered weights are the full vector's
     bits whenever numpy's float64 power is elementwise on contiguous arrays
@@ -472,8 +494,9 @@ def sample_from_probs(
     if top_p == 1.0 or temperature == 0.0:
         w, sums = _weights(probs, power, banned, temperature > 0.0)
         return _draw(w, u, sums) if temperature > 0.0 else int(np.argmax(w))
-    top = int(np.argmax(probs))
-    if temperature <= 1.0 and _top_settles(probs, top, top_p, banned):
+    if top is None:
+        top = int(np.argmax(probs))
+    if temperature <= 1.0 and _top_settles(probs, top, top_p, banned, total):
         return top
     kept = _certified_nucleus(probs, power, top_p, banned, top) if temperature < 1.0 else None
     if kept is None:

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cgrs import certainty
+from cgrs import certainty, controller
+from cgrs.backend import ToyBackend, overthinking_spec
 from cgrs.certainty import (
     TokenDistribution,
     certainty_score,
     token_entropy,
 )
+from cgrs.controller import GenerationConfig, ModeSpec, generate
+from cgrs.lexicon import build_trigger_set, default_trigger_words
 
 QWEN_VOCAB = 151_936
 
@@ -123,8 +129,14 @@ class TestEntropyBits:
             before = probs.copy()
             expected = masked_copy_entropy(probs)
             assert token_entropy(probs) == expected
-            assert token_entropy(TokenDistribution(probs)) == expected
+            dist = TokenDistribution(probs)
+            assert token_entropy(dist) == expected
             assert np.array_equal(probs, before)
+            # the kept values are a fresh copy's, bit for bit
+            fresh = TokenDistribution(probs.copy())
+            assert token_entropy(dist) == token_entropy(fresh) == expected
+            assert dist.total == fresh.total == float(np.einsum("i->", probs))
+            assert dist.argmax_token_id() == fresh.argmax_token_id() == int(probs.argmax())
 
     def test_zipf_layout_takes_the_runs(self, runs_taken):
         probs = layout_probs("zipf", QWEN_VOCAB, np.random.default_rng(3))
@@ -170,16 +182,20 @@ class TestEntropyBits:
             ids = tuple(int(i) for i in rng.choice(QWEN_VOCAB, size=k, replace=False))
             dist = TokenDistribution(probs, truncated=True, outcome_token_ids=ids)
             assert token_entropy(dist) == masked_copy_entropy(probs)
+            assert token_entropy(dist) == masked_copy_entropy(probs)  # kept
         assert runs_taken == []
 
     def test_zipf_layout_makes_no_vector_copy(self):
-        # one 8|V|-byte buffer of terms; the masked copy needed two such arrays
-        dist = TokenDistribution(layout_probs("zipf", QWEN_VOCAB, np.random.default_rng(7)))
-        token_entropy(dist)  # warm any lazy allocation
+        # one 8|V|-byte buffer of terms; the masked copy needed two such arrays.
+        # The read-only array makes a new distribution, whose entropy is not
+        # kept yet.  Its validation's argmax copies the read-only array, but
+        # that copy is freed before the buffer of terms is allocated.
+        probs = TokenDistribution(layout_probs("zipf", QWEN_VOCAB, np.random.default_rng(7))).probs
+        token_entropy(probs)  # warm any lazy allocation
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            token_entropy(dist)
+            token_entropy(probs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,6 +269,74 @@ class TestTokenDistribution:
     def test_argmax_tie_lowest_index(self):
         d = TokenDistribution(probs=np.array([0.4, 0.4, 0.2]))
         assert d.argmax_token_id() == 0
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_probs_are_read_only_after_validation(self, truncated):
+        caller = np.array([0.25, 0.75])
+        ids = (4,) if truncated else None
+        d = TokenDistribution(caller, truncated=truncated, outcome_token_ids=ids)
+        with pytest.raises(ValueError, match="read-only"):
+            d.probs[0] = 5.0
+        assert np.shares_memory(d.probs, caller)  # a view, not a copy
+        assert caller.flags.writeable  # the caller's array keeps its flags
+        token_entropy(d)
+        for other in (
+            TokenDistribution([0.25, 0.75]),
+            pickle.loads(pickle.dumps(d)),
+            copy.deepcopy(d),
+            copy.copy(d),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                other.probs[1] = 0.0
+            assert other.total == d.total and token_entropy(other) == token_entropy(d)
+
+    def test_read_only_input_is_kept_as_is(self):
+        probs = np.array([0.25, 0.75])
+        probs.flags.writeable = False
+        assert TokenDistribution(probs).probs is probs
+
+
+class TestKeptFacts:
+    """A distribution computes its total, top id and entropy once and keeps them."""
+
+    def test_one_computation_per_distribution_over_toy_generations(self, monkeypatch):
+        # the entropy kernel and validation, where the top id is found, each
+        # run once per distribution, although the probes ask again and again
+        entropies, built = Counter(), Counter()
+        kernel, validate = certainty._entropy, TokenDistribution.__post_init__
+
+        def entropy_spy(p):
+            entropies[id(p)] += 1
+            return kernel(p)
+
+        def validate_spy(dist):
+            validate(dist)
+            built[id(dist.probs)] += 1
+
+        monkeypatch.setattr(certainty, "_entropy", entropy_spy)
+        monkeypatch.setattr(TokenDistribution, "__post_init__", validate_spy)
+        scored, tops = [], []
+        score, argmax = controller.certainty_score, TokenDistribution.argmax_token_id
+
+        def counting_score(distributions, vocab_size):
+            scored.extend(id(d.probs) for d in distributions)
+            return score(distributions, vocab_size)
+
+        def counting_argmax(dist):
+            tops.append(id(dist.probs))
+            return argmax(dist)
+
+        monkeypatch.setattr(controller, "certainty_score", counting_score)
+        monkeypatch.setattr(TokenDistribution, "argmax_token_id", counting_argmax)
+        backend = ToyBackend(overthinking_spec())  # built under the spies
+        triggers = build_trigger_set(default_trigger_words(), backend.vocabulary)
+        for seed in range(50):
+            config = GenerationConfig(temperature=1.0, top_p=1.0, mode=ModeSpec("cgrs"), seed=seed)
+            generate(backend, "Solve 6*7. ", config, triggers)
+        assert set(entropies.values()) == {1} and set(built.values()) == {1}
+        assert set(entropies) == set(scored) and set(tops) <= set(built)
+        assert len(scored) > 10 * len(entropies)
+        assert len(tops) > 10 * len(set(tops))
 
 
 class TestCertaintyScore:

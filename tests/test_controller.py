@@ -477,6 +477,22 @@ class TestGenerationLoop:
             )
             assert fixed0.tokens == vanilla.tokens
 
+    def test_sampler_gets_the_validated_total_and_top(
+        self, overthinking_backend, overthinking_triggers, monkeypatch
+    ):
+        seen = []
+        real = controller.sample_from_probs
+
+        def spy(probs, temperature, top_p, u, banned=None, total=None, top=None):
+            seen.append((probs, total, top))
+            return real(probs, temperature, top_p, u, banned, total, top)
+
+        monkeypatch.setattr(controller, "sample_from_probs", spy)
+        generate(overthinking_backend, TOY_PROMPT, toy_config(seed=2), overthinking_triggers)
+        assert seen
+        for probs, total, top in seen:
+            assert total == float(np.einsum("i->", probs)) and top == int(np.argmax(probs))
+
     def test_certainty_guided_probing(self, overthinking_backend, overthinking_triggers):
         vocab = overthinking_backend.vocabulary
         marker_id = vocab.token_to_id["\n\n"]

@@ -330,9 +330,12 @@ class TestRunBenchmark:
         b = self.run(overthinking_backend, toy_problems)
         assert a == b
 
-    def test_parallel_equals_serial(self, overthinking_backend, toy_problems):
-        serial = self.run(overthinking_backend, toy_problems)
-        parallel = self.run(overthinking_backend, toy_problems, parallelism=4)
+    def test_parallel_equals_serial(self, toy_problems):
+        # the threads run first, on a fresh backend: each distribution's kept
+        # entropy is filled under threads, then read serially
+        backend = ToyBackend(overthinking_spec())
+        parallel = self.run(backend, toy_problems, parallelism=4)
+        serial = self.run(backend, toy_problems)
         assert serial == parallel
 
     def test_problem_seeds_differ_within_repetition(self, overthinking_backend):

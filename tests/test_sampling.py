@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from cgrs import sampling
+from cgrs.certainty import TokenDistribution
 from cgrs.rng import sampling_uniform
 from cgrs.sampling import (
     _weights,
@@ -667,6 +671,86 @@ def tie_pair_below(x: float, temperature: float) -> tuple[float, float]:
     raise AssertionError("no tempered tie found")
 
 
+def settle_boundary_vector(
+    vocab: int, bar: float, offset: float, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """A vector whose top holds ``bar * (1 + 1e-9) + offset`` of its exact sum, and the top's id.
+
+    Every other id holds one of three levels, 4:2:1, scattered over the ids.
+    The vector sums to about ``1 + 5e-7``, inside the normalization
+    tolerance, so the top passes the settle test's first check, ``p_top >=
+    bar``, on either side, and the sum decides.
+    """
+    top = vocab // 3
+    levels = np.array([4.0, 2.0, 1.0])[rng.permutation(vocab - 1) % 3]
+    rest = levels * ((1.0 - bar) * (1.0 + 5e-7) / levels.sum())
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        values, counts = np.unique(rest, return_counts=True)
+        rest_total = sum(Decimal(float(v)) * int(c) for v, c in zip(values, counts))
+        share = Decimal(bar) * (1 + Decimal("1e-9")) + Decimal(offset)
+        p_top = float(share * rest_total / (1 - share))
+        got = Decimal(p_top) / (Decimal(p_top) + rest_total)
+        assert abs(got - share) < Decimal("1e-15")
+    return np.insert(rest, top, p_top), top
+
+
+def exact_nucleus(
+    probs: np.ndarray, temperature: float, top_p: float, banned: np.ndarray
+) -> tuple[np.ndarray, list[Decimal]]:
+    """Oracle at 50 digits: the nucleus of ``probs ** (1/T)`` with ``banned`` zeroed.
+
+    Returns the kept ids, in id order, and their weights.
+
+    The weights are taken once per distinct probability, so a vector with few
+    distinct values costs a few powers.
+    """
+    masked = probs.copy()
+    masked[banned] = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = 1 / Decimal(repr(temperature))
+        # ranked by weight, and within one value by id
+        groups = [
+            (Decimal(float(v)) ** a, np.flatnonzero(masked == v))
+            for v in np.unique(masked[masked > 0.0])[::-1]
+        ]
+        need = Decimal(top_p) * sum(w * ids.size for w, ids in groups)
+        kept, mass = [], Decimal(0)
+        for w, ids in groups:
+            if mass + w * ids.size >= need:
+                m = int(((need - mass) / w).to_integral_value(rounding=decimal.ROUND_CEILING))
+                kept.append((w, ids[: max(m, 1)]))
+                break
+            kept.append((w, ids))
+            mass += w * ids.size
+    ids = np.concatenate([i for _, i in kept])
+    weights = [w for w, i in kept for _ in range(i.size)]
+    order = np.argsort(ids)
+    return ids[order], [weights[k] for k in order]
+
+
+def exact_boundaries(weights: list[Decimal]) -> list[float]:
+    """Each kept id's upper edge in the exact CDF, as a share of the kept total, but the last."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        total = sum(weights)
+        return [float(edge / total) for edge in itertools.accumulate(weights[:-1])]
+
+
+def exact_draw(keep: np.ndarray, weights: list[Decimal], u: float) -> int:
+    """Oracle at 50 digits: the first kept id whose prefix sum exceeds ``u`` of the kept total."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        threshold = Decimal(u) * sum(weights)
+        mass = Decimal(0)
+        for token, w in zip(keep.tolist(), weights):
+            mass += w
+            if mass > threshold:
+                return token
+    raise AssertionError("u lies in [0, 1)")
+
+
 class TestThresholdHead:
     """A nucleus inside the threshold head is found without a partial selection."""
 
@@ -866,6 +950,44 @@ class TestSettledTop:
                     assert got == tempered_argsort_draw(keep, w, u), (trial, top_p, step)
                     tempered = weights_sizes or certified_sizes
                     assert (not tempered) == settles, (trial, top_p, step)
+
+    @pytest.mark.parametrize("vocab", [11, 4096, QWEN_VOCAB])
+    @pytest.mark.parametrize("temperature", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("ban", [False, True], ids=["no-ban", "non-top-ban"])
+    def test_settle_boundary_draws_match_exact_arithmetic(
+        self, weights_sizes, certified_sizes, vocab, temperature, ban
+    ):
+        # the top holds within 1e-12 to 1e-8 of the settle test's bar, either
+        # side.  The kept einsum total and the pairwise sum may decide the
+        # test differently for the nearest; both must draw the exact id
+        rng = np.random.default_rng([vocab, int(temperature * 10), ban])
+        for top_p in (0.3, 0.95):
+            bar = max(top_p, 0.5)
+            for sign in (-1.0, 1.0):
+                for offset in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+                    probs, top = settle_boundary_vector(vocab, bar, sign * offset, rng)
+                    banned = np.zeros(0, dtype=np.int64)
+                    if ban:  # the lowest id of the largest level, and two more
+                        others = np.setdiff1d(np.arange(vocab), [top])
+                        first = others[probs[others] == probs[others].max()][0]
+                        picks = rng.choice(others, 2, replace=False)
+                        banned = np.union1d(picks, [first]).astype(np.int64)
+                    dist = TokenDistribution(probs)
+                    keep, weights = exact_nucleus(probs, temperature, top_p, banned)
+                    # a u on either side of each edge draws every kept id
+                    us = [sampling_uniform(vocab, step) for step in range(4)]
+                    us += [e * f for e in exact_boundaries(weights) for f in (1 - 1e-6, 1 + 1e-6)]
+                    for u in us:
+                        want = exact_draw(keep, weights, u)
+                        args = (dist.probs, temperature, top_p, u, banned if ban else None)
+                        weights_sizes.clear()
+                        certified_sizes.clear()
+                        kept = {"total": dist.total, "top": dist.argmax_token_id()}
+                        assert sample_from_probs(*args, **kept) == want, (top_p, sign, offset)
+                        settled = not (weights_sizes or certified_sizes)
+                        assert sample_from_probs(*args) == want, (top_p, sign, offset)
+                        if offset >= 1e-10:  # far outside either sum's rounding
+                            assert settled == (sign > 0), (top_p, sign, offset)
 
     def test_settled_draw_never_tempers(self, weights_sizes, certified_sizes):
         rng = np.random.default_rng(98)
