@@ -43,6 +43,13 @@ class TokenDistribution:
     :meth:`argmax_token_id` at construction; the entropy of
     :func:`token_entropy` on first use.  A backend that returns the same
     object for a repeated state pays for them once.
+
+    Validation reads a full-vocabulary vector twice: ``einsum`` takes the
+    total, and an argmax over the entries' bit patterns finds the top id and
+    shows that no entry has its sign bit set.  Only a vector with a set sign
+    bit (a negative, a ``-0.0``, a sign-bit NaN) is read twice more, by a
+    min test that accepts ``-0.0`` and a float argmax.  A truncated vector
+    takes the min test and the float argmax over its real outcomes.
     """
 
     probs: np.ndarray
@@ -55,13 +62,21 @@ class TokenDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
-        # a NaN or negative entry fails the min test; +inf or an overflow, the
-        # sum.  einsum adds in SIMD lanes, not pairwise: on nonnegative
-        # entries its error is at most n * 2 ** -53 of the total (1.7e-11 at
-        # n = 151,936), far inside NORMALIZATION_ATOL, and it is the faster pass.
-        lo = probs.min()
+        # +inf, a NaN or an overflow fails the sum.  einsum adds in SIMD lanes,
+        # not pairwise: on nonnegative entries its error is at most n * 2 ** -53
+        # of the total (1.7e-11 at n = 151,936), far inside NORMALIZATION_ATOL,
+        # and it is the faster pass.
         total = float(np.einsum("i->", probs))
-        if not (lo >= 0.0 and np.isfinite(total)):
+        # Entries whose sign bit is clear order as their bits do, so when the
+        # largest bit pattern has a clear sign bit no entry is negative, -0.0
+        # or a sign-bit NaN, and that pattern's first id is the float argmax.
+        # Only a set sign bit costs the min test (-0.0 passes it) and a float
+        # argmax.  Taken before probs is made read-only, since numpy's argmax
+        # copies a read-only array; an input that is read-only already pays
+        # that copy.
+        top = None if self.truncated else int(probs.view(np.uint64).argmax())
+        signed = top is None or np.signbit(probs[top])
+        if not ((not signed or probs.min() >= 0.0) and np.isfinite(total)):
             raise ValueError("probs must be finite and nonnegative, with a finite sum")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probs must sum to 1 within {NORMALIZATION_ATOL}, got {total}")
@@ -73,9 +88,7 @@ class TokenDistribution:
                     "outcome_token_ids must cover all outcomes except the residual bucket"
                 )
             top = self.outcome_token_ids[int(probs[:-1].argmax())]
-        else:
-            # taken before probs is made read-only, since numpy's argmax copies
-            # a read-only array; an input that is read-only already pays that copy
+        elif signed:
             top = int(probs.argmax())
         if probs.flags.writeable:
             probs = probs.view()  # no copy; the caller's array keeps its flags

@@ -14,16 +14,17 @@ the ids whose weight reaches ``2 ** -10`` of the most probable id left's
 prefix of the stable ranking by weight, so :func:`_rank` sorts it alone and
 reads the cutoff off its prefix sums, against one of two totals.  Top-p is
 defined on the tempered total, but the cutoff only needs that total well
-enough to fix one index.  So an unsettled step at ``0 < T < 1`` tempers
-only the head in float64 and brackets the total with one float32 pass,
-``exp2(a * log2 r)`` over the ratios ``r`` to the most probable id left
-(:func:`_certified_nucleus`, :func:`_total_bounds`).  Zero and subnormal
-ratios go through ``log2`` and ``exp2`` as they are: every weight below
-``2 ** -_TAIL_EXP`` of the reference's enters the bracket as an absolute
-error.  The bracket's half width is 8 times a stated error budget, about
-``9.2e-5`` of the total at ``T = 0.6`` over 151,936 ids.  The budget takes
-numpy's own float32 tolerances for ``log2`` and ``exp2``, which a test
-measures.  When the cutoff is the same at both ends it is the full path's,
+enough to fix one index.  So an unsettled step at ``0 < T < 1`` reads the
+float64 vector once, to cast it to float32: the compare pass gathers the
+head from the cast, only the head is tempered in float64, and the total is
+bracketed with one float32 pass, ``exp2(a * log2 r)`` over the ratios ``r``
+to the most probable id left (:func:`_certified_nucleus`,
+:func:`_total_bounds`).  Zero and subnormal ratios go through ``log2`` and
+``exp2`` as they are: every weight below ``2 ** -_TAIL_EXP`` of the
+reference's enters the bracket as an absolute error.  The bracket's half
+width is 8 times a stated error budget, about ``9.2e-5`` of the total at
+``T = 0.6`` over 151,936 ids.  The budget takes numpy's own float32
+tolerances for ``log2`` and ``exp2``, which a test measures.  When the cutoff is the same at both ends it is the full path's,
 and the draw picks the same id.  Otherwise, and at any other ``T > 0`` and
 in :func:`nucleus_filter`, the full path gathers the head from the whole
 tempered vector and ranks it against its exact total
@@ -190,36 +191,41 @@ def _rank(w: np.ndarray, top_p: float, lo: float, hi: float | None = None) -> np
 
 
 def _head(
-    probs: np.ndarray, power: float, p_ref: float, banned: np.ndarray | None
+    probs: np.ndarray, power: float, p_ref: float, r: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The threshold head of ``probs ** power`` (ids in id order, weights); None if over ``_HEAD_CAP``.
 
-    The head is every id whose weight reaches ``_HEAD_RATIO`` of ``p_ref **
-    power``, the weight of a reference id that is not banned: the most
-    probable id left, or one within float32 rounding of it (the ``banned``
-    ids weigh 0).  Every weight left out is strictly below every one taken,
-    whatever the reference, so the head is an exact prefix of the stable
-    ranking.  One compare pass on ``probs`` gathers every id at or above
-    ``p_ref * _HEAD_RATIO ** (1 / power)`` less a ``_SUPERSET_SLACK``, a
-    superset of the head; over ``_HEAD_CAP`` of them it gives up before any
-    power.  Their weights ``probs[ids] ** power`` are the full vector's, bit
-    for bit, because numpy's power rounds each element alone, whatever its
-    position or the array's length (``probs`` is contiguous, and tests pin
-    this); with the banned ids zeroed and filtered at ``_HEAD_RATIO`` of the
-    reference weight they are exactly the head.  The full path passes its
-    tempered weights at ``power = 1`` and no ban: the gather is then itself a
-    threshold on the weights, an exact prefix as it is.  An empty gather (a
-    NaN reference) gives up too.
+    The head is every id not banned whose weight reaches ``_HEAD_RATIO`` of
+    ``p_ref ** power``, the weight of a reference id that is not banned: the
+    most probable id left, or one within float32 rounding of it.  Every
+    weight left out is strictly below every one taken, whatever the
+    reference, so the head is an exact prefix of the stable ranking.
+
+    The full path passes its tempered weights at ``power = 1``, bans already
+    zeroed, and no ``r``: one compare pass on them at ``p_ref * _HEAD_RATIO``
+    less a ``_SUPERSET_SLACK`` is itself a threshold on the weights, an exact
+    prefix as it is.  At ``power > 1``, ``r`` is :func:`_masked_f32` of
+    ``probs``, and the compare pass runs on it, at the float32 rounding of
+    the bar ``p_ref * _HEAD_RATIO ** (1 / power)`` less the slack.  Rounding
+    is monotone, so it gathers every id not banned that reaches the float64
+    bar, a superset of the head.  The caller keeps that bar a normal float32
+    above 0, and a banned id is 0 in ``r``, so no banned id is gathered.
+    Over ``_HEAD_CAP`` ids the gather gives up before any power.  Their
+    weights ``probs[ids] ** power`` are the full vector's, bit for bit,
+    because numpy's power rounds each element alone, whatever its position
+    or the array's length (``probs`` is contiguous, and tests pin this);
+    filtered at ``_HEAD_RATIO`` of the reference weight they are exactly the
+    head.  An empty gather (a NaN reference) gives up too.
     """
-    near = probs >= p_ref * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
-    ids = np.flatnonzero(near)
+    if r is None:
+        r = probs
+    bar = p_ref * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
+    ids = np.flatnonzero(r >= r.dtype.type(bar))
     if not 0 < ids.size <= _HEAD_CAP:
         return None
-    if power == 1.0 and banned is None:  # the gather is itself a threshold on the weights
+    if power == 1.0:  # the gather is itself a threshold on the weights
         return ids, probs[ids]
     w = probs[ids] ** power
-    if banned is not None and banned.size:
-        w[ids.searchsorted(banned[near[banned]])] = 0.0
     in_head = w >= p_ref**power * _HEAD_RATIO
     return ids[in_head], w[in_head]
 
@@ -257,7 +263,7 @@ def _exact_nucleus(
     partial selection of :func:`_nucleus`.
     """
     ref = w[top]
-    head = _head(w, 1.0, ref if ref > 0.0 else w.max(), None)
+    head = _head(w, 1.0, ref if ref > 0.0 else w.max())
     keep = None if head is None else _rank(head[1], top_p, total)
     if keep is None:
         keep = _nucleus(w, total, top_p)
@@ -375,42 +381,43 @@ def _certified_nucleus(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The full path's nucleus at ``power > 1`` (ids in id order, weights); None if not certified.
 
-    ``top`` is the most probable id.  When it is banned, the reference is
-    the argmax of the float32 cast with the bans zeroed, which the float32
-    pass reuses: an id not banned whose probability is within float32
-    rounding of the largest left.  The full path measures its head against
-    the largest weight left instead, but every :func:`_head` is an exact
-    prefix of the ranking whatever its reference, so the cutoff found in
-    either is the same.  Only the head is tempered in float64, and
-    :func:`_total_bounds` brackets the float64 total from the reference's
-    weight.  Division and prefix sums round monotonically, so the
-    :func:`_cutoff` can only grow with the total: when :func:`_rank` finds
-    it the same at both bounds, and inside the head, it is the full path's
-    cutoff, and the kept ids and weights are the full path's.  A ban that
-    leaves no mass in float32 is left to the full path, and so is a top
-    whose weight ``p_top ** power``, times V, could overflow float64: it
-    bounds every weight in the head and the total.
+    ``top`` is the most probable id.  The one pass over ``probs`` is its
+    float32 cast with the bans zeroed, made first: :func:`_head` gathers
+    from it and :func:`_total_bounds` sums it.  When the top is banned, the
+    reference is the argmax of the cast: an id not banned whose probability
+    is within float32 rounding of the largest left.  The full path measures
+    its head against the largest weight left instead, but every
+    :func:`_head` is an exact prefix of the ranking whatever its reference,
+    so the cutoff found in either is the same.  The reference must satisfy
+    ``2 ** -125 <= p_ref * 2 ** (-_TAIL_EXP / power)``, which keeps the
+    head's bar above ``2 ** -126``, a normal float32.  Only the head is
+    tempered in float64, and :func:`_total_bounds` brackets the float64
+    total from the reference's weight.  Division and prefix sums round
+    monotonically, so the :func:`_cutoff` can only grow with the total:
+    when :func:`_rank` finds it the same at both bounds, and inside the
+    head, it is the full path's cutoff, and the kept ids and weights are
+    the full path's.  A ban that leaves no mass in float32 is left to the
+    full path, and so is a top whose weight ``p_top ** power``, times V,
+    could overflow float64: it bounds every weight in the head and the
+    total.
     """
     p_top = probs[top]
     if not p_top <= 2.0**64:  # a NaN top fails too
         return None
     if p_top > 1.0 and power * math.log2(p_top) + math.log2(probs.size) >= 1023.0:
         return None
-    p_ref, r = p_top, None
+    r, p_ref = _masked_f32(probs, banned), p_top
     if banned is not None and top in banned:
-        r = _masked_f32(probs, banned)
         ref_id = int(np.argmax(r))
         if not r[ref_id] > 0.0:  # no mass left, or a NaN
             return None
         p_ref = probs[ref_id]
     if not 2.0**-125 <= p_ref * 2.0 ** (-_TAIL_EXP / power):
         return None
-    head = _head(probs, power, p_ref, banned)
+    head = _head(probs, power, p_ref, r)
     if head is None:
         return None
     ids, w = head
-    if r is None:
-        r = _masked_f32(probs, banned)
     lo, hi = _total_bounds(r, p_ref, p_ref**power, power)
     keep = _rank(w, top_p, lo, hi) if lo >= _MIN_TOTAL else None
     return None if keep is None else (ids[keep], w[keep])
@@ -463,10 +470,11 @@ def sample_from_probs(
     ``probs`` must be nonnegative; they need not sum to 1.  At ``0 < T <= 1``
     and ``top_p < 1``, a top token that alone holds top_p of the tempered
     mass (:func:`_top_settles`) is returned without tempering the vocabulary.
-    Otherwise, at ``T < 1``, :func:`_certified_nucleus` tempers only the
-    threshold head and ranks it against a float32 bracket of the total,
-    measured, when the top is banned, against the id left that the float32
-    cast ranks first; it gives way to the full path when the head is over
+    Otherwise, at ``T < 1``, :func:`_certified_nucleus` casts ``probs`` to
+    float32 once, gathers the threshold head from the cast, tempers only the
+    head and ranks it against a float32 bracket of the total, measured,
+    when the top is banned, against the id left that the float32 cast ranks
+    first; it gives way to the full path when the head is over
     ``_HEAD_CAP``, the total is too small, the ban leaves no mass, the head
     falls short of top_p, or a bound of the total would move the cutoff.
     The full path, also taken at ``T >= 1``, tempers the whole vocabulary

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -294,6 +295,153 @@ class TestTokenDistribution:
         probs = np.array([0.25, 0.75])
         probs.flags.writeable = False
         assert TokenDistribution(probs).probs is probs
+
+
+def three_pass_validation(probs, truncated=False, ids=None):
+    """Reference: validation as three passes, ``min``, ``einsum`` and ``argmax``.
+
+    Returns the error message, or None, with the total's bits and the top id.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    lo = probs.min()
+    total = float(np.einsum("i->", probs))
+    if not (lo >= 0.0 and np.isfinite(total)):
+        return "probs must be finite and nonnegative, with a finite sum", None, None
+    if abs(total - 1.0) > certainty.NORMALIZATION_ATOL:
+        return f"probs must sum to 1 within {certainty.NORMALIZATION_ATOL}, got {total}", None, None
+    if truncated:
+        if ids is None:
+            return "truncated distributions must carry outcome_token_ids", None, None
+        if len(ids) != probs.size - 1:
+            return "outcome_token_ids must cover all outcomes except the residual bucket", None, None
+        try:
+            top = ids[int(probs[:-1].argmax())]
+        except ValueError as exc:
+            return str(exc), None, None
+    else:
+        top = int(probs.argmax())
+    return None, np.float64(total).view(np.int64), top
+
+
+def validation(probs, truncated=False, ids=None):
+    """:class:`TokenDistribution`'s validation, in :func:`three_pass_validation`'s terms."""
+    try:
+        dist = TokenDistribution(probs, truncated=truncated, outcome_token_ids=ids)
+    except ValueError as exc:
+        return str(exc), None, None
+    return None, np.float64(dist.total).view(np.int64), dist.argmax_token_id()
+
+
+#: One entry of each kind that validation must tell apart.
+SPECIAL_ENTRIES = {
+    "zero": 0.0,
+    "negative_zero": -0.0,
+    "subnormal": 5e-324 * 12345,
+    "tiny": 1e-300,
+    "tie_at_max": None,  # takes the vector's largest value
+    "pos_inf": np.inf,
+    "neg_inf": -np.inf,
+    "nan": np.nan,
+    "sign_bit_nan": np.copysign(np.nan, -1.0),
+    "negative": -1e-3,
+}
+
+
+def special_vector(base: np.ndarray, placed: dict[int, str]) -> np.ndarray:
+    """``base`` with ``SPECIAL_ENTRIES`` written at the given ids.
+
+    A finite entry that replaces mass gives it to the first id not written,
+    so the vector keeps its sum where it can.
+    """
+    probs = base.copy()
+    donor = next((i for i in range(probs.size) if i not in placed), None)
+    for i, name in placed.items():
+        value = probs.max() if name == "tie_at_max" else SPECIAL_ENTRIES[name]
+        if donor is not None and math.isfinite(value) and name != "tie_at_max":
+            probs[donor] += probs[i] - value
+        probs[i] = value
+    return probs
+
+
+def layouts_of(probs: np.ndarray) -> dict[str, np.ndarray]:
+    wide = np.zeros((probs.size, 2))
+    wide[:, 1] = probs
+    read_only = probs.copy()
+    read_only.flags.writeable = False
+    return {"contiguous": probs.copy(), "strided": wide[:, 1], "read_only": read_only}
+
+
+class TestValidationFold:
+    """Validation finds the top from the entries' bits, and takes the min test only on a set sign bit."""
+
+    @pytest.mark.parametrize("vocab", [1, 2, 11, QWEN_VOCAB])
+    def test_matches_three_passes(self, vocab):
+        rng = np.random.default_rng(vocab)
+        if vocab == QWEN_VOCAB:
+            base = (rng.permutation(vocab) + 1.0) ** -1.1
+        else:
+            base = rng.dirichlet(np.ones(vocab))
+        base /= math.fsum(base)
+        spots = sorted({0, vocab // 2, vocab - 1})
+        placements = [{i: name} for name in SPECIAL_ENTRIES for i in spots]
+        if vocab > 1:  # every ordered pair of kinds, at the first and last ids
+            placements += [
+                {0: a, vocab - 1: b} for a in SPECIAL_ENTRIES for b in SPECIAL_ENTRIES
+            ]
+        checked, outcomes = 0, set()
+        for placed in [{}] + placements:
+            probs = special_vector(base, placed)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for truncated in (False, True):
+                    ids = tuple(range(100, 100 + vocab - 1)) if truncated else None
+                    for layout, arr in layouts_of(probs).items():
+                        want = three_pass_validation(arr, truncated, ids)
+                        got = validation(arr, truncated, ids)
+                        assert got == want, (placed, truncated, layout)
+                        outcomes.add(want[0] is None)
+                        checked += 1
+        assert outcomes == {True, False} and checked >= 6 * (1 + len(placements))
+
+    def test_negative_zero_is_accepted(self):
+        for probs in ([0.25, -0.0, 0.75], [-0.0, 1.0], [1.0, -0.0], [0.5, 0.5, -0.0]):
+            dist = TokenDistribution(np.array(probs))
+            assert dist.total == 1.0
+            assert dist.argmax_token_id() == int(np.argmax(probs))
+
+    def test_sign_bit_nan_is_rejected(self):
+        negative_nan = np.copysign(np.nan, -1.0)
+        assert np.signbit(negative_nan)
+        for probs in ([negative_nan, 1.0], [0.5, 0.5, negative_nan]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                TokenDistribution(np.array(probs))
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["no_sign_bit", "negative_zero"])
+    def test_full_vector_is_read_twice_without_a_sign_bit(self, signed):
+        # every call validation makes on the vector (or a view of it) and
+        # every einsum; reshaping calls (view) do not read the entries
+        probs = (np.random.default_rng(5).permutation(QWEN_VOCAB) + 1.0) ** -1.1
+        probs /= probs.sum()
+        if signed:
+            probs[7] = -0.0
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            owner = getattr(arg, "__self__", None)
+            if event == "c_call" and isinstance(owner, np.ndarray) and owner.size == probs.size:
+                calls[arg.__name__] += 1
+            elif event == "call" and frame.f_code.co_name == "einsum":
+                calls["einsum"] += 1
+
+        sys.setprofile(profile)
+        try:
+            TokenDistribution(probs)
+        finally:
+            sys.setprofile(None)
+        del calls["view"]
+        if signed:
+            assert calls == {"einsum": 1, "argmax": 2, "min": 1}
+        else:
+            assert calls == {"einsum": 1, "argmax": 1}
 
 
 class TestKeptFacts:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import inspect
 import itertools
 import math
 import warnings
@@ -898,7 +899,7 @@ class TestSettledTop:
 
     @pytest.mark.parametrize(
         "x, temperature, top_p",
-        [(0.45, 0.6, 0.3), (0.6, 0.9, 0.3), (0.6, 0.9, 0.5)],
+        [(0.45, 0.6, 0.3), (1.99, 0.9, 0.3), (1.99, 0.9, 0.5)],
         ids=["rest-0.3", "pair-0.3", "pair-0.5"],
     )
     def test_tempered_tie_keeps_the_lower_id(self, x, temperature, top_p):
@@ -906,8 +907,12 @@ class TestSettledTop:
         # larger probability.  Ranked by weight, 0 comes first and alone holds
         # top_p, so the most probable id is the wrong answer.  With the pair
         # below 0.45, the rest of the mass fills the vector to 1 and the top
-        # holds less than half of it; the pair alone below 0.6 (probs need not
-        # sum to 1) gives the top a hair over half, inside the rule's margin
+        # holds less than half of it; the pair alone below 1.99 (probs need
+        # not sum to 1) gives the top a hair over half, inside the rule's
+        # margin.  Just below 2.0, x ** (1/0.9) lands in the next binade, so
+        # adjacent doubles temper about 0.6 output ulp apart and any
+        # faithful power ties some of them; near 0.6 they land about 1.05
+        # ulp apart, and only some SIMD builds of numpy's power tie them
         low, high = tie_pair_below(x, temperature)
         probs = np.zeros(64)
         probs[:2] = low, high
@@ -1174,11 +1179,160 @@ class TestCertifiedDraw:
         assert ulps(np.exp2(ys), np.exp2(ys.astype(np.float64))) <= sampling._EXP2_ULP
 
     def test_flat_vector_makes_no_float32_pass(self, large_vectors, weights_sizes, bounds_sizes):
-        # a head over the cap gives up after the compare pass
+        # a head over the cap gives up after the cast and the compare pass on
+        # it, before the float32 total's log2 and exp2 pass
         probs = large_vectors["uniform"]
         sample_from_probs(probs, 0.6, 0.95, 0.5)
         assert not bounds_sizes
         assert weights_sizes == [QWEN_VOCAB]
+
+    def test_head_is_gathered_from_the_float32_cast(self, large_vectors, monkeypatch):
+        # the certified path reads the float64 vector once, to cast it: the
+        # head's compare pass runs on the cast, which the total then sums
+        heads, bounds = [], []
+        head, total_bounds = sampling._head, sampling._total_bounds
+
+        def head_spy(probs, power, p_ref, r=None):
+            heads.append(r)
+            return head(probs, power, p_ref, r)
+
+        def bounds_spy(r, *args):
+            bounds.append(r)
+            return total_bounds(r, *args)
+
+        monkeypatch.setattr(sampling, "_head", head_spy)
+        monkeypatch.setattr(sampling, "_total_bounds", bounds_spy)
+        probs = large_vectors["zipf"]
+        ban = np.array([int(np.argmax(probs))])
+        for banned in (None, ban):
+            heads.clear()
+            bounds.clear()
+            sample_from_probs(probs, 0.6, 0.95, 0.5, banned)
+            assert len(heads) == len(bounds) == 1
+            assert heads[0] is bounds[0] and heads[0].dtype == np.float32
+        assert "banned" not in inspect.signature(head).parameters
+
+    @pytest.mark.parametrize("temperature", [0.6, 0.1])
+    @pytest.mark.parametrize("top_banned", [False, True])
+    def test_banned_id_above_the_bar_never_enters_the_head(
+        self, weights_sizes, temperature, top_banned
+    ):
+        # the float32 cast holds 0 at a banned id, so a banned id whose
+        # probability is above the gather's bar is never gathered, and the
+        # head is the float64 head of the ids left
+        rng = np.random.default_rng(int(temperature * 10) + top_banned)
+        power = 1.0 / temperature
+        vocab = 4096
+        probs = (rng.permutation(vocab) + 1.0) ** -1.1
+        top = int(np.argmax(probs))
+        above = rng.choice(np.setdiff1d(np.arange(vocab), [top]), 3, replace=False)
+        probs[above] = 0.9 * probs[top]  # far above the bar at any T < 1
+        probs /= probs.sum()
+        ban = np.sort(np.append(above, top) if top_banned else above)
+        r = sampling._masked_f32(probs, ban)
+        p_ref = probs[int(np.argmax(r))]
+        bar = p_ref * sampling._HEAD_RATIO ** (1.0 / power) * sampling._SUPERSET_SLACK
+        assert np.isin(ban, np.flatnonzero(probs >= bar)).all()
+        ids, w = sampling._head(probs, power, p_ref, r)
+        assert not np.isin(ids, ban).any()
+        masked = probs.copy()
+        masked[ban] = 0.0
+        want = np.flatnonzero(masked**power >= p_ref**power * sampling._HEAD_RATIO)
+        assert np.array_equal(ids, want)
+        assert np.array_equal(w.view(np.int64), (probs[want] ** power).view(np.int64))
+        for top_p in (0.3, 0.6, 0.9):
+            keep, weights = tempered_argsort_nucleus(masked, temperature, top_p)
+            us = [sampling_uniform(22, step) for step in range(20)]
+            weights_sizes.clear()
+            tokens = [sample_from_probs(probs, temperature, top_p, u, ban) for u in us]
+            assert tokens == [tempered_argsort_draw(keep, weights, u) for u in us], top_p
+            assert not weights_sizes, top_p  # every draw was certified
+
+    @pytest.mark.parametrize("temperature", [0.1, 0.6, 0.9])
+    def test_probabilities_one_float32_ulp_from_the_bar(self, monkeypatch, temperature):
+        # entries one float32 ulp either side of the gather's bar, on the bar
+        # in float64, and a few float64 ulp either side of the head's exact
+        # threshold.  Every cutoff among them draws the full path's id,
+        # certified or not
+        power = 1.0 / temperature
+        p_ref = 0.5
+        bar = p_ref * sampling._HEAD_RATIO ** (1.0 / power) * sampling._SUPERSET_SLACK
+        bar32 = np.float32(bar)
+        edge = p_ref * sampling._HEAD_RATIO ** (1.0 / power)
+        near = [
+            float(np.nextafter(bar32, np.float32(0.0))),
+            float(bar32),
+            float(np.nextafter(bar32, np.float32(1.0))),
+            float(np.nextafter(bar, 0.0)),
+            bar,
+            float(np.nextafter(bar, 1.0)),
+        ]
+        near += [edge * (1.0 + k * 2.0**-52) for k in (-2, -1, 0, 1, 2)]
+        near += [edge * 1.5, edge * 3.0]
+        rng = np.random.default_rng(int(temperature * 10))
+        tail = np.full(500, p_ref * 2.0 ** (-30.0 / power))
+        probs = rng.permutation(np.concatenate([[p_ref], near, tail]))
+        outcomes = []
+        certified = sampling._certified_nucleus
+
+        def spy(*args):
+            kept = certified(*args)
+            outcomes.append(kept is not None)
+            return kept
+
+        monkeypatch.setattr(sampling, "_certified_nucleus", spy)
+        w = probs**power
+        ranked = np.cumsum(np.sort(w)[::-1]) / w.sum()
+        for k in range(len(near) + 2):
+            top_p = float((ranked[k] + ranked[k + 1]) / 2.0)
+            keep, weights = tempered_argsort_nucleus(probs, temperature, top_p)
+            for step in range(8):
+                u = sampling_uniform(23, step)
+                got = sample_from_probs(probs, temperature, top_p, u)
+                assert got == tempered_argsort_draw(keep, weights, u), (k, step)
+        # the head holds the reference and the entries at or above the
+        # threshold, so the lower cutoffs are certified and the rest fall back
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("temperature", [0.1, 0.6, 0.9])
+    @pytest.mark.parametrize("top_banned", [False, True])
+    def test_reference_at_the_precondition_edge(self, monkeypatch, temperature, top_banned):
+        # p_ref * 2 ** (-120 / a) swept across 2 ** -125: below it the
+        # certified path gives way; above it, it certifies where the
+        # tempered total is large enough.  Either way the draw is the full
+        # path's
+        power = 1.0 / temperature
+        outcomes = []
+        certified = sampling._certified_nucleus
+
+        def spy(*args):
+            kept = certified(*args)
+            outcomes.append(kept is not None)
+            return kept
+
+        monkeypatch.setattr(sampling, "_certified_nucleus", spy)
+        edge = 2.0 ** (-125.0 + sampling._TAIL_EXP / power)
+        shape = np.array([1.0, 0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01, 1e-3])
+        for k in range(-64, 65, 8):
+            p_ref = edge * (1.0 + k * 2.0**-52)
+            probs = p_ref * shape
+            ban = None
+            if top_banned:
+                probs = np.append(probs, 2.0 * p_ref)
+                ban = np.array([probs.size - 1])
+            masked = probs.copy()
+            if ban is not None:
+                masked[ban] = 0.0
+            ratios = masked / masked.max()  # the full path's rebuild when p ** a underflows
+            for top_p in (0.3, 0.8):
+                keep, weights = tempered_argsort_nucleus(ratios, temperature, top_p)
+                for step in range(4):
+                    u = sampling_uniform(24, step)
+                    got = sample_from_probs(probs, temperature, top_p, u, ban)
+                    assert got == tempered_argsort_draw(keep, weights, u), (k, top_p, step)
+        assert not all(outcomes)
+        if temperature > 0.1:  # at T = 0.1, p_ref ** 10 is below _MIN_TOTAL
+            assert any(outcomes)
 
     @pytest.mark.parametrize("placement", ["above", "below", "estimate"])
     def test_cutoff_inside_the_margin_falls_back(self, large_vectors, weights_sizes, placement):
