@@ -307,14 +307,17 @@ def reconstruct_distribution(
     result is an upper bound of the full-distribution certainty.
 
     Raises:
-        ValueError: empty input, an id outside ``[0, vocab_size)``,
-            non-finite log-probs, or observed mass exceeding 1 beyond the
-            rounding guard.
+        ValueError: empty input, an id that is not an integer (a bool is
+            not) or lies outside ``[0, vocab_size)``, non-finite log-probs,
+            or observed mass exceeding 1 beyond the rounding guard.
     """
     if not top_k_logprobs:
         raise ValueError("top_k_logprobs must be nonempty")
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be at least 2, got {vocab_size}")
+    for i in top_k_logprobs:
+        if isinstance(i, bool) or not hasattr(type(i), "__index__"):
+            raise ValueError(f"top-k id {i!r} is not an integer")
     ids = sorted(int(i) for i in top_k_logprobs)
     if len(ids) > vocab_size:
         raise ValueError("more top-k entries than vocabulary tokens")
@@ -333,11 +336,7 @@ def reconstruct_distribution(
         residual = 0.0  # rounding overflow: clamp, then renormalize below
     full = np.append(probs, residual)
     full = full / full.sum()
-    return TokenDistribution(
-        probs=full,
-        truncated=True,
-        outcome_token_ids=tuple(ids),
-    )
+    return TokenDistribution(full, outcome_token_ids=tuple(ids))
 
 
 def ban_bias(trigger_ids: Iterable[int]) -> dict[int, float]:

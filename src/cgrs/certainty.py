@@ -23,26 +23,28 @@ import numpy as np
 NORMALIZATION_ATOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenDistribution:
     """Next-token probability distribution at one position.
 
     ``probs`` holds one probability per outcome.  For full-vocabulary
-    distributions the outcome index is the token id.  For distributions
-    reconstructed from top-k log-probs (``truncated=True``) the first k
-    outcomes map to real token ids via ``outcome_token_ids`` and the final
-    outcome is the aggregated residual bucket.
+    distributions the outcome index is the token id.  A distribution
+    reconstructed from top-k log-probs carries ``outcome_token_ids``: its
+    first k outcomes map to those real token ids and its final outcome is
+    the aggregated residual bucket, and :attr:`truncated` is True.
 
     ``probs`` is read-only once validated: a writable array is stored as a
     read-only view of it, so nothing can write through ``probs``.  The
     caller's own array stays writable, and a write to it would leave the
     kept facts below stale, so a backend must not reuse the buffer it built
     a distribution from (none in this package does).  Each fact derived from
-    ``probs`` is computed by the distribution once and kept:
-    ``total``, the sum validation takes, and the top id of
-    :meth:`argmax_token_id` at construction; the entropy of
-    :func:`token_entropy` on first use.  A backend that returns the same
-    object for a repeated state pays for them once.
+    ``probs`` is computed by the distribution once and kept: ``total``, the
+    sum validation takes, and ``top_id``, the token id of the most probable
+    real outcome (the residual excluded, the lowest id on a tie), at
+    construction; the entropy of :func:`token_entropy` on first use.  A
+    backend that returns the same object for a repeated state pays for them
+    once.  Those facts belong to the object, so distributions compare and
+    hash by identity.
 
     Validation reads a full-vocabulary vector twice: ``einsum`` takes the
     total, and an argmax over the entries' bit patterns finds the top id and
@@ -53,15 +55,15 @@ class TokenDistribution:
     """
 
     probs: np.ndarray
-    truncated: bool = False
     outcome_token_ids: tuple[int, ...] | None = None
-    total: float = field(init=False, repr=False, compare=False)
-    _top_id: int = field(init=False, repr=False, compare=False)
+    total: float = field(init=False, repr=False)
+    top_id: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
+        ids = self.outcome_token_ids
         # +inf, a NaN or an overflow fails the sum.  einsum adds in SIMD lanes,
         # not pairwise: on nonnegative entries its error is at most n * 2 ** -53
         # of the total (1.7e-11 at n = 151,936), far inside NORMALIZATION_ATOL,
@@ -74,20 +76,18 @@ class TokenDistribution:
         # argmax.  Taken before probs is made read-only, since numpy's argmax
         # copies a read-only array; an input that is read-only already pays
         # that copy.
-        top = None if self.truncated else int(probs.view(np.uint64).argmax())
+        top = None if ids is not None else int(probs.view(np.uint64).argmax())
         signed = top is None or np.signbit(probs[top])
         if not ((not signed or probs.min() >= 0.0) and np.isfinite(total)):
             raise ValueError("probs must be finite and nonnegative, with a finite sum")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probs must sum to 1 within {NORMALIZATION_ATOL}, got {total}")
-        if self.truncated:
-            if self.outcome_token_ids is None:
-                raise ValueError("truncated distributions must carry outcome_token_ids")
-            if len(self.outcome_token_ids) != probs.size - 1:
+        if ids is not None:
+            if len(ids) != probs.size - 1:
                 raise ValueError(
                     "outcome_token_ids must cover all outcomes except the residual bucket"
                 )
-            top = self.outcome_token_ids[int(probs[:-1].argmax())]
+            top = ids[int(probs[:-1].argmax())]
         elif signed:
             top = int(probs.argmax())
         if probs.flags.writeable:
@@ -95,16 +95,17 @@ class TokenDistribution:
             probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_top_id", top)
+        object.__setattr__(self, "top_id", top)
+
+    @property
+    def truncated(self) -> bool:
+        """True for a top-k reconstruction, one that carries ``outcome_token_ids``."""
+        return self.outcome_token_ids is not None
 
     def __reduce__(self):
         # a copy or an unpickled distribution is built anew: validated, its
         # probs read-only, its entropy not yet kept
-        return type(self), (self.probs, self.truncated, self.outcome_token_ids)
-
-    def argmax_token_id(self) -> int:
-        """Token id of the most probable real outcome (residual excluded)."""
-        return self._top_id
+        return type(self), (self.probs, self.outcome_token_ids)
 
 
 @lru_cache(maxsize=64)
@@ -131,7 +132,7 @@ class CertaintyScore:
 _MIN_ENTRIES_PER_RUN = 2048
 
 
-def token_entropy(dist: TokenDistribution | np.ndarray | Sequence[float]) -> float:
+def token_entropy(dist: TokenDistribution) -> float:
     """Shannon entropy in nats of one token distribution, with 0*ln(0) = 0.
 
     A :class:`TokenDistribution` computes it once and keeps it in its
@@ -143,8 +144,6 @@ def token_entropy(dist: TokenDistribution | np.ndarray | Sequence[float]) -> flo
     ``p[p > 0]``.  Both buffers hold the nonzero terms in index order, so the
     one reduction returns the same bits either way.
     """
-    if not isinstance(dist, TokenDistribution):
-        dist = TokenDistribution(np.asarray(dist, dtype=np.float64))
     entropy = dist.__dict__.get("_entropy")
     if entropy is None:
         entropy = _entropy(dist.probs)
@@ -179,7 +178,7 @@ def _entropy_by_runs(p: np.ndarray, zeros: np.ndarray) -> float:
 
 
 def certainty_score(
-    distributions: Sequence[TokenDistribution | np.ndarray | Sequence[float]],
+    distributions: Sequence[TokenDistribution],
     vocab_size: int,
 ) -> CertaintyScore:
     """Score a probed answer from its per-token distributions.
@@ -200,8 +199,6 @@ def certainty_score(
     entropies = []
     truncated = False
     for d in distributions:
-        if not isinstance(d, TokenDistribution):
-            d = TokenDistribution(np.asarray(d, dtype=np.float64))
         if d.truncated:
             truncated = True
         elif d.probs.size != vocab_size:

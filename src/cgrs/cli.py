@@ -224,16 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="vanilla | fixed-p=<p> | cgrs (repeatable; default vanilla + cgrs)",
     )
-    run.add_argument("--delta", type=float, default=0.9)
-    run.add_argument("--temperature", type=float, default=0.6)
-    run.add_argument("--top-p", type=float, default=0.95, dest="top_p")
+    run.add_argument("--delta", type=float, default=GenerationConfig.delta)
+    run.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
+    run.add_argument("--top-p", type=float, default=GenerationConfig.top_p)
     run.add_argument("--seeds", help="comma-separated repetition seeds")
     run.add_argument(
         "--reps",
         type=int,
         help=f"repetitions (default: one per --seeds entry, else {DEFAULT_REPS})",
     )
-    run.add_argument("--max-tokens", type=int, default=1024, dest="max_tokens")
+    run.add_argument("--max-tokens", type=int, default=GenerationConfig.max_tokens)
     run.add_argument("--trigger-config", help="trigger config JSON")
     run.add_argument("--parallelism", type=int, default=1)
     run.add_argument("--remote-vocab", help="vocabulary file of the served tokenizer")

@@ -305,7 +305,7 @@ def run_probe(
     stop_reason = "max_tokens"
     for _ in range(config.probe_max_tokens):
         dist = backend.next_distribution(ctx)
-        token = dist.argmax_token_id()
+        token = dist.top_id
         if token == eos:
             stop_reason = "eos"
             break
@@ -394,7 +394,7 @@ class GenerationSession:
             u,
             self._ban if masked else None,
             total=dist.total,
-            top=dist.argmax_token_id(),
+            top=dist.top_id,
         )
 
     def _sample_remote(self, masked: bool, step: int) -> int | None:

@@ -68,9 +68,11 @@ class RunReport:
 def load_dataset(path: str | Path) -> list[Problem]:
     """Read a JSONL dataset of {id, prompt, gold_answer[, answer_style]}.
 
-    Problems keep file order.  Raises :class:`DatasetError` on a malformed
-    line or an invalid record (with its line number) or a duplicate id
-    (naming the id); an empty file yields an empty list with a warning.
+    Problems keep file order.  An ``id`` or ``gold_answer`` that is a number
+    is read as its text; ``null``, a boolean, a list or an object is an
+    invalid record.  Raises :class:`DatasetError` on a malformed line or an
+    invalid record (with its line number) or a duplicate id (naming the id);
+    an empty file yields an empty list with a warning.
     """
     path = Path(path)
     problems: list[Problem] = []
@@ -86,6 +88,9 @@ def load_dataset(path: str | Path) -> list[Problem]:
             if not isinstance(record, dict):
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object, got {line.strip()!r}")
             try:
+                for name in ("id", "gold_answer"):  # str() would turn null into "None"
+                    if isinstance(record[name], (bool, type(None), list, dict)):
+                        raise ValueError(f"{name} must be a string or number, got {record[name]!r}")
                 problem = Problem(
                     id=str(record["id"]),
                     prompt=record["prompt"],

@@ -27,7 +27,7 @@ from cgrs.backend import (
     overthinking_spec,
     reconstruct_distribution,
 )
-from cgrs.certainty import certainty_score, token_entropy
+from cgrs.certainty import TokenDistribution, certainty_score, token_entropy
 from cgrs.lexicon import Vocabulary, build_trigger_set
 
 from remote_stub import toy_completion_server
@@ -293,7 +293,8 @@ class TestReconstructDistribution:
         assert dist.truncated
         assert dist.outcome_token_ids == (3, 8)
         assert np.allclose(dist.probs, [0.5, 0.25, 0.25], atol=1e-12)
-        h = token_entropy(dist.probs)
+        assert dist.top_id == 3
+        h = token_entropy(dist)
         assert abs(h - 1.5 * math.log(2)) < 1e-12
 
     def test_overflow_within_guard_renormalized(self):
@@ -323,6 +324,11 @@ class TestReconstructDistribution:
         with pytest.raises(ValueError, match=f"top-k id {bad} "):
             reconstruct_distribution({bad: math.log(0.6), 5: math.log(0.3)}, vocab_size=11)
 
+    @pytest.mark.parametrize("key", ["3", 3.0, True, None], ids=["str", "float", "bool", "none"])
+    def test_non_integer_id_rejected(self, key):
+        with pytest.raises(ValueError, match=f"top-k id {key!r} is not an integer"):
+            reconstruct_distribution({key: -0.1}, vocab_size=10)
+
     def test_more_entries_than_vocab_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_distribution({0: -1.0, 1: -1.0, 2: -1.0}, vocab_size=2)
@@ -337,7 +343,7 @@ class TestReconstructDistribution:
             top = np.argsort(-full, kind="stable")[:k]
             logprobs = {int(i): float(np.log(full[int(i)])) for i in top}
             rebuilt = reconstruct_distribution(logprobs, vocab_size=n)
-            assert token_entropy(rebuilt.probs) <= token_entropy(full) + 1e-9
+            assert token_entropy(rebuilt) <= token_entropy(TokenDistribution(full)) + 1e-9
 
     def test_certainty_upper_bounds_full(self):
         rng = np.random.default_rng(91)
@@ -348,8 +354,6 @@ class TestReconstructDistribution:
             top = np.argsort(-full, kind="stable")[:k]
             logprobs = {int(i): float(np.log(full[int(i)])) for i in top}
             rebuilt = reconstruct_distribution(logprobs, vocab_size=n)
-            from cgrs.certainty import TokenDistribution
-
             c_full = certainty_score([TokenDistribution(probs=full)], vocab_size=n).value
             c_top = certainty_score([rebuilt], vocab_size=n).value
             assert c_top >= c_full - 1e-9

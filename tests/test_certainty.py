@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -32,15 +33,15 @@ def entropy_oracle(probs):
 
 class TestTokenEntropy:
     def test_uniform_4(self):
-        h = token_entropy(np.full(4, 0.25))
+        h = token_entropy(TokenDistribution(np.full(4, 0.25)))
         assert abs(h - math.log(4)) < 1e-12
 
     def test_one_hot_is_zero(self):
-        h = token_entropy(np.array([0.0, 1.0, 0.0, 0.0]))
+        h = token_entropy(TokenDistribution(np.array([0.0, 1.0, 0.0, 0.0])))
         assert h == 0.0
 
     def test_half_quarter_quarter(self):
-        h = token_entropy(np.array([0.5, 0.25, 0.25]))
+        h = token_entropy(TokenDistribution(np.array([0.5, 0.25, 0.25])))
         assert abs(h - 1.5 * math.log(2)) < 1e-12
 
     def test_matches_oracle_random(self):
@@ -53,14 +54,14 @@ class TestTokenEntropy:
                 kill = rng.integers(0, n)
                 probs[kill] = 0.0
                 probs /= probs.sum()
-            assert abs(token_entropy(probs) - entropy_oracle(probs)) < 1e-12
+            assert abs(token_entropy(TokenDistribution(probs)) - entropy_oracle(probs)) < 1e-12
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(55)
         for _ in range(200):
             n = int(rng.integers(2, 40))
             probs = rng.dirichlet(np.ones(n))
-            h = token_entropy(probs)
+            h = token_entropy(TokenDistribution(probs))
             assert -1e-15 <= h <= math.log(n) + 1e-12
 
 
@@ -129,7 +130,7 @@ class TestEntropyBits:
             probs.flags.writeable = False  # the path must not write into probs
             before = probs.copy()
             expected = masked_copy_entropy(probs)
-            assert token_entropy(probs) == expected
+            assert certainty._entropy(probs) == expected
             dist = TokenDistribution(probs)
             assert token_entropy(dist) == expected
             assert np.array_equal(probs, before)
@@ -137,24 +138,24 @@ class TestEntropyBits:
             fresh = TokenDistribution(probs.copy())
             assert token_entropy(dist) == token_entropy(fresh) == expected
             assert dist.total == fresh.total == float(np.einsum("i->", probs))
-            assert dist.argmax_token_id() == fresh.argmax_token_id() == int(probs.argmax())
+            assert dist.top_id == fresh.top_id == int(probs.argmax())
 
     def test_zipf_layout_takes_the_runs(self, runs_taken):
         probs = layout_probs("zipf", QWEN_VOCAB, np.random.default_rng(3))
-        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert token_entropy(TokenDistribution(probs)) == masked_copy_entropy(probs)
         assert runs_taken == [QWEN_VOCAB]
 
     @pytest.mark.parametrize("vocab", [2, 11])
     def test_small_vectors_keep_the_masked_copy(self, vocab, runs_taken):
         probs = layout_probs("zipf", vocab, np.random.default_rng(vocab))
-        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert token_entropy(TokenDistribution(probs)) == masked_copy_entropy(probs)
         assert runs_taken == []
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_size_boundary(self, offset, runs_taken):
         vocab = certainty._MIN_ENTRIES_PER_RUN + offset
         probs = layout_probs("no_zeros", vocab, np.random.default_rng(vocab))
-        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert token_entropy(TokenDistribution(probs)) == masked_copy_entropy(probs)
         assert runs_taken == ([vocab] if offset == 0 else [])
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -171,7 +172,7 @@ class TestEntropyBits:
         probs[zeros] = 0.0
         probs /= probs.sum()
         assert np.count_nonzero(probs == 0.0) == n_zeros
-        assert token_entropy(probs) == masked_copy_entropy(probs)
+        assert token_entropy(TokenDistribution(probs)) == masked_copy_entropy(probs)
         assert runs_taken == ([] if extra else [QWEN_VOCAB])
 
     def test_truncated_top_k(self, runs_taken):
@@ -181,7 +182,7 @@ class TestEntropyBits:
             probs[0] = 0.0  # a top-k entry can round to zero
             probs /= probs.sum()
             ids = tuple(int(i) for i in rng.choice(QWEN_VOCAB, size=k, replace=False))
-            dist = TokenDistribution(probs, truncated=True, outcome_token_ids=ids)
+            dist = TokenDistribution(probs, outcome_token_ids=ids)
             assert token_entropy(dist) == masked_copy_entropy(probs)
             assert token_entropy(dist) == masked_copy_entropy(probs)  # kept
         assert runs_taken == []
@@ -192,11 +193,11 @@ class TestEntropyBits:
         # kept yet.  Its validation's argmax copies the read-only array, but
         # that copy is freed before the buffer of terms is allocated.
         probs = TokenDistribution(layout_probs("zipf", QWEN_VOCAB, np.random.default_rng(7))).probs
-        token_entropy(probs)  # warm any lazy allocation
+        token_entropy(TokenDistribution(probs))  # warm any lazy allocation
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            token_entropy(probs)
+            token_entropy(TokenDistribution(probs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,28 +255,40 @@ class TestTokenDistribution:
             TokenDistribution(probs=np.ones((2, 2)) / 4.0)
 
     def test_truncated_requires_outcome_ids(self):
-        with pytest.raises(ValueError):
-            TokenDistribution(probs=np.array([0.5, 0.5]), truncated=True)
-        d = TokenDistribution(
-            probs=np.array([0.6, 0.3, 0.1]),
-            truncated=True,
-            outcome_token_ids=(7, 2),
-        )
-        assert d.argmax_token_id() == 7
+        # truncated is read from outcome_token_ids; it cannot be set apart from them
+        assert not TokenDistribution(probs=np.array([0.5, 0.5])).truncated
+        d = TokenDistribution(probs=np.array([0.6, 0.3, 0.1]), outcome_token_ids=(7, 2))
+        assert d.truncated
+        assert d.top_id == 7
+        with pytest.raises(ValueError, match="residual bucket"):
+            TokenDistribution(probs=np.array([0.6, 0.3, 0.1]), outcome_token_ids=(7,))
+
+    def test_constructor_takes_probs_and_outcome_ids_only(self):
+        settable = [f.name for f in dataclasses.fields(TokenDistribution) if f.init]
+        assert settable == ["probs", "outcome_token_ids"]
+
+    def test_compares_and_hashes_by_identity(self):
+        # the generated __eq__ compared the probs arrays and raised on their truth value
+        a = TokenDistribution(np.array([0.25, 0.75]))
+        b = TokenDistribution(np.array([0.25, 0.75]))
+        assert a == a and a != b and a != copy.copy(a)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+        assert [a, b].index(b) == 1
 
     def test_argmax_full(self):
         d = TokenDistribution(probs=np.array([0.1, 0.7, 0.2]))
-        assert d.argmax_token_id() == 1
+        assert d.top_id == 1
 
     def test_argmax_tie_lowest_index(self):
         d = TokenDistribution(probs=np.array([0.4, 0.4, 0.2]))
-        assert d.argmax_token_id() == 0
+        assert d.top_id == 0
 
     @pytest.mark.parametrize("truncated", [False, True])
     def test_probs_are_read_only_after_validation(self, truncated):
         caller = np.array([0.25, 0.75])
         ids = (4,) if truncated else None
-        d = TokenDistribution(caller, truncated=truncated, outcome_token_ids=ids)
+        d = TokenDistribution(caller, outcome_token_ids=ids)
         with pytest.raises(ValueError, match="read-only"):
             d.probs[0] = 5.0
         assert np.shares_memory(d.probs, caller)  # a view, not a copy
@@ -297,10 +310,11 @@ class TestTokenDistribution:
         assert TokenDistribution(probs).probs is probs
 
 
-def three_pass_validation(probs, truncated=False, ids=None):
+def three_pass_validation(probs, ids=None):
     """Reference: validation as three passes, ``min``, ``einsum`` and ``argmax``.
 
-    Returns the error message, or None, with the total's bits and the top id.
+    ``ids`` given makes the vector a truncated one.  Returns the error
+    message, or None, with the total's bits and the top id.
     """
     probs = np.asarray(probs, dtype=np.float64)
     lo = probs.min()
@@ -309,9 +323,7 @@ def three_pass_validation(probs, truncated=False, ids=None):
         return "probs must be finite and nonnegative, with a finite sum", None, None
     if abs(total - 1.0) > certainty.NORMALIZATION_ATOL:
         return f"probs must sum to 1 within {certainty.NORMALIZATION_ATOL}, got {total}", None, None
-    if truncated:
-        if ids is None:
-            return "truncated distributions must carry outcome_token_ids", None, None
+    if ids is not None:
         if len(ids) != probs.size - 1:
             return "outcome_token_ids must cover all outcomes except the residual bucket", None, None
         try:
@@ -323,13 +335,13 @@ def three_pass_validation(probs, truncated=False, ids=None):
     return None, np.float64(total).view(np.int64), top
 
 
-def validation(probs, truncated=False, ids=None):
+def validation(probs, ids=None):
     """:class:`TokenDistribution`'s validation, in :func:`three_pass_validation`'s terms."""
     try:
-        dist = TokenDistribution(probs, truncated=truncated, outcome_token_ids=ids)
+        dist = TokenDistribution(probs, outcome_token_ids=ids)
     except ValueError as exc:
         return str(exc), None, None
-    return None, np.float64(dist.total).view(np.int64), dist.argmax_token_id()
+    return None, np.float64(dist.total).view(np.int64), dist.top_id
 
 
 #: One entry of each kind that validation must tell apart.
@@ -395,8 +407,8 @@ class TestValidationFold:
                 for truncated in (False, True):
                     ids = tuple(range(100, 100 + vocab - 1)) if truncated else None
                     for layout, arr in layouts_of(probs).items():
-                        want = three_pass_validation(arr, truncated, ids)
-                        got = validation(arr, truncated, ids)
+                        want = three_pass_validation(arr, ids)
+                        got = validation(arr, ids)
                         assert got == want, (placed, truncated, layout)
                         outcomes.add(want[0] is None)
                         checked += 1
@@ -406,7 +418,7 @@ class TestValidationFold:
         for probs in ([0.25, -0.0, 0.75], [-0.0, 1.0], [1.0, -0.0], [0.5, 0.5, -0.0]):
             dist = TokenDistribution(np.array(probs))
             assert dist.total == 1.0
-            assert dist.argmax_token_id() == int(np.argmax(probs))
+            assert dist.top_id == int(np.argmax(probs))
 
     def test_sign_bit_nan_is_rejected(self):
         negative_nan = np.copysign(np.nan, -1.0)
@@ -449,7 +461,7 @@ class TestKeptFacts:
 
     def test_one_computation_per_distribution_over_toy_generations(self, monkeypatch):
         # the entropy kernel and validation, where the top id is found, each
-        # run once per distribution, although the probes ask again and again
+        # run once per distribution, although the backend serves it again and again
         entropies, built = Counter(), Counter()
         kernel, validate = certainty._entropy, TokenDistribution.__post_init__
 
@@ -463,28 +475,29 @@ class TestKeptFacts:
 
         monkeypatch.setattr(certainty, "_entropy", entropy_spy)
         monkeypatch.setattr(TokenDistribution, "__post_init__", validate_spy)
-        scored, tops = [], []
-        score, argmax = controller.certainty_score, TokenDistribution.argmax_token_id
+        scored, served = [], []
+        score, next_distribution = controller.certainty_score, ToyBackend.next_distribution
 
         def counting_score(distributions, vocab_size):
             scored.extend(id(d.probs) for d in distributions)
             return score(distributions, vocab_size)
 
-        def counting_argmax(dist):
-            tops.append(id(dist.probs))
-            return argmax(dist)
+        def counting_next_distribution(backend, context):
+            dist = next_distribution(backend, context)
+            served.append(id(dist.probs))
+            return dist
 
         monkeypatch.setattr(controller, "certainty_score", counting_score)
-        monkeypatch.setattr(TokenDistribution, "argmax_token_id", counting_argmax)
+        monkeypatch.setattr(ToyBackend, "next_distribution", counting_next_distribution)
         backend = ToyBackend(overthinking_spec())  # built under the spies
         triggers = build_trigger_set(default_trigger_words(), backend.vocabulary)
         for seed in range(50):
             config = GenerationConfig(temperature=1.0, top_p=1.0, mode=ModeSpec("cgrs"), seed=seed)
             generate(backend, "Solve 6*7. ", config, triggers)
         assert set(entropies.values()) == {1} and set(built.values()) == {1}
-        assert set(entropies) == set(scored) and set(tops) <= set(built)
+        assert set(entropies) == set(scored) and set(served) <= set(built)
         assert len(scored) > 10 * len(entropies)
-        assert len(tops) > 10 * len(set(tops))
+        assert len(served) > 10 * len(set(served))
 
 
 class TestCertaintyScore:
@@ -520,11 +533,7 @@ class TestCertaintyScore:
 
     def test_truncated_distributions_use_declared_vocab(self):
         # 3 buckets but vocab_size 100: normalizer must be ln(100)
-        d = TokenDistribution(
-            probs=np.array([0.5, 0.25, 0.25]),
-            truncated=True,
-            outcome_token_ids=(3, 9),
-        )
+        d = TokenDistribution(probs=np.array([0.5, 0.25, 0.25]), outcome_token_ids=(3, 9))
         score = certainty_score([d], vocab_size=100)
         expected = 1.0 - 1.5 * math.log(2) / math.log(100)
         assert abs(score.value - expected) < 1e-12
@@ -532,8 +541,8 @@ class TestCertaintyScore:
 
     @pytest.mark.parametrize("vocab", [2, 11, 151_936])
     def test_bits_match_the_reference_formula(self, vocab):
-        # full ndarrays, full TokenDistributions and truncated top-k ones, mixed,
-        # 1 to 12 tokens; the score must equal the reference to the last bit
+        # full TokenDistributions (two kinds of draw) and truncated top-k ones,
+        # mixed, 1 to 12 tokens; the score must equal the reference to the last bit
         rng = np.random.default_rng(vocab)
         for trial in range(12 if vocab > 1000 else 200):
             dists = []
@@ -543,20 +552,18 @@ class TestCertaintyScore:
                     k = int(rng.integers(1, min(vocab, 20) + 1))
                     probs = rng.dirichlet(np.full(k + 1, 0.3))
                     ids = tuple(int(i) for i in rng.choice(vocab, size=k, replace=False))
-                    dists.append(TokenDistribution(probs, truncated=True, outcome_token_ids=ids))
+                    dists.append(TokenDistribution(probs, outcome_token_ids=ids))
                     continue
                 probs = rng.dirichlet(np.full(vocab, 0.05 if trial % 2 else 1.0))
                 probs[probs.argmin()] = 0.0  # an exact zero
                 probs /= probs.sum()
-                dists.append(TokenDistribution(probs) if kind else probs)
+                dists.append(TokenDistribution(probs))
             entropies = [token_entropy(d) for d in dists]
             mean = float(np.add.reduce(entropies)) / len(dists)
             score = certainty_score(dists, vocab)
             assert score.mean_entropy == mean
             assert score.value == 1 - mean / float(np.log(vocab))
-            assert score.truncated == any(
-                isinstance(d, TokenDistribution) and d.truncated for d in dists
-            )
+            assert score.truncated == any(d.truncated for d in dists)
 
     def test_value_identity_invariant(self):
         rng = np.random.default_rng(202)

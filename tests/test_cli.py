@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cgrs
+from cgrs import cli
 from cgrs.backend import EmissionRule, ToyBackend, ToyModelSpec
 from cgrs.cli import main
 from cgrs.controller import GenerationConfig, ModeSpec, generate
@@ -115,6 +116,30 @@ class TestRunCommand:
         run_cli(args + ["--out", tmp_path / "b"])
         for name in ("vanilla.json", "cgrs.json", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_decoding_defaults_are_generation_configs(self, toy_assets, tmp_path, monkeypatch):
+        # a run given no --temperature, --top-p, --delta or --max-tokens decodes
+        # with GenerationConfig's own defaults
+        spec_path, dataset_path = toy_assets
+        configs = []
+        run_benchmark = cli.run_benchmark
+
+        def spy(problems, backend, modes, config, *args, **kwargs):
+            configs.append(config)
+            return run_benchmark(problems, backend, modes, config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_benchmark", spy)
+        rc = run_cli(
+            [
+                "run",
+                "--dataset", dataset_path,
+                "--backend", f"toy:{spec_path}",
+                "--seeds", "0",
+                "--out", tmp_path / "o",
+            ]
+        )
+        assert rc == 0
+        assert configs == [GenerationConfig()]
 
     def test_seeds_reps_mismatch(self, toy_assets, tmp_path):
         spec_path, dataset_path = toy_assets

@@ -18,7 +18,7 @@ from cgrs.backend import (
     ToyModelSpec,
     overthinking_spec,
 )
-from cgrs.certainty import CertaintyScore, token_entropy
+from cgrs.certainty import CertaintyScore, TokenDistribution, token_entropy
 from cgrs.controller import (
     CheckpointDetector,
     CheckpointEvent,
@@ -361,7 +361,7 @@ def probe_backend(tokens, rules) -> ToyBackend:
 
 def reference_certainty(rows, vocab_size):
     """The certainty formula over the given probability rows, as run_probe scores them."""
-    mean = float(np.add.reduce([token_entropy(np.array(r)) for r in rows])) / len(rows)
+    mean = float(np.add.reduce([token_entropy(TokenDistribution(np.array(r))) for r in rows])) / len(rows)
     return 1 - mean / float(np.log(vocab_size))
 
 

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,42 @@ class TestLoadDataset:
         path.write_text('{"id": "a", "prompt": "p", "gold_answer": "1"}\n[1, 2]\n')
         with pytest.raises(DatasetError, match=r":2: expected a JSON object"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "value", [None, True, False, ["7"], {"v": "7"}],
+        ids=["null", "true", "false", "list", "object"],
+    )
+    @pytest.mark.parametrize("field", ["id", "gold_answer"])
+    def test_non_text_id_or_answer_names_line(self, tmp_path, field, value):
+        # str() would read null as "None" and a list as its Python repr
+        path = tmp_path / "d.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"id": "a", "prompt": "p", "gold_answer": "1"},
+                {"id": "b", "prompt": "p", "gold_answer": "2", field: value},
+            ],
+        )
+        with pytest.raises(DatasetError, match=rf"d\.jsonl:2: {field} must be a string or number"):
+            load_dataset(path)
+
+    def test_numbers_load_as_their_text(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"id": 7, "prompt": "p", "gold_answer": 42},
+                {"id": "b", "prompt": "p", "gold_answer": 1.5},
+            ],
+        )
+        problems = load_dataset(path)
+        assert [(p.id, p.gold_answer) for p in problems] == [("7", "42"), ("b", "1.5")]
+
+    def test_demo_problems_load(self):
+        demo = Path(__file__).resolve().parents[1] / "demo" / "problems.jsonl"
+        assert [(p.id, p.gold_answer) for p in load_dataset(demo)] == [
+            ("toy-001", "42"), ("toy-002", "42"), ("toy-003", "42"),
+        ]
 
 
 class TestExtractBoxedAnswer:

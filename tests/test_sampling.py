@@ -987,7 +987,7 @@ class TestSettledTop:
                         args = (dist.probs, temperature, top_p, u, banned if ban else None)
                         weights_sizes.clear()
                         certified_sizes.clear()
-                        kept = {"total": dist.total, "top": dist.argmax_token_id()}
+                        kept = {"total": dist.total, "top": dist.top_id}
                         assert sample_from_probs(*args, **kept) == want, (top_p, sign, offset)
                         settled = not (weights_sizes or certified_sizes)
                         assert sample_from_probs(*args) == want, (top_p, sign, offset)
