@@ -144,7 +144,10 @@ def token_entropy(dist: TokenDistribution) -> float:
     ``p[p > 0]``.  Both buffers hold the nonzero terms in index order, so the
     one reduction returns the same bits either way.
     """
-    entropy = dist.__dict__.get("_entropy")
+    try:
+        entropy = dist.__dict__.get("_entropy")
+    except AttributeError:  # a raw array has no instance dict
+        raise TypeError(f"expected a TokenDistribution, got {type(dist).__name__}") from None
     if entropy is None:
         entropy = _entropy(dist.probs)
         object.__setattr__(dist, "_entropy", entropy)
@@ -191,6 +194,7 @@ def certainty_score(
     Raises:
         ValueError: empty distribution list, vocab_size < 2, or a
             full-vocabulary distribution whose length differs from vocab_size.
+        TypeError: an entry that is not a :class:`TokenDistribution`.
     """
     if len(distributions) == 0:
         raise ValueError("cannot score an empty answer: no token distributions")
@@ -199,13 +203,13 @@ def certainty_score(
     entropies = []
     truncated = False
     for d in distributions:
+        entropies.append(token_entropy(d))  # first: it names a raw array's type
         if d.truncated:
             truncated = True
         elif d.probs.size != vocab_size:
             raise ValueError(
                 f"distribution has {d.probs.size} outcomes, expected vocab_size {vocab_size}"
             )
-        entropies.append(token_entropy(d))
     # the reduction and division np.mean makes, without its dispatch
     mean_entropy = float(np.add.reduce(entropies)) / len(entropies)
     value = 1.0 - mean_entropy / _log_vocab(vocab_size)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -70,7 +71,9 @@ def load_dataset(path: str | Path) -> list[Problem]:
 
     Problems keep file order.  An ``id`` or ``gold_answer`` that is a number
     is read as its text; ``null``, a boolean, a list or an object is an
-    invalid record.  Raises :class:`DatasetError` on a malformed line or an
+    invalid record, and so is a number ``id`` that is not an integer and a
+    ``gold_answer`` that is not finite (``NaN``, ``Infinity`` or a literal
+    such as ``1e400`` that overflows).  Raises :class:`DatasetError` on a malformed line or an
     invalid record (with its line number) or a duplicate id (naming the id);
     an empty file yields an empty list with a warning.
     """
@@ -89,8 +92,12 @@ def load_dataset(path: str | Path) -> list[Problem]:
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object, got {line.strip()!r}")
             try:
                 for name in ("id", "gold_answer"):  # str() would turn null into "None"
-                    if isinstance(record[name], (bool, type(None), list, dict)):
-                        raise ValueError(f"{name} must be a string or number, got {record[name]!r}")
+                    value = record[name]
+                    if isinstance(value, (bool, type(None), list, dict)):
+                        raise ValueError(f"{name} must be a string or number, got {value!r}")
+                    if isinstance(value, float) and (name == "id" or not math.isfinite(value)):
+                        kind = "an integer" if name == "id" else "a finite number"
+                        raise ValueError(f"{name} must be a string or {kind}, got {value!r}")
                 problem = Problem(
                     id=str(record["id"]),
                     prompt=record["prompt"],

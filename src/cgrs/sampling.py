@@ -8,26 +8,25 @@ therefore lives in the counter-based streams of :mod:`cgrs.rng`.
 and :func:`sample_from_logits` are thin adapters over its helpers.
 
 Every nucleus that a settled top (:func:`_top_settles`) does not answer
-starts from one threshold head (:func:`_head`): one compare pass gathers
-the ids whose weight reaches ``2 ** -10`` of the most probable id left's
-(up to float32 rounding when the top is banned).  The head is an exact
-prefix of the stable ranking by weight, so :func:`_rank` sorts it alone and
-reads the cutoff off its prefix sums, against one of two totals.  Top-p is
-defined on the tempered total, but the cutoff only needs that total well
-enough to fix one index.  So an unsettled step at ``0 < T < 1`` reads the
-float64 vector once, to cast it to float32: the compare pass gathers the
-head from the cast, only the head is tempered in float64, and the total is
-bracketed with one float32 pass, ``exp2(a * log2 r)`` over the ratios ``r``
-to the most probable id left (:func:`_certified_nucleus`,
-:func:`_total_bounds`).  Zero and subnormal ratios go through ``log2`` and
-``exp2`` as they are: every weight below ``2 ** -_TAIL_EXP`` of the
-reference's enters the bracket as an absolute error.  The bracket's half
-width is 8 times a stated error budget, about ``9.2e-5`` of the total at
-``T = 0.6`` over 151,936 ids.  The budget takes numpy's own float32
-tolerances for ``log2`` and ``exp2``, which a test measures.  When the cutoff is the same at both ends it is the full path's,
-and the draw picks the same id.  Otherwise, and at any other ``T > 0`` and
-in :func:`nucleus_filter`, the full path gathers the head from the whole
-tempered vector and ranks it against its exact total
+starts from one threshold head: one compare pass (:func:`_head`) gathers
+the ids whose weight reaches ``2 ** -10`` of the most probable id left's.
+The head is an exact prefix of the stable ranking by weight, so
+:func:`_rank` sorts it alone and reads the cutoff off its prefix sums,
+against one of two totals.  Top-p is defined on the tempered total, but the
+cutoff only needs that total well enough to fix one index.  So an unsettled
+step at ``0 < T < 1`` tempers only a band of the vocabulary
+(:func:`_certified_nucleus`): one float64 compare pass gathers the ids
+whose weight reaches ``2 ** -20`` of the reference's, the band is tempered
+and the head taken from it.  The tempered mass of the tail below the band
+is bracketed from its first two moments (:func:`_moment_bounds`),
+``sum(p)`` from the kept total and ``sum(p ** 2)`` from one dot product,
+by Hölder's inequality for ``T > 1/2`` and Lyapunov's for ``T <= 1/2``.
+The bracket's float64 slack covers the total's and the dot's rounding, the
+full path's own rounding of its total, and squares and weights that
+underflowed.  When the cutoff is the same at both ends it is the full
+path's, and the draw picks the same id.  Otherwise, and at any other
+``T > 0`` and in :func:`nucleus_filter`, the full path gathers the head
+from the whole tempered vector and ranks it against its exact total
 (:func:`_exact_nucleus`).  A head over ``_HEAD_CAP`` ids or short of top_p
 goes to the partial-selection loop (:func:`_nucleus`), the only fallback.
 """
@@ -67,23 +66,21 @@ _prefix_sum = np.add.accumulate
 #: the rounding of the power, the sum (pairwise or einsum) and the division.
 _SETTLE_MARGIN = 1.0 + 1e-9
 
-#: Relative slack of the probability threshold that gathers a superset of the
-#: threshold head in :func:`_head`, far above the power's rounding.
-_SUPERSET_SLACK = 1.0 - 1e-6
+#: The band that :func:`_certified_nucleus` tempers holds every id whose
+#: weight reaches this share of the reference's weight; the weight below it
+#: is bracketed from its first two moments.
+_BAND_RATIO = 2.0**-20
 
-#: A tempered ratio ``r ** a`` below ``2 ** -_TAIL_EXP`` enters the float32
-#: total's bounds as an absolute error, not a relative one; float32's
-#: smallest normal is ``2 ** -126``.
-_TAIL_EXP = 120.0
+#: Length of the rows in which :func:`_square_sum` hands the vocabulary to
+#: BLAS.  OpenBLAS runs a dot product of more than 10,000 entries on its
+#: thread pool, whose workers then spin between steps and cost more than the
+#: product saves.
+_DOT_ROW = 8192
 
-#: Largest errors, in float32 ulp, of numpy's float32 ``log2`` and ``exp2``
-#: that the float32 total's error budget allows: the ``ulperror`` tolerances
-#: of numpy's own validation sets for the two functions.
-_LOG2_ULP = 3
-_EXP2_ULP = 2
-
-#: The certificate's margin is this multiple of the float32 total's error budget.
-_MARGIN_FACTOR = 8.0
+#: Largest ``1/T`` that :func:`_certified_nucleus` takes.  Up to it the band's
+#: bar ``2 ** (-20 T)`` stays far below the head's after rounding, and the
+#: rounding of :func:`_moment_bounds`'s Lyapunov power stays inside its slack.
+_MAX_POWER = 2.0**20
 
 
 def distribution_to_logits(probs: np.ndarray) -> np.ndarray:
@@ -190,44 +187,20 @@ def _rank(w: np.ndarray, top_p: float, lo: float, hi: float | None = None) -> np
     return np.sort(order[: cutoff + 1])
 
 
-def _head(
-    probs: np.ndarray, power: float, p_ref: float, r: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The threshold head of ``probs ** power`` (ids in id order, weights); None if over ``_HEAD_CAP``.
+def _head(v: np.ndarray, bar: float, banned: np.ndarray | None = None) -> np.ndarray | None:
+    """Ids, in id order, of the entries of ``v`` at or above ``bar`` and not banned; None if over ``_HEAD_CAP``.
 
-    The head is every id not banned whose weight reaches ``_HEAD_RATIO`` of
-    ``p_ref ** power``, the weight of a reference id that is not banned: the
-    most probable id left, or one within float32 rounding of it.  Every
-    weight left out is strictly below every one taken, whatever the
-    reference, so the head is an exact prefix of the stable ranking.
-
-    The full path passes its tempered weights at ``power = 1``, bans already
-    zeroed, and no ``r``: one compare pass on them at ``p_ref * _HEAD_RATIO``
-    less a ``_SUPERSET_SLACK`` is itself a threshold on the weights, an exact
-    prefix as it is.  At ``power > 1``, ``r`` is :func:`_masked_f32` of
-    ``probs``, and the compare pass runs on it, at the float32 rounding of
-    the bar ``p_ref * _HEAD_RATIO ** (1 / power)`` less the slack.  Rounding
-    is monotone, so it gathers every id not banned that reaches the float64
-    bar, a superset of the head.  The caller keeps that bar a normal float32
-    above 0, and a banned id is 0 in ``r``, so no banned id is gathered.
-    Over ``_HEAD_CAP`` ids the gather gives up before any power.  Their
-    weights ``probs[ids] ** power`` are the full vector's, bit for bit,
-    because numpy's power rounds each element alone, whatever its position
-    or the array's length (``probs`` is contiguous, and tests pin this);
-    filtered at ``_HEAD_RATIO`` of the reference weight they are exactly the
-    head.  An empty gather (a NaN reference) gives up too.
+    One compare pass over ``v``; the count gives up over the cap before any
+    id is listed.  Every entry left out is below ``bar`` or banned, so on
+    weights the gather is an exact prefix of the stable ranking.  A NaN bar
+    gathers nothing.
     """
-    if r is None:
-        r = probs
-    bar = p_ref * _HEAD_RATIO ** (1.0 / power) * _SUPERSET_SLACK
-    ids = np.flatnonzero(r >= r.dtype.type(bar))
-    if not 0 < ids.size <= _HEAD_CAP:
+    mask = v >= bar
+    if banned is not None and banned.size:
+        mask[banned] = False
+    if np.count_nonzero(mask) > _HEAD_CAP:
         return None
-    if power == 1.0:  # the gather is itself a threshold on the weights
-        return ids, probs[ids]
-    w = probs[ids] ** power
-    in_head = w >= p_ref**power * _HEAD_RATIO
-    return ids[in_head], w[in_head]
+    return np.flatnonzero(mask)
 
 
 def _nucleus(w: np.ndarray, total: float, top_p: float) -> np.ndarray:
@@ -255,20 +228,19 @@ def _exact_nucleus(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nucleus of the weights ``w`` and their exact ``total`` (ids in id order, weights).
 
-    The :func:`_head` is gathered from ``w`` itself, so an unmasked or
-    max-relative rebuild by :func:`_weights` stays on its total's scale.  It
-    is measured against ``top``, the most probable id, or, when its weight
-    is 0 (banned), the largest weight; the top spares a pass for the
-    largest.  A head over ``_HEAD_CAP`` or short of top_p goes to the
-    partial selection of :func:`_nucleus`.
+    The threshold head is gathered from ``w`` itself, at ``_HEAD_RATIO`` of
+    the reference weight, so an unmasked or max-relative rebuild by
+    :func:`_weights` stays on its total's scale.  The reference is ``top``,
+    the most probable id, or, when its weight is 0 (banned), the largest
+    weight; the top spares a pass for the largest.  A head over
+    ``_HEAD_CAP`` or short of top_p goes to the partial selection of
+    :func:`_nucleus`.
     """
     ref = w[top]
-    head = _head(w, 1.0, ref if ref > 0.0 else w.max())
-    keep = None if head is None else _rank(head[1], top_p, total)
-    if keep is None:
-        keep = _nucleus(w, total, top_p)
-        return keep, w[keep]
-    return head[0][keep], head[1][keep]
+    ids = _head(w, (ref if ref > 0.0 else w.max()) * _HEAD_RATIO)
+    keep = None if ids is None else _rank(w[ids], top_p, total)
+    keep = _nucleus(w, total, top_p) if keep is None else ids[keep]
+    return keep, w[keep]
 
 
 def _top_settles(
@@ -304,122 +276,121 @@ def _top_settles(
     return banned is None or top not in banned
 
 
-def _masked_f32(probs: np.ndarray, banned: np.ndarray | None) -> np.ndarray:
-    """``probs`` cast to float32, with the ``banned`` ids zeroed."""
-    r = probs.astype(np.float32)
-    if banned is not None and banned.size:
-        r[banned] = 0.0
-    return r
+def _square_sum(v: np.ndarray) -> float:
+    """``v . v`` of a contiguous vector, as BLAS dot products of at most ``_DOT_ROW`` entries."""
+    cut = v.size - v.size % _DOT_ROW
+    rows = v[:cut].reshape(-1, 1, _DOT_ROW)
+    rest = v[cut:]
+    return float(np.add.reduce((rows @ rows.transpose(0, 2, 1)).ravel())) + float(rest @ rest)
 
 
-def _total_bounds(r: np.ndarray, p_ref: float, ref: float, power: float) -> tuple[float, float]:
-    """Bounds on the tempered total ``sum(probs ** power)`` (banned ids zeroed), from float32.
+def _moment_bounds(
+    p: np.ndarray, w: np.ndarray, probs: np.ndarray, b: float, power: float,
+    banned: np.ndarray | None, total: float,
+) -> tuple[float, float]:
+    """Bounds on the full path's float64 total of ``probs ** power``, the ``banned`` ids zeroed.
 
-    ``r`` is :func:`_masked_f32` of the probabilities, and is overwritten.
-    ``p_ref`` is the probability of an id not banned and ``ref`` its float64
-    weight ``p_ref ** power``; the total is ``ref * sum(rho ** a)`` with
-    ``rho = probs / p_ref`` and ``a = power``.  Each ratio is ``fl32(fl32(p)
-    * fl32(1 / p_ref))``, raised to ``a`` as ``exp2(fl32(a) * log2(r))``,
-    and the results are summed pairwise in float32.  A zero ratio (an exact
-    zero, a ban, an underflow) gives ``log2 = -inf`` and ``exp2 = 0``, and a
-    subnormal one goes through as it is.  The relative error budget, in
-    float32 unit roundoffs ``u = 2 ** -24``, holds for every entry whose
-    weight ``rho ** a`` is at least ``2 ** -_TAIL_EXP`` of the reference's
-    (``E = _TAIL_EXP``):
+    ``p`` holds the probabilities of the band, every id not banned with
+    ``p >= b``, and ``w`` their weights ``p ** power``; ``banned`` holds
+    distinct ids and ``total`` is the sum of ``probs``.  The tail, the ids
+    not banned below ``b``, has tempered mass ``S_a = sum(p ** a)`` with ``a
+    = power``, bracketed from ``S1 = total - sum(p)`` and ``S2 = probs .
+    probs - sum(p ** 2)``, the sums taken over the band and the banned ids.
+    Every tail ``p`` is below ``b``, so for ``1 < a < 2`` (Hölder) ``S2 * b
+    ** (a - 2) <= S_a <= min(S1 ** (2 - a) * S2 ** (a - 1), b ** (a - 1) *
+    S1)``, and for ``a >= 2`` (Lyapunov) ``S2 ** (a - 1) / S1 ** (a - 2) <=
+    S_a <= b ** (a - 2) * S2``; the Lyapunov lower bound is taken as ``S2 *
+    (S2 / S1) ** (a - 2)``, whose ratio is at most ``b`` and cannot
+    underflow to a zero divisor.
 
-    - the ratio's three roundings, raised to ``a``: ``4a u``;
-    - ``exp2``, at most ``_EXP2_ULP`` ulp: ``2 * _EXP2_ULP u``;
-    - the exponent ``y = a * log2(r)``: ``log2`` at most ``_LOG2_ULP`` ulp,
-      ``fl32(a)`` and the product one rounding each, so ``|dy| <= (2 *
-      _LOG2_ULP + 2) u |y|``, which scales the result by ``2 ** dy``, at most
-      ``ln 2 * 8 u * |y|``.  Such an entry has ``|y| <= E``, which gives
-      ``665 u`` in the worst case, so the ratios are split at ``|y| = Y0 =
-      ceil(log2 V) + 6``: an entry above ``2 ** -Y0`` of the reference's
-      weight is off by at most ``ln 2 * 8 u * Y0``, and the rest, at most
-      ``V * 2 ** -Y0 <= 2 ** -6`` of a total of at least 1 (the reference's
-      ratio is 1), add at most ``2 ** -6 * ln 2 * 8 u * E``;
-    - numpy's pairwise sum, blocks of at most 128 held in eight running
-      sums and halved down from V: ``(ceil(log2 V) + 20) u``;
-    - the float64 weights and their total, which the float32 sum stands
-      for: ``2 ** -40``.
-
-    ``_LOG2_ULP`` and ``_EXP2_ULP`` are the ``ulperror`` tolerances of numpy's
-    own float32 validation sets (``umath-validation-set-log2.csv`` and
-    ``-exp2.csv``); a test measures both functions against float64 over the
-    ratios, subnormal ones included, and the exponents down to where
-    ``exp2`` underflows.  The margin is ``_MARGIN_FACTOR`` times the budget,
-    about ``9.2e-5`` at ``T = 0.6`` and ``V = 151,936``.
-
-    Every other entry, banned ones included, weighs below ``2 ** -E`` of the
-    reference's in float64, and its float32 result is below ``2 ** -119``:
-    the cast and the product round monotonically, so its ratio is 0 or at
-    most that of a probability ``p_ref * 2 ** (-E / a)``, and ``log2`` and
-    ``exp2``, inside their tolerances, take such a ratio to within a few
-    ulp of ``2 ** -E``, or to 0.  Each such entry is off by at most ``2 **
-    -119`` of the reference's weight either way, so both bounds move by ``V
-    * 2 ** -119 * ref``.  An entry whose probability is
-    below float32's normal range is one of these while ``p_ref * 2 ** (-E /
-    a) >= 2 ** -125``, and a largest probability up to ``2 ** 64`` keeps the
-    cast finite; :func:`_certified_nucleus` checks both.
+    With ``n = probs.size`` and ``u = 2 ** -53``, the slack ``eps = (n + 4) *
+    2 ** -51`` covers, on ``S1`` and ``S2``, the total's error of at most ``n
+    u`` of its sum (``einsum``'s, or any order's), the dot's ``gamma_n``, the
+    band's and the bans' sums and the subtractions, each at most ``n u``;
+    and, relative on both bounds, the full path's own total, within ``n u``
+    of the exact sum of its weights (power and additions), the band's sum,
+    and the rounding of the bounds' powers (the ratio's, raised to ``a - 2
+    <= _MAX_POWER``, errs at most ``a u`` on a tail below ``n * 2 ** -20`` of
+    the band).  Squares and weights that underflowed err by at most ``2 **
+    -1074`` each, an absolute ``n * 2 ** -1073`` on ``S2`` and on both bounds.
     """
-    with np.errstate(divide="ignore", under="ignore"):
-        r *= np.float32(1.0 / float(p_ref))
-        np.log2(r, out=r)
-        r *= np.float32(power)
-        np.exp2(r, out=r)
-    total = float(np.add.reduce(r))
-    log_v = math.ceil(math.log2(r.size))
-    exponent = math.log(2.0) * (2 * _LOG2_ULP + 2) * (log_v + 6 + _TAIL_EXP / 64)
-    budget = (4.0 * power + 2 * _EXP2_ULP + exponent + log_v + 20) * 2.0**-24 + 2.0**-40
-    margin = _MARGIN_FACTOR * budget
-    tail = r.size * 2.0**-119
-    return ref * (total * (1.0 - margin) - tail), ref * (total * (1.0 + margin) + tail)
+    n = probs.size
+    dot = _square_sum(probs)
+    out = p if banned is None else np.concatenate([p, probs[banned]])
+    s1, s2 = total - float(np.add.reduce(out)), dot - float(out @ out)
+    eps = (n + 4) * 2.0**-51
+    tiny = n * 2.0**-1073
+    s1 = max(s1 + eps * total, 0.0)
+    s2_lo, s2 = s2 - eps * dot - tiny, max(s2 + eps * dot + tiny, 0.0)
+    if power < 2.0:  # Hölder
+        tail_lo = s2_lo * b ** (power - 2.0) if s2_lo > 0.0 else 0.0
+        tail_hi = min(s1 ** (2.0 - power) * s2 ** (power - 1.0), b ** (power - 1.0) * s1)
+    else:  # Lyapunov
+        tail_lo = s2_lo * (s2_lo / s1) ** (power - 2.0) if s2_lo > 0.0 else 0.0
+        tail_hi = b ** (power - 2.0) * s2
+    band = float(np.add.reduce(w))
+    return (band + tail_lo) * (1.0 - eps) - tiny, (band + tail_hi) * (1.0 + eps) + tiny
 
 
 def _certified_nucleus(
-    probs: np.ndarray, power: float, top_p: float, banned: np.ndarray | None, top: int
+    probs: np.ndarray, power: float, top_p: float, banned: np.ndarray | None, top: int,
+    total: float | None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The full path's nucleus at ``power > 1`` (ids in id order, weights); None if not certified.
 
-    ``top`` is the most probable id.  The one pass over ``probs`` is its
-    float32 cast with the bans zeroed, made first: :func:`_head` gathers
-    from it and :func:`_total_bounds` sums it.  When the top is banned, the
-    reference is the argmax of the cast: an id not banned whose probability
-    is within float32 rounding of the largest left.  The full path measures
-    its head against the largest weight left instead, but every
-    :func:`_head` is an exact prefix of the ranking whatever its reference,
-    so the cutoff found in either is the same.  The reference must satisfy
-    ``2 ** -125 <= p_ref * 2 ** (-_TAIL_EXP / power)``, which keeps the
-    head's bar above ``2 ** -126``, a normal float32.  Only the head is
-    tempered in float64, and :func:`_total_bounds` brackets the float64
-    total from the reference's weight.  Division and prefix sums round
-    monotonically, so the :func:`_cutoff` can only grow with the total:
-    when :func:`_rank` finds it the same at both bounds, and inside the
-    head, it is the full path's cutoff, and the kept ids and weights are
-    the full path's.  A ban that leaves no mass in float32 is left to the
-    full path, and so is a top whose weight ``p_top ** power``, times V,
-    could overflow float64: it bounds every weight in the head and the
+    ``top`` is the most probable id and ``total`` the sum of ``probs``
+    (``einsum`` takes it here when the caller has none).  The reference
+    ``p_ref`` is the top's probability or, when the top is banned, that of
+    the most probable id left, found in a first :func:`_head` gather at the
+    top's bar: every id outside it lies below what it holds.  With ``a =
+    power``, one compare pass gathers the band, the ids not banned with
+    ``p >= b = p_ref * _BAND_RATIO ** (1 / a)``; only the band is tempered,
+    and its weights are the full vector's bits.  The ranked head is the
+    band's ids whose weight reaches ``_HEAD_RATIO`` of the reference's; the
+    band holds every such id, so the head is an exact prefix of the
+    ranking, as the full path's is.  :func:`_moment_bounds` brackets the
     total.
+
+    Division and prefix sums round monotonically, so the :func:`_cutoff`
+    can only grow with the total: when :func:`_rank` finds it the same at
+    both bounds, and inside the head, it is the full path's cutoff, and the
+    kept ids and weights are the full path's.  The reference's weight must
+    reach ``_MIN_TOTAL``: the full path's total, a sum of nonnegative
+    weights, is at least that weight, so it is taken as is, and ``b`` is a
+    normal float.  ``power`` must not exceed ``_MAX_POWER``, and a top whose
+    weight ``p_top ** a``, or square, times V could overflow float64 is
+    left to the full path: it bounds every weight, square and sum here.  So
+    is a gather over ``_HEAD_CAP``, a banned top with no id left within its
+    bar, and a bracket that is not finite (a NaN in ``probs``).
     """
     p_top = probs[top]
-    if not p_top <= 2.0**64:  # a NaN top fails too
+    if not (p_top > 0.0 and power <= _MAX_POWER):  # a NaN top fails too
         return None
-    if p_top > 1.0 and power * math.log2(p_top) + math.log2(probs.size) >= 1023.0:
+    if p_top > 1.0 and max(power, 2.0) * math.log2(p_top) + math.log2(probs.size) >= 1023.0:
         return None
-    r, p_ref = _masked_f32(probs, banned), p_top
+    share = _BAND_RATIO ** (1.0 / power)
+    banned = np.unique(banned) if banned is not None and banned.size else None
+    p_ref = p_top
     if banned is not None and top in banned:
-        ref_id = int(np.argmax(r))
-        if not r[ref_id] > 0.0:  # no mass left, or a NaN
+        ids = _head(probs, p_top * share, banned)
+        if ids is None or not ids.size:
             return None
-        p_ref = probs[ref_id]
-    if not 2.0**-125 <= p_ref * 2.0 ** (-_TAIL_EXP / power):
+        p_ref = probs[ids].max()
+    ref = p_ref**power
+    if not ref >= _MIN_TOTAL:
         return None
-    head = _head(probs, power, p_ref, r)
-    if head is None:
+    b = float(p_ref * share)
+    ids = _head(probs, b, banned)
+    if ids is None:
         return None
-    ids, w = head
-    lo, hi = _total_bounds(r, p_ref, p_ref**power, power)
-    keep = _rank(w, top_p, lo, hi) if lo >= _MIN_TOTAL else None
+    p = probs[ids]
+    w = p**power
+    if total is None:
+        total = np.einsum("i->", probs)
+    lo, hi = _moment_bounds(p, w, probs, b, power, banned, float(total))
+    in_head = w >= ref * _HEAD_RATIO
+    ids, w = ids[in_head], w[in_head]
+    keep = _rank(w, top_p, lo, hi) if hi < math.inf else None
     return None if keep is None else (ids[keep], w[keep])
 
 
@@ -470,25 +441,27 @@ def sample_from_probs(
     ``probs`` must be nonnegative; they need not sum to 1.  At ``0 < T <= 1``
     and ``top_p < 1``, a top token that alone holds top_p of the tempered
     mass (:func:`_top_settles`) is returned without tempering the vocabulary.
-    Otherwise, at ``T < 1``, :func:`_certified_nucleus` casts ``probs`` to
-    float32 once, gathers the threshold head from the cast, tempers only the
-    head and ranks it against a float32 bracket of the total, measured,
-    when the top is banned, against the id left that the float32 cast ranks
-    first; it gives way to the full path when the head is over
-    ``_HEAD_CAP``, the total is too small, the ban leaves no mass, the head
-    falls short of top_p, or a bound of the total would move the cutoff.
-    The full path, also taken at ``T >= 1``, tempers the whole vocabulary
-    and ranks the same head, gathered from the tempered vector, against the
-    exact total (:func:`_exact_nucleus`); the top's id spares it a pass for
-    the largest weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums over the
-    whole vocabulary are the only total it takes.
+    Otherwise, at ``T < 1``, :func:`_certified_nucleus` tempers only the
+    band of ids within ``2 ** -20`` of the reference's weight, found by one
+    float64 compare pass, ranks the head taken from it against a bracket of
+    the total built from the tail's first two moments, and measures, when
+    the top is banned, against the most probable id left; it gives way to
+    the full path when the band is over ``_HEAD_CAP``, the total is too
+    small, no id left lies within a banned top's bar, a power could
+    overflow, the head falls short of top_p, or a bound of the total would
+    move the cutoff.  The full
+    path, also taken at ``T >= 1``, tempers the whole vocabulary and ranks
+    the same head, gathered from the tempered vector, against the exact
+    total (:func:`_exact_nucleus`); the top's id spares it a pass for the
+    largest weight.  At ``top_p = 1`` and ``T > 0`` the draw's prefix sums
+    over the whole vocabulary are the only total it takes.
 
     ``total`` and ``top``, the sum of ``probs`` and the first id of its
-    largest entry, spare the nucleus draw at ``T > 0`` and ``top_p < 1``
-    those passes over the vocabulary when the caller has them, as a
-    :class:`~cgrs.certainty.TokenDistribution` does; numpy's argmax would
-    also copy its read-only ``probs`` first.  Greedy and ``top_p = 1`` draws
-    do not read them.
+    largest entry, spare the draw passes over the vocabulary when the
+    caller has them, as a :class:`~cgrs.certainty.TokenDistribution` does;
+    numpy's argmax would also copy its read-only ``probs`` first.  A greedy
+    draw returns ``top`` when no ban holds it; ``top_p = 1`` draws at ``T >
+    0`` do not read them.
 
     ``probs`` is made contiguous first, so a strided view draws as its
     contiguous copy, and the head's gathered weights are the full vector's
@@ -497,6 +470,8 @@ def sample_from_probs(
     """
     _check_draw(temperature, u)
     check_top_p(top_p)
+    if temperature == 0.0 and top is not None and (banned is None or top not in banned):
+        return top
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     power = 1.0 if temperature in (0.0, 1.0) else 1.0 / temperature
     if top_p == 1.0 or temperature == 0.0:
@@ -506,7 +481,7 @@ def sample_from_probs(
         top = int(np.argmax(probs))
     if temperature <= 1.0 and _top_settles(probs, top, top_p, banned, total):
         return top
-    kept = _certified_nucleus(probs, power, top_p, banned, top) if temperature < 1.0 else None
+    kept = _certified_nucleus(probs, power, top_p, banned, top, total) if temperature < 1.0 else None
     if kept is None:
         w, sums = _weights(probs, power, banned)
         kept = _exact_nucleus(w, float(sums[-1]), top_p, top)

@@ -12,7 +12,7 @@ no numpy on the decision path:
 - the draw walks the kept ids in id order and returns the first whose
   prefix weight exceeds ``u`` times the kept total.
 
-The engine works in float64 and float32, so it can only be held to the
+The engine works in float64, so it can only be held to the
 exact id away from the rule's boundaries.  :func:`exact_draw` reports when
 ``u`` times the kept total, or ``top_p`` times the total, lies within
 ``BAND`` of the total (or kept total) from a prefix weight, or when the
@@ -22,14 +22,17 @@ smaller: ``fl(1/T)`` and the float64 power err by at most about ``745 *
 2 ** -52`` relative on any weight that is not negligible next to the total
 (a ratio ``r`` with ``|ln r| / T`` above 745 underflows), about ``2e-13``,
 and 256 float64 additions by at most ``256 * 2 ** -53``, about ``3e-14``.
-The float32 total is certified, and the settled top has a ``1e-9``
-margin; so ``BAND = 1e-9`` leaves three orders of magnitude of room.
+A total that is bracketed (from two moments) is certified, and the settled
+top has a ``1e-9`` margin; so ``BAND = 1e-9`` leaves three orders of
+magnitude of room.
 
 :func:`hard_cases` is a seeded generator of vectors at ``V <= 256`` that
 reach the sampler's edges: exact ties and zeros, subnormals, totals from
 1e-300 to 1e300, one dominant id, near-uniform vectors (some with entries
 a few ulp apart), runs of adjacent doubles, random bans (a banned top among them, and bans that leave no
-mass), ``T`` from 0.01 to 2 and ``top_p`` from 1e-6 to 1.
+mass), ``T`` from 0.01 to 2 and ``top_p`` from 1e-6 to 1.  At a full
+vocabulary size, :func:`exact_head` computes the head at 50 digits and
+sums the rest of the mass in chunks, for :func:`exact_draw`'s ``rest``.
 """
 
 from __future__ import annotations
@@ -100,14 +103,19 @@ def exact_weights(probs: np.ndarray, temperature: float, banned) -> list[Decimal
     return out
 
 
-def exact_nucleus(weights: list[Decimal], top_p: float) -> ExactNucleus:
-    """The nucleus of the :func:`exact_weights` ``weights``; see :class:`ExactNucleus`."""
+def exact_nucleus(weights: list[Decimal], top_p: float, rest: Decimal = Decimal(0)) -> ExactNucleus:
+    """The nucleus of the :func:`exact_weights` ``weights``; see :class:`ExactNucleus`.
+
+    ``rest`` is the mass of weights left out of ``weights``, each below
+    every positive weight in it (as :func:`exact_head` leaves them); the
+    cutoff must then lie inside ``weights``, or ValueError is raised.
+    """
     ranked = sorted((i for i, w in enumerate(weights) if w > 0), key=lambda i: (-weights[i], i))
     ranked_weights = [weights[i] for i in ranked]
     ctx = _context()
-    total = _sum(ctx, ranked_weights)
+    total = ctx.add(_sum(ctx, ranked_weights), rest)
     cutoff, near = len(ranked) - 1, False
-    if top_p < 1.0:
+    if top_p < 1.0 or rest > 0:
         target = ctx.multiply(Decimal(top_p), total)
         band = ctx.multiply(BAND, total)
         mass = Decimal(0)
@@ -117,6 +125,8 @@ def exact_nucleus(weights: list[Decimal], top_p: float) -> ExactNucleus:
                 cutoff = k
                 near = abs(mass - target) <= band or abs(before - target) <= band
                 break
+        else:
+            raise ValueError("the cutoff lies past the weights given")
     edge = ranked_weights[cutoff]
     block = [k for k, w in enumerate(ranked_weights) if abs(w - edge) <= ctx.multiply(BAND, edge)]
     distinct = len({ranked_weights[k] for k in block})
@@ -154,22 +164,25 @@ def draw_from(keep: list[int], weights: list[Decimal], u: float) -> tuple[int, s
     return token, window
 
 
-def exact_draw(weights: list[Decimal], top_p: float, u: float) -> tuple[int, str, set[int]]:
+def exact_draw(
+    weights: list[Decimal], top_p: float, u: float, rest: Decimal = Decimal(0)
+) -> tuple[int, str, set[int]]:
     """The exact id, the boundaries it lies near ("" if none), and the ids allowed.
 
     Away from every boundary only the exact id is allowed.  Near ``u``'s,
     any id drawn within ``BAND`` of ``u`` is; near ``top_p``'s, any id so
     drawn from the nuclei at ``top_p`` and ``2 * BAND`` either side of it.
     When near-equal weights straddle the cutoff (``"rank"``), any id ranked
-    up to the end of their run is allowed.
+    up to the end of their run is allowed.  ``rest`` is as in
+    :func:`exact_nucleus`.
     """
-    nucleus = exact_nucleus(weights, top_p)
+    nucleus = exact_nucleus(weights, top_p, rest)
     token, allowed = draw_from(nucleus.keep, nucleus.weights, u)
     near_u = len(allowed) > 1
     if nucleus.near_top_p:
         step = float(2 * BAND)
         for moved in (max(top_p - step, top_p / 2), min(1.0, top_p + step)):
-            other = exact_nucleus(weights, moved)
+            other = exact_nucleus(weights, moved, rest)
             allowed |= draw_from(other.keep, other.weights, u)[1]
     if nucleus.tie_block:
         allowed.update(nucleus.ranked[: nucleus.tie_block])
@@ -276,14 +289,65 @@ def boundary_uniforms(nucleus: ExactNucleus, offsets: tuple[float, ...]) -> list
     return out
 
 
-def boundary_top_ps(weights: list[Decimal], offsets: tuple[float, ...]) -> list[float]:
-    """``top_p`` values ``offset`` away from each ranked prefix share of the total, for each offset."""
+def boundary_top_ps(
+    weights: list[Decimal], offsets: tuple[float, ...], rest: Decimal = Decimal(0)
+) -> list[float]:
+    """``top_p`` values ``offset`` away from each ranked prefix share of the total, for each offset.
+
+    ``rest`` is as in :func:`exact_nucleus`.
+    """
     ctx = _context()
     ranked = sorted((w for w in weights if w > 0), reverse=True)
-    total = _sum(ctx, ranked)
+    total = ctx.add(_sum(ctx, ranked), rest)
     out, mass = [], Decimal(0)
     for w in ranked[:-1]:
         mass = ctx.add(mass, w)
         share = float(ctx.divide(mass, total))
         out.extend(share + f for f in offsets if 0.0 < share + f <= 1.0)
     return out
+
+
+#: Exponent of the weight share, of the most probable id left's, down to
+#: which :func:`exact_head` computes weights at 50 digits: ``2 ** -12``, a
+#: superset of the sampler's ``2 ** -10`` threshold head.
+HEAD_EXP = 12
+
+#: Length of the chunks in which :func:`exact_head` sums the tail.
+TAIL_CHUNK = 8192
+
+
+def exact_head(
+    probs: np.ndarray, temperature: float, banned
+) -> tuple[np.ndarray, list[Decimal], Decimal]:
+    """The head of a long vector at 50 digits, and the rest of its tempered mass.
+
+    The head is every id not banned whose probability reaches ``p_ref * 2 **
+    (-HEAD_EXP * T)``, ``p_ref`` the most probable id left: its ids in id
+    order and its :func:`exact_weights`.  Every other id weighs less than
+    every head id, so the head's positions rank as its ids do.  The rest of
+    the ids not banned are tempered in float64, ``exp(ln p / T)``, each
+    within ``(|ln p| / T + 3) * 2 ** -53`` of its exact weight (at most about
+    ``2e-12`` at ``T = 0.1``, where ``|ln p| <= 745``), or below ``2 **
+    -1074`` when it underflows, and summed with one rounding per chunk of
+    ``TAIL_CHUNK`` weights (``math.fsum``), the chunks added at 50 digits.
+    So ``rest`` errs by a few parts in ``1e12`` of the tail at most, far
+    inside ``BAND``.  The ban is taken as is: the vectors are long ones, where a
+    ban leaves mass.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    left = probs.copy()
+    if banned is not None:
+        left[np.asarray(banned)] = 0.0
+    p_ref = float(left.max())
+    in_head = left >= p_ref * 2.0 ** (-HEAD_EXP * temperature)
+    ids = np.flatnonzero(in_head)
+    weights = exact_weights(probs[ids], temperature, None)
+    tail = left[~in_head]
+    tail = tail[tail > 0.0]
+    ctx = _context()
+    rest = Decimal(0)
+    with np.errstate(under="ignore"):
+        tail_w = np.exp(np.log(tail) / temperature)
+    for start in range(0, tail_w.size, TAIL_CHUNK):
+        rest = ctx.add(rest, Decimal(math.fsum(tail_w[start:start + TAIL_CHUNK])))
+    return ids, weights, rest

@@ -56,6 +56,11 @@ class TestTokenEntropy:
                 probs /= probs.sum()
             assert abs(token_entropy(TokenDistribution(probs)) - entropy_oracle(probs)) < 1e-12
 
+    @pytest.mark.parametrize("raw", [np.full(4, 0.25), [0.25] * 4], ids=["array", "list"])
+    def test_raw_vector_names_token_distribution(self, raw):
+        with pytest.raises(TypeError, match="expected a TokenDistribution, got"):
+            token_entropy(raw)
+
     def test_entropy_bounds(self):
         rng = np.random.default_rng(55)
         for _ in range(200):
@@ -521,6 +526,11 @@ class TestCertaintyScore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             certainty_score([], vocab_size=4)
+
+    def test_raw_vector_names_token_distribution(self):
+        dists = [TokenDistribution(probs=np.full(4, 0.25)), np.full(4, 0.25)]
+        with pytest.raises(TypeError, match="expected a TokenDistribution, got ndarray"):
+            certainty_score(dists, vocab_size=4)
 
     def test_vocab_size_below_two_rejected(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,25 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=rf"d\.jsonl:2: {field} must be a string or number"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field", ["id", "gold_answer"])
+    def test_non_finite_number_names_line(self, tmp_path, field, literal):
+        # json reads these as float nan and inf, which str() would score as text
+        path = tmp_path / "d.jsonl"
+        record = {"id": '"b"', "prompt": '"p"', "gold_answer": '"2"', field: literal}
+        body = ", ".join(f'"{k}": {v}' for k, v in record.items())
+        path.write_text('{"id": "a", "prompt": "p", "gold_answer": "1"}\n{' + body + "}\n")
+        kind = "an integer" if field == "id" else "a finite number"
+        with pytest.raises(DatasetError, match=rf"d\.jsonl:2: {field} must be a string or {kind}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("literal", ["1.5", "7.0", "7e0"])
+    def test_fractional_number_id_names_line(self, tmp_path, literal):
+        path = tmp_path / "d.jsonl"
+        path.write_text(f'{{"id": {literal}, "prompt": "p", "gold_answer": "1"}}\n')
+        with pytest.raises(DatasetError, match=r"d\.jsonl:1: id must be a string or an integer"):
+            load_dataset(path)
+
     def test_numbers_load_as_their_text(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(

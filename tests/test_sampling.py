@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import decimal
-import inspect
 import itertools
 import math
 import warnings
@@ -150,9 +149,18 @@ def certified_sizes(monkeypatch):
 
 
 @pytest.fixture
-def bounds_sizes(monkeypatch):
-    """Sizes of every vector ``cgrs.sampling._total_bounds`` sums in float32 while active."""
-    return _counted(monkeypatch, "_total_bounds", sampling)
+def band_sizes(monkeypatch):
+    """Sizes of the id lists every ``cgrs.sampling._head`` gather returns while active (None: it gave up)."""
+    sizes: list[int | None] = []
+    real = sampling._head
+
+    def gathering(v, bar, banned=None):
+        ids = real(v, bar, banned)
+        sizes.append(None if ids is None else ids.size)
+        return ids
+
+    monkeypatch.setattr(sampling, "_head", gathering)
+    return sizes
 
 
 class TestSoftmax:
@@ -1013,11 +1021,11 @@ class TestSettledTop:
 
 
 class TestCertifiedDraw:
-    """An unsettled step at 0 < T < 1 tempers only the head and certifies the cutoff in float32."""
+    """An unsettled step at 0 < T < 1 tempers only a band and certifies the cutoff from two moments."""
 
     @pytest.mark.parametrize("temperature", [0.95, 0.6, 0.5, 0.3, 0.1])
     def test_gathered_power_equals_the_full_vector_bits(self, large_vectors, temperature):
-        # the head's float64 weights are gathered before the power; they must
+        # the band's float64 weights are gathered before the power; they must
         # be the full vector's bits whatever the gather's size (T = 0.5 is
         # numpy's squaring shortcut for ``** 2``)
         rng = np.random.default_rng(int(temperature * 100))
@@ -1032,14 +1040,17 @@ class TestCertifiedDraw:
 
     @pytest.mark.parametrize("temperature", [0.9, 0.6, 0.3, 0.1, 0.02])
     def test_bounds_bracket_the_float64_total(self, temperature):
-        # the float32 bounds must hold today's pairwise float64 total of the
-        # tempered weights, on Zipf, sparse, subnormal-heavy and banned
-        # vectors, and on vectors that mix exact zeros, bans and ratios in
-        # float32's subnormal range; log2(0) and exp2's underflow must not
-        # warn
+        # the two-moment bounds must hold today's pairwise float64 total of
+        # the tempered weights, from the einsum total a TokenDistribution
+        # keeps and from the pairwise sum alike, on Zipf, sparse,
+        # subnormal-heavy and banned vectors, and on vectors that mix exact
+        # zeros, bans and entries far below the band; underflowing squares
+        # and powers must not warn, and S1 ** (a - 2) underflowing at
+        # T = 0.02 must not divide by zero
         rng = np.random.default_rng(int(temperature * 1000))
         power = 1.0 / temperature
-        checked = 0
+        share = sampling._BAND_RATIO ** (1.0 / power)
+        widths = []
         for trial in range(80):
             n = int(rng.choice([7, 300, 5000, QWEN_VOCAB]))
             probs = (rng.permutation(n) + 1.0) ** -float(rng.uniform(0.5, 3.0))
@@ -1059,21 +1070,25 @@ class TestCertifiedDraw:
             if trial % 2:
                 ban = np.setdiff1d(rng.choice(n, max(1, n // 10), replace=False), [top])
             w, sums = _weights(probs, power, ban)
-            r = sampling._masked_f32(probs, ban)
-            with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
-                warnings.simplefilter("error")
-                lo, hi = sampling._total_bounds(r, probs[top], float(w[top]), power)
-            if lo >= sampling._MIN_TOTAL:
+            b = float(probs[top] * share)
+            ids = sampling._head(probs, b, ban)
+            if ids is None or not w[top] >= sampling._MIN_TOTAL:
+                continue
+            p = probs[ids]
+            for total in (np.einsum("i->", probs), probs.sum()):
+                with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+                    warnings.simplefilter("error")
+                    lo, hi = sampling._moment_bounds(p, p**power, probs, b, power, ban, float(total))
                 assert lo <= float(sums[-1]) <= hi, (trial, n)
-                assert hi - lo < 1e-3 * hi
-                checked += 1
-        assert checked >= 70
+            widths.append((hi - lo) / hi)
+        # a tail of many ids just below the band widens the bracket most
+        assert len(widths) >= 70 and max(widths) < 1e-2 and np.median(widths) < 1e-5
 
     def test_zipf_vector_tempers_only_its_head(
-        self, large_vectors, weights_sizes, bounds_sizes, argsort_sizes
+        self, large_vectors, weights_sizes, band_sizes, argsort_sizes
     ):
-        # no vocabulary-length float64 power: one float32 pass for the total
-        # and a sort of the head alone
+        # no vocabulary-length float64 power: one compare pass on the float64
+        # vector gathers the band, and the head alone is sorted
         probs = large_vectors["zipf"]
         us = [sampling_uniform(12, step) for step in range(20)]
         for temperature in (0.6, 0.3, 0.1):
@@ -1083,12 +1098,12 @@ class TestCertifiedDraw:
             assert tokens == [tempered_argsort_draw(keep, w, u) for u in us], temperature
             assert max(argsort_sizes) < 100
         assert not weights_sizes
-        assert bounds_sizes == [QWEN_VOCAB] * 60
+        assert len(band_sizes) == 60 and 0 < min(band_sizes) and max(band_sizes) < 1000
 
-    def test_banned_top_tempers_only_its_head(self, large_vectors, weights_sizes, bounds_sizes):
-        # the head and the float32 ratios are measured against the most
-        # probable id left, as the full path measures its head against the
-        # largest weight left
+    def test_banned_top_tempers_only_its_head(self, large_vectors, weights_sizes, band_sizes):
+        # the band is measured against the most probable id left, as the
+        # full path measures its head against the largest weight left; a
+        # first gather at the banned top's bar finds that id
         probs = large_vectors["zipf"]
         ban = np.array([int(np.argmax(probs))])
         masked = probs.copy()
@@ -1099,15 +1114,15 @@ class TestCertifiedDraw:
             tokens = [sample_from_probs(probs, temperature, 0.95, u, ban) for u in us]
             assert tokens == [tempered_argsort_draw(keep, w, u) for u in us], temperature
         assert not weights_sizes
-        assert bounds_sizes == [QWEN_VOCAB] * 60
+        assert len(band_sizes) == 120 and 0 < min(band_sizes) and max(band_sizes) < 1000
 
     @pytest.mark.parametrize("temperature", [0.9, 0.6, 0.1])
-    def test_banned_top_reference_from_the_float32_cast(
-        self, large_vectors, weights_sizes, bounds_sizes, temperature
+    def test_banned_top_reference_is_the_most_probable_id_left(
+        self, large_vectors, weights_sizes, band_sizes, monkeypatch, temperature
     ):
-        # the top is banned and the two largest left round to one float32, so
-        # the cast's argmax (the lower id) is not the float64 argmax (the
-        # higher id); the certified draw must still pick the full path's ids
+        # the top is banned and the two largest left are one float64 ulp
+        # apart, the higher one at the higher id: the band's bar is the
+        # higher one's, and the certified draw picks the full path's ids
         probs = large_vectors["zipf"].copy()
         order = np.argsort(-probs, kind="stable")
         lo_id, hi_id = sorted(order[1:3].tolist())
@@ -1115,23 +1130,31 @@ class TestCertifiedDraw:
         probs[lo_id] = second
         probs[hi_id] = np.nextafter(second, 1.0)
         ban = np.array([order[0]])
-        r = sampling._masked_f32(probs, ban)
-        assert int(np.argmax(r)) == lo_id and r[lo_id] == r[hi_id]
         masked = probs.copy()
         masked[ban] = 0.0
         assert int(np.argmax(masked)) == hi_id
+        bars = []
+        head = sampling._head
+
+        def bar_spy(v, bar, banned=None):
+            bars.append(bar)
+            return head(v, bar, banned)
+
+        monkeypatch.setattr(sampling, "_head", bar_spy)
         keep, w = tempered_argsort_nucleus(masked, temperature, 0.95)
         us = [sampling_uniform(20, step) for step in range(40)]
         tokens = [sample_from_probs(probs, temperature, 0.95, u, ban) for u in us]
         assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
         assert not weights_sizes
-        assert bounds_sizes == [QWEN_VOCAB] * len(us)
+        share = sampling._BAND_RATIO ** (1.0 / (1.0 / temperature))
+        assert bars[1::2] == [float(probs[hi_id] * share)] * len(us)
 
     @pytest.mark.parametrize("temperature", [0.6, 0.1])
     def test_banned_top_far_above_the_rest_raises_no_warning(self, weights_sizes, temperature):
-        # unnormalised probs whose banned top is 1e18 times the next: its
-        # ratio to the reference would overflow float32's exp2 at T = 0.1,
-        # so the banned ids are zeroed before the ratios are formed
+        # unnormalised probs whose banned top is 1e18 times the next: nothing
+        # left lies within the top's bar, and the kept total's rounding on
+        # 1e18 swamps the tail's moments, so every draw falls back to the
+        # full path, without a warning
         rng = np.random.default_rng(18)
         probs = (rng.permutation(5000) + 1.0) ** -1.1
         probs /= probs.sum()
@@ -1146,80 +1169,27 @@ class TestCertifiedDraw:
             warnings.simplefilter("error")
             tokens = [sample_from_probs(probs, temperature, 0.9, u, ban) for u in us]
         assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
-        assert not weights_sizes
+        assert weights_sizes == [5000] * len(us)
 
-    def test_float32_log2_and_exp2_stay_inside_the_budget(self):
-        # the float32 total's error budget takes numpy's float32 log2 and
-        # exp2 to err by at most _LOG2_ULP and _EXP2_ULP ulp over every
-        # positive ratio up to 1, subnormal ones included, and the exponents
-        # from 0 down past where exp2 underflows to 0; a numpy or SIMD
-        # dispatch change that breaks that must fail here
-        def ulps(got: np.ndarray, exact: np.ndarray) -> float:
-            _, e = np.frexp(exact)
-            ulp = np.maximum(np.ldexp(1.0, e - 24), 2.0**-149)  # subnormals: one fixed ulp
-            return float(np.max(np.abs(got.astype(np.float64) - exact) / ulp))
-
-        rng = np.random.default_rng(19)
-        tiny = np.finfo(np.float32).smallest_subnormal
-        subnormals = rng.integers(1, 2**23, 200_000, dtype=np.int32).view(np.float32)
-        ratios = np.concatenate(
-            [
-                np.exp2(rng.uniform(-126.0, 0.0, 1_000_000)).astype(np.float32),
-                (1.0 - rng.integers(1, 2**20, 200_000) * 2.0**-24).astype(np.float32),
-                subnormals,  # random bit patterns below float32's smallest normal
-                np.float32([tiny, 2.0**-126, 2.0**-120]),
-            ]
-        )
-        ratios = ratios[ratios < 1.0]
-        assert ratios.size >= 1_300_000 and (ratios < 2.0**-126).sum() >= 200_000
-        assert ulps(np.log2(ratios), np.log2(ratios.astype(np.float64))) <= sampling._LOG2_ULP
-        ys = np.concatenate([rng.uniform(-160.0, 0.0, 1_000_000), [-160.0, -150.0, -149.0, 0.0]])
-        ys = ys.astype(np.float32)
-        assert (np.exp2(ys) == 0.0).any() and (np.exp2(ys) < 2.0**-126).sum() >= 100_000
-        assert ulps(np.exp2(ys), np.exp2(ys.astype(np.float64))) <= sampling._EXP2_ULP
-
-    def test_flat_vector_makes_no_float32_pass(self, large_vectors, weights_sizes, bounds_sizes):
-        # a head over the cap gives up after the cast and the compare pass on
-        # it, before the float32 total's log2 and exp2 pass
+    def test_flat_vector_gives_up_before_the_bounds(
+        self, large_vectors, weights_sizes, band_sizes, monkeypatch
+    ):
+        # a band over the cap gives up after the compare pass and its count,
+        # before any id is listed and before the moments are taken
+        bounds = _counted(monkeypatch, "_moment_bounds", sampling)
         probs = large_vectors["uniform"]
         sample_from_probs(probs, 0.6, 0.95, 0.5)
-        assert not bounds_sizes
+        assert band_sizes[0] is None and not bounds
         assert weights_sizes == [QWEN_VOCAB]
-
-    def test_head_is_gathered_from_the_float32_cast(self, large_vectors, monkeypatch):
-        # the certified path reads the float64 vector once, to cast it: the
-        # head's compare pass runs on the cast, which the total then sums
-        heads, bounds = [], []
-        head, total_bounds = sampling._head, sampling._total_bounds
-
-        def head_spy(probs, power, p_ref, r=None):
-            heads.append(r)
-            return head(probs, power, p_ref, r)
-
-        def bounds_spy(r, *args):
-            bounds.append(r)
-            return total_bounds(r, *args)
-
-        monkeypatch.setattr(sampling, "_head", head_spy)
-        monkeypatch.setattr(sampling, "_total_bounds", bounds_spy)
-        probs = large_vectors["zipf"]
-        ban = np.array([int(np.argmax(probs))])
-        for banned in (None, ban):
-            heads.clear()
-            bounds.clear()
-            sample_from_probs(probs, 0.6, 0.95, 0.5, banned)
-            assert len(heads) == len(bounds) == 1
-            assert heads[0] is bounds[0] and heads[0].dtype == np.float32
-        assert "banned" not in inspect.signature(head).parameters
 
     @pytest.mark.parametrize("temperature", [0.6, 0.1])
     @pytest.mark.parametrize("top_banned", [False, True])
     def test_banned_id_above_the_bar_never_enters_the_head(
         self, weights_sizes, temperature, top_banned
     ):
-        # the float32 cast holds 0 at a banned id, so a banned id whose
-        # probability is above the gather's bar is never gathered, and the
-        # head is the float64 head of the ids left
+        # the gather drops the banned ids from its mask, so a banned id whose
+        # probability is above the band's bar is never gathered, and the head
+        # is the float64 head of the ids left
         rng = np.random.default_rng(int(temperature * 10) + top_banned)
         power = 1.0 / temperature
         vocab = 4096
@@ -1229,17 +1199,16 @@ class TestCertifiedDraw:
         probs[above] = 0.9 * probs[top]  # far above the bar at any T < 1
         probs /= probs.sum()
         ban = np.sort(np.append(above, top) if top_banned else above)
-        r = sampling._masked_f32(probs, ban)
-        p_ref = probs[int(np.argmax(r))]
-        bar = p_ref * sampling._HEAD_RATIO ** (1.0 / power) * sampling._SUPERSET_SLACK
-        assert np.isin(ban, np.flatnonzero(probs >= bar)).all()
-        ids, w = sampling._head(probs, power, p_ref, r)
-        assert not np.isin(ids, ban).any()
         masked = probs.copy()
         masked[ban] = 0.0
+        p_ref = masked.max()
+        bar = float(p_ref * sampling._BAND_RATIO ** (1.0 / power))
+        assert np.isin(ban, np.flatnonzero(probs >= bar)).all()
+        ids = sampling._head(probs, bar, ban)
+        assert np.array_equal(ids, np.flatnonzero(masked >= bar))
+        w = probs[ids] ** power
         want = np.flatnonzero(masked**power >= p_ref**power * sampling._HEAD_RATIO)
-        assert np.array_equal(ids, want)
-        assert np.array_equal(w.view(np.int64), (probs[want] ** power).view(np.int64))
+        assert np.array_equal(ids[w >= p_ref**power * sampling._HEAD_RATIO], want)
         for top_p in (0.3, 0.6, 0.9):
             keep, weights = tempered_argsort_nucleus(masked, temperature, top_p)
             us = [sampling_uniform(22, step) for step in range(20)]
@@ -1249,28 +1218,19 @@ class TestCertifiedDraw:
             assert not weights_sizes, top_p  # every draw was certified
 
     @pytest.mark.parametrize("temperature", [0.1, 0.6, 0.9])
-    def test_probabilities_one_float32_ulp_from_the_bar(self, monkeypatch, temperature):
-        # entries one float32 ulp either side of the gather's bar, on the bar
-        # in float64, and a few float64 ulp either side of the head's exact
-        # threshold.  Every cutoff among them draws the full path's id,
-        # certified or not
-        power = 1.0 / temperature
-        p_ref = 0.5
-        bar = p_ref * sampling._HEAD_RATIO ** (1.0 / power) * sampling._SUPERSET_SLACK
-        bar32 = np.float32(bar)
+    def test_probabilities_float64_ulps_from_the_bars(self, monkeypatch, temperature):
+        # entries a few float64 ulp either side of the band's bar and of the
+        # head's threshold, and on them.  Every cutoff among them draws the
+        # full path's id, certified or not
+        p_ref, power = 0.5, 1.0 / temperature
+        bar = float(p_ref * sampling._BAND_RATIO ** (1.0 / power))
         edge = p_ref * sampling._HEAD_RATIO ** (1.0 / power)
-        near = [
-            float(np.nextafter(bar32, np.float32(0.0))),
-            float(bar32),
-            float(np.nextafter(bar32, np.float32(1.0))),
-            float(np.nextafter(bar, 0.0)),
-            bar,
-            float(np.nextafter(bar, 1.0)),
-        ]
-        near += [edge * (1.0 + k * 2.0**-52) for k in (-2, -1, 0, 1, 2)]
+        near = [edge * (1.0 + k * 2.0**-52) for k in (-2, -1, 0, 1, 2)]
+        near += [bar * (1.0 + k * 2.0**-52) for k in (-2, -1, 0, 1, 2)]
+        near += [float(np.nextafter(bar, 0.0)), float(np.nextafter(bar, 1.0))]
         near += [edge * 1.5, edge * 3.0]
         rng = np.random.default_rng(int(temperature * 10))
-        tail = np.full(500, p_ref * 2.0 ** (-30.0 / power))
+        tail = np.full(500, p_ref * 2.0 ** (-30.0 * temperature))
         probs = rng.permutation(np.concatenate([[p_ref], near, tail]))
         outcomes = []
         certified = sampling._certified_nucleus
@@ -1297,11 +1257,9 @@ class TestCertifiedDraw:
     @pytest.mark.parametrize("temperature", [0.1, 0.6, 0.9])
     @pytest.mark.parametrize("top_banned", [False, True])
     def test_reference_at_the_precondition_edge(self, monkeypatch, temperature, top_banned):
-        # p_ref * 2 ** (-120 / a) swept across 2 ** -125: below it the
-        # certified path gives way; above it, it certifies where the
-        # tempered total is large enough.  Either way the draw is the full
-        # path's
-        power = 1.0 / temperature
+        # p_ref ** (1/T) swept across _MIN_TOTAL: below it the certified
+        # path gives way; above it, it certifies.  Either way the draw is
+        # the full path's
         outcomes = []
         certified = sampling._certified_nucleus
 
@@ -1311,10 +1269,10 @@ class TestCertifiedDraw:
             return kept
 
         monkeypatch.setattr(sampling, "_certified_nucleus", spy)
-        edge = 2.0 ** (-125.0 + sampling._TAIL_EXP / power)
+        edge = sampling._MIN_TOTAL ** (1.0 / (1.0 / temperature))
         shape = np.array([1.0, 0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01, 1e-3])
-        for k in range(-64, 65, 8):
-            p_ref = edge * (1.0 + k * 2.0**-52)
+        for k in range(-64, 65, 8):  # steps far above the rounding of the power
+            p_ref = edge * (1.0 + k * 2.0**-44)
             probs = p_ref * shape
             ban = None
             if top_banned:
@@ -1330,24 +1288,51 @@ class TestCertifiedDraw:
                     u = sampling_uniform(24, step)
                     got = sample_from_probs(probs, temperature, top_p, u, ban)
                     assert got == tempered_argsort_draw(keep, weights, u), (k, top_p, step)
-        assert not all(outcomes)
-        if temperature > 0.1:  # at T = 0.1, p_ref ** 10 is below _MIN_TOTAL
-            assert any(outcomes)
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("temperature", [0.1, 0.6, 0.9])
+    def test_top_at_the_overflow_edge(self, monkeypatch, temperature):
+        # p_top ** max(1/T, 2) * V swept across 2 ** 1023: above it the
+        # certified path gives way, below it, it certifies.  Either way the
+        # draw is the full path's, without a warning
+        outcomes = []
+        certified = sampling._certified_nucleus
+
+        def spy(*args):
+            kept = certified(*args)
+            outcomes.append(kept is not None)
+            return kept
+
+        monkeypatch.setattr(sampling, "_certified_nucleus", spy)
+        shape = np.array([1.0, 0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01, 1e-3])
+        power = max(1.0 / temperature, 2.0)
+        edge = 2.0 ** ((1023.0 - math.log2(shape.size)) / power)
+        for k in range(-64, 65, 8):  # steps far above the rounding of log2
+            probs = edge * (1.0 + k * 2.0**-40) * shape
+            for top_p in (0.3, 0.8):
+                keep, weights = tempered_argsort_nucleus(shape, temperature, top_p)
+                for step in range(4):
+                    u = sampling_uniform(25, step)
+                    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+                        warnings.simplefilter("error")
+                        got = sample_from_probs(probs, temperature, top_p, u)
+                    assert got == tempered_argsort_draw(keep, weights, u), (k, top_p, step)
+        assert any(outcomes) and not all(outcomes)
 
     @pytest.mark.parametrize("placement", ["above", "below", "estimate"])
     def test_cutoff_inside_the_margin_falls_back(self, large_vectors, weights_sizes, placement):
         # top_p sits between the shares that the float64 total and a total
         # inside the bounds give the ranked token crossing 0.9: a lower bound
         # alone would cut that token ("above"), an upper bound alone would
-        # keep one more ("below"), and so would the float32 estimate itself
+        # keep one more ("below"), and so would the bracket's midpoint
         temperature, probs = 0.6, large_vectors["zipf"]
         power = 1.0 / temperature
         w, sums = _weights(probs, power, None)
         total = float(sums[-1])
         top = int(np.argmax(probs))
-        lo, hi = sampling._total_bounds(
-            sampling._masked_f32(probs, None), probs[top], float(w[top]), power
-        )
+        b = float(probs[top] * sampling._BAND_RATIO**temperature)
+        p = probs[sampling._head(probs, b)]
+        lo, hi = sampling._moment_bounds(p, p**power, probs, b, power, None, float(probs.sum()))
         other = {"above": (total + lo) / 2, "below": (total + hi) / 2, "estimate": (lo + hi) / 2}
         order = np.argsort(-w, kind="stable")
         share = sampling._prefix_sum(w[order[:64]] / total)
