@@ -57,6 +57,13 @@ class BackendCapabilities:
     logit_bias: bool
 
 
+#: What the toy model exposes: full distributions, no wire-level bias.
+_TOY_CAPABILITIES = BackendCapabilities(full_distribution=True, logit_bias=False)
+
+#: What an OpenAI-compatible endpoint exposes: top-k log-probs and ``logit_bias``.
+_REMOTE_CAPABILITIES = BackendCapabilities(full_distribution=False, logit_bias=True)
+
+
 class ModelBackend(abc.ABC):
     """Minimal surface the decoding controller needs from a model."""
 
@@ -186,7 +193,7 @@ class ToyBackend(ModelBackend):
 
     @property
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(full_distribution=True, logit_bias=False)
+        return _TOY_CAPABILITIES
 
     @property
     def eos_token_id(self) -> int:
@@ -340,8 +347,11 @@ def reconstruct_distribution(
 
 
 def ban_bias(trigger_ids: Iterable[int]) -> dict[int, float]:
-    """Wire ``logit_bias`` map that bans every trigger id."""
-    return {int(i): LOGIT_BIAS_BAN for i in sorted(trigger_ids)}
+    """Wire ``logit_bias`` map that bans every trigger id, keyed in the order given.
+
+    Pass :attr:`cgrs.lexicon.TriggerTokenSet.sorted_ids` for ascending keys.
+    """
+    return dict.fromkeys(map(int, trigger_ids), LOGIT_BIAS_BAN)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +434,7 @@ class RemoteBackend(ModelBackend):
 
     @property
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(full_distribution=False, logit_bias=True)
+        return _REMOTE_CAPABILITIES
 
     @property
     def eos_token_id(self) -> int | None:

@@ -21,11 +21,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .backend import ModelBackend, ban_bias
 from .certainty import CertaintyScore, TokenDistribution, certainty_score
-from .lexicon import TriggerTokenSet
+from .lexicon import TriggerTokenSet, Vocabulary
 from .rng import derive_seed, sampling_uniform
 from .sampling import check_temperature, check_top_p, sample_from_probs
 from .suppression import check_delta, check_trigger_ids, should_suppress, update_state
@@ -65,6 +63,11 @@ class ModeSpec:
             _check_real("fixed_p", self.fixed_p)
             if not 0.0 <= self.fixed_p <= 1.0:
                 raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
+
+    @property
+    def probes(self) -> bool:
+        """Only cgrs mode probes; vanilla and fixed-p never move p."""
+        return self.kind == "cgrs"
 
     @property
     def label(self) -> str:
@@ -278,6 +281,18 @@ class DecodeTrace:
 _TRACE_ENCODER = json.JSONEncoder(default=vars, sort_keys=True)
 
 
+def probe_prompt_ids(vocab: Vocabulary, config: GenerationConfig) -> list[int]:
+    """The ids of ``config.probe_prompt``, in a list the caller owns.
+
+    Raises:
+        ValueError: the vocabulary cannot encode it; the message names ``probe_prompt``.
+    """
+    try:
+        return vocab.encode(config.probe_prompt)
+    except ValueError as exc:
+        raise ValueError(f"probe_prompt is not encodable: {exc}") from None
+
+
 def run_probe(
     backend: ModelBackend, context: Sequence[int], config: GenerationConfig
 ) -> ProbeResult:
@@ -297,7 +312,7 @@ def run_probe(
     eos = backend.eos_token_id
     stop_strings = config.probe_stop_strings
     ctx = list(context)
-    ctx.extend(vocab.encode(config.probe_prompt))
+    ctx.extend(probe_prompt_ids(vocab, config))
     answer_tokens: list[int] = []
     distributions: list[TokenDistribution] = []
     starts: list[int] = []  # where each answer token starts in answer_text
@@ -341,7 +356,15 @@ class GenerationSession:
     """Mutable state of one generation; next_token() advances it one step.
 
     The backend's vocabulary, capabilities and EOS id are read once, when the
-    session is built.
+    session is built.  Building also checks the ends of the trigger set's kept
+    sorted ids, encodes the prompt and, in a mode that probes, the probe
+    prompt; both encodes are memo lookups once the vocabulary has seen the
+    text, and every later probe finds the probe prompt there too.
+
+    Raises:
+        ValueError: a trigger id outside the vocabulary, a trigger set that
+            covers it, an unencodable prompt, or, in a mode that probes, an
+            unencodable ``probe_prompt`` (named).
     """
 
     def __init__(
@@ -354,24 +377,25 @@ class GenerationSession:
         self.backend = backend
         self.config = config
         vocab = backend.vocabulary
-        check_trigger_ids(triggers.token_ids, vocab.size)
+        check_trigger_ids(triggers.sorted_ids, vocab.size)
         self._ctx: list[int] = vocab.encode(prompt)
+        mode = config.mode
+        if mode.probes:
+            probe_prompt_ids(vocab, config)  # fail now, not at the first checkpoint
         self._surfaces = vocab.id_to_token
         self._eos = backend.eos_token_id
         # One sampler per session, with the ban in the form that sampler takes.
         if backend.capabilities.full_distribution:
             self._sample = self._sample_in_engine
-            self._ban = np.array(sorted(triggers.token_ids), dtype=np.int64)
+            self._ban = triggers.sorted_ids
         else:
             self._sample = self._sample_remote
-            self._ban = ban_bias(triggers.token_ids)
-        mode = config.mode
+            self._ban = ban_bias(triggers.sorted_ids)
         # The masking probability: pinned in fixed-p mode, else 0 until a probe sets it.
         self._p = mode.fixed_p if mode.fixed_p is not None else 0.0
-        # Only cgrs mode probes; vanilla and fixed-p never move p.  Both flags
-        # turn False at the think-end marker, if there is one.
+        # Both flags turn False at the think-end marker, if there is one.
         self._deciding = mode.kind != "vanilla"
-        self._probing = mode.kind == "cgrs"
+        self._probing = mode.probes
         self._detector = CheckpointDetector(config.checkpoint_marker)
         marker = config.think_end_marker
         self._think_end = None if marker is None else CheckpointDetector(marker)
@@ -459,7 +483,8 @@ class GenerationSession:
         while len(trace.tokens) < self.config.max_tokens:
             if self.next_token() is None:
                 break
-        trace.text = "".join(self._surfaces[t] for t in trace.tokens)
+        surfaces = self._surfaces
+        trace.text = "".join([surfaces[t] for t in trace.tokens])
         return trace
 
 

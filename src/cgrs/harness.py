@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import BackendError, ModelBackend
-from .controller import DecodeTrace, GenerationConfig, ModeSpec, generate
+from .controller import DecodeTrace, GenerationConfig, ModeSpec, generate, probe_prompt_ids
 from .lexicon import TriggerTokenSet, TriggerWord, build_trigger_set, default_trigger_words
 from .rng import derive_seed
 
@@ -245,6 +245,8 @@ def run_benchmark(
     Raises:
         DatasetError: a prompt the backend's vocabulary cannot encode, naming
             the problem id; it is raised before any generation starts.
+        ValueError: a mode probes and the vocabulary cannot encode
+            ``config.probe_prompt`` (named); also raised before any generation.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -260,6 +262,8 @@ def run_benchmark(
             backend.vocabulary.encode(problem.prompt)
         except ValueError as exc:
             raise DatasetError(f"problem {problem.id!r}: prompt is not encodable: {exc}") from exc
+    if any(mode.probes for mode in modes):
+        probe_prompt_ids(backend.vocabulary, config)
 
     outcomes: dict[str, list[_ProblemOutcome]] = {}
     for mode in modes:

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 class TriggerCategory(str, Enum):
@@ -37,6 +40,10 @@ DEFAULT_BASE_WORDS: tuple[tuple[str, TriggerCategory], ...] = (
 )
 
 DEFAULT_MIN_COUNT = 1
+
+#: Texts whose ids a :class:`Vocabulary` keeps; the oldest is dropped first.
+#: A MATH500-sized dataset plus the probe prompt fits.
+ENCODE_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,13 @@ def file_errors(path: str | Path, what: str) -> Iterator[None]:
 
 
 class Vocabulary:
-    """Bijective token-id table with greedy longest-match text encoding."""
+    """Bijective token-id table with greedy longest-match text encoding.
+
+    ``encode`` keeps the ids of the last :data:`ENCODE_MEMO_SIZE` texts it
+    encoded, so a prompt or probe prompt seen before costs one dict probe.
+    Threads may share a vocabulary; a copy or an unpickled one starts with an
+    empty memo.
+    """
 
     def __init__(self, tokens: Sequence[str]):
         self._id_to_token: tuple[str, ...] = tuple(tokens)
@@ -88,6 +101,19 @@ class Vocabulary:
             dupes = sorted(t for t, n in Counter(self._id_to_token).items() if n > 1)
             raise ValueError(f"vocabulary tokens must be unique, duplicates: {dupes!r}")
         self._max_len: int = max(map(len, self._id_to_token), default=0)
+        self._init_memo()
+
+    def _init_memo(self) -> None:
+        self._memo: dict[str, tuple[int, ...]] = {}
+        self._memo_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # a lock does not pickle; the memo is rebuilt on use
+        return {k: v for k, v in vars(self).items() if k not in ("_memo", "_memo_lock")}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._init_memo()
 
     @classmethod
     def from_token_to_id(cls, mapping: Mapping[str, int]) -> "Vocabulary":
@@ -138,14 +164,33 @@ class Vocabulary:
         return token in self._token_to_id
 
     def decode(self, ids: Iterable[int]) -> str:
-        return "".join(self._id_to_token[i] for i in ids)
+        surfaces = self._id_to_token
+        return "".join([surfaces[i] for i in ids])
 
     def encode(self, text: str) -> list[int]:
-        """Greedy longest-match tokenization.
+        """Greedy longest-match tokenization; the caller owns the list returned.
+
+        A text encoded before is looked up, not scanned again.  A text that
+        fails to encode is not kept.
 
         Raises:
+            TypeError: ``text`` is not a ``str``.
             ValueError: if some position of ``text`` matches no token.
         """
+        if not isinstance(text, str):
+            raise TypeError(f"encode takes a str, got {type(text).__name__}: {text!r:.80}")
+        ids = self._memo.get(text)
+        if ids is None:
+            ids = self._scan(text)
+            with self._memo_lock:
+                memo = self._memo
+                if len(memo) >= ENCODE_MEMO_SIZE:
+                    del memo[next(iter(memo))]
+                memo[text] = ids
+        return list(ids)
+
+    def _scan(self, text: str) -> tuple[int, ...]:
+        """The greedy longest-match loop behind :meth:`encode`."""
         out: list[int] = []
         pos = 0
         while pos < len(text):
@@ -160,7 +205,7 @@ class Vocabulary:
                 raise ValueError(
                     f"text not encodable at offset {pos}: {text[pos:pos + 20]!r}"
                 )
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -168,17 +213,26 @@ class TriggerTokenSet:
     """Immutable set of vocabulary ids treated as reflection triggers.
 
     ``provenance`` maps each trigger id back to the surface form and base word
-    it came from, and ``token_ids`` is the set of its keys; ``skipped_forms``
-    lists candidate surfaces that the vocabulary does not encode as a single
-    token (multi-token encodings are excluded by design).
+    it came from, ``token_ids`` is the set of its keys and ``sorted_ids`` the
+    same ids ascending, as a read-only int64 array; ``skipped_forms`` lists
+    candidate surfaces that the vocabulary does not encode as a single token
+    (multi-token encodings are excluded by design).
     """
 
     provenance: Mapping[int, tuple[str, str]]  # id -> (surface form, base word)
     skipped_forms: tuple[str, ...] = field(default_factory=tuple)
     token_ids: frozenset[int] = field(init=False)
+    sorted_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "token_ids", frozenset(self.provenance))
+        ids = np.array(sorted(self.token_ids), dtype=np.int64)
+        ids.flags.writeable = False
+        object.__setattr__(self, "sorted_ids", ids)
+
+    def __reduce__(self):
+        # a copy or an unpickled set is built anew, so its kept ids stay read-only
+        return type(self), (self.provenance, self.skipped_forms)
 
     def __contains__(self, token_id: int) -> bool:
         return token_id in self.token_ids
@@ -188,7 +242,7 @@ class TriggerTokenSet:
 
     def to_json_dict(self) -> dict:
         return {
-            "token_ids": sorted(self.token_ids),
+            "token_ids": self.sorted_ids.tolist(),
             "provenance": {
                 str(i): {"surface_form": s, "base_word": b}
                 for i, (s, b) in sorted(self.provenance.items())
@@ -260,7 +314,7 @@ def build_from_traces(
         raise ValueError("cannot apply a positive min_count to an empty trace set")
     candidates = build_trigger_set(base_words, vocab)
     seen = Counter(token_id for trace in traces for token_id in trace)
-    counts = {i: seen[i] for i in sorted(candidates.token_ids)}
+    counts = {i: seen[i] for i in candidates.sorted_ids.tolist()}
     kept = {i: candidates.provenance[i] for i, c in counts.items() if c >= min_count}
     trigger_set = TriggerTokenSet(provenance=kept, skipped_forms=candidates.skipped_forms)
     return trigger_set, counts

@@ -15,7 +15,7 @@ Either way the relative probabilities of all other tokens are untouched.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,12 +32,18 @@ def check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
 
 
-def check_trigger_ids(trigger_ids: Collection[int], vocab_size: int) -> None:
-    """The one trigger-id rule: the distinct ids lie in the vocabulary, and leave one out."""
-    for t in trigger_ids:
-        if not 0 <= t < vocab_size:
-            raise ValueError(f"trigger id {t} out of range for vocabulary of {vocab_size}")
-    if len(trigger_ids) == vocab_size:
+def check_trigger_ids(sorted_ids: Sequence[int], vocab_size: int) -> None:
+    """The one trigger-id rule: the distinct ids lie in the vocabulary, and leave one out.
+
+    ``sorted_ids`` lists distinct ids in ascending order, such as
+    :attr:`cgrs.lexicon.TriggerTokenSet.sorted_ids`, so the range test reads
+    only its ends.
+    """
+    if len(sorted_ids):
+        for t in (sorted_ids[0], sorted_ids[-1]):
+            if not 0 <= t < vocab_size:
+                raise ValueError(f"trigger id {t} out of range for vocabulary of {vocab_size}")
+    if len(sorted_ids) == vocab_size:
         raise ValueError(
             f"trigger set covers the entire vocabulary of {vocab_size} tokens;"
             " a mask would leave nothing to sample"

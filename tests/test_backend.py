@@ -392,6 +392,12 @@ class TestRemoteBackend:
             caps = remote.capabilities
             assert not caps.full_distribution
             assert caps.logit_bias
+            assert remote.capabilities is caps  # one constant, not built per read
+
+    def test_toy_capabilities_are_one_constant(self, overthinking_backend):
+        caps = overthinking_backend.capabilities
+        assert caps.full_distribution and not caps.logit_bias
+        assert ToyBackend(overthinking_spec()).capabilities is caps
 
     def test_sample_token_greedy(self):
         with toy_completion_server(overthinking_spec()) as (base_url, toy):

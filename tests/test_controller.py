@@ -715,6 +715,22 @@ class TestGenerationLoop:
         with pytest.raises(ValueError, match="trigger id"):
             GenerationSession(overthinking_backend, TOY_PROMPT, toy_config(), bogus)
 
+    def test_unencodable_probe_prompt_named_when_built(self, monkeypatch, overthinking_triggers):
+        backend = ToyBackend(overthinking_spec())
+        calls = []
+        inner = backend.next_distribution
+        monkeypatch.setattr(
+            backend, "next_distribution", lambda ctx: calls.append(len(ctx)) or inner(ctx)
+        )
+        cfg = toy_config(probe_prompt="zzz")
+        with pytest.raises(ValueError) as exc:
+            GenerationSession(backend, TOY_PROMPT, cfg, overthinking_triggers)
+        assert str(exc.value) == "probe_prompt is not encodable: text not encodable at offset 0: 'zzz'"
+        assert calls == []
+        for mode in (ModeSpec("vanilla"), ModeSpec("fixed_p", 1.0)):  # they never probe
+            trace = generate(backend, TOY_PROMPT, dataclasses.replace(cfg, mode=mode), overthinking_triggers)
+            assert trace.finish_reason == "eos"
+
     def test_trigger_set_covering_vocabulary_rejected(self, overthinking_backend):
         vocab = overthinking_backend.vocabulary
         every = TriggerTokenSet(

@@ -29,7 +29,8 @@ from cgrs.harness import (
     write_reports,
 )
 
-from cgrs.backend import RemoteBackend, ToyBackend, overthinking_spec
+from cgrs.backend import RemoteBackend, ToyBackend, ToyModelSpec, overthinking_spec
+from cgrs.lexicon import Vocabulary
 
 from conftest import TOY_PROMPT
 from remote_stub import toy_completion_server
@@ -527,6 +528,36 @@ class TestRunBenchmark:
         with pytest.raises(DatasetError, match="'bad-7'.*not encodable"):
             self.run(backend, problems)
         assert calls == []
+
+    def test_unencodable_probe_prompt_rejected_before_any_model_call(self, monkeypatch, toy_problems):
+        backend = ToyBackend(overthinking_spec())
+        calls = []
+        inner = backend.next_distribution
+        monkeypatch.setattr(
+            backend, "next_distribution", lambda ctx: calls.append(len(ctx)) or inner(ctx)
+        )
+        config = bench_config(probe_prompt="zzz")
+        modes = [ModeSpec("vanilla"), ModeSpec("cgrs")]
+        with pytest.raises(ValueError, match="^probe_prompt is not encodable: text not encodable"):
+            run_benchmark(toy_problems, backend, modes, config, seeds=[0])
+        assert calls == []
+        # no mode probes: the probe prompt is never encoded
+        reports = run_benchmark(toy_problems, backend, modes[:1], config, seeds=[0])
+        assert reports["vanilla"].accuracy == 100.0
+
+    def test_each_text_tokenized_once(self, monkeypatch):
+        # the demo's prompt and the probe prompt, over four modes and five seeds
+        scanned = []
+        scan = Vocabulary._scan
+        monkeypatch.setattr(
+            Vocabulary, "_scan", lambda vocab, text: scanned.append(text) or scan(vocab, text)
+        )
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        backend = ToyBackend(ToyModelSpec.from_json_file(demo / "toy_overthinking.json"))
+        modes = [ModeSpec.parse(m) for m in ("vanilla", "cgrs", "fixed-p=0.5", "fixed-p=1")]
+        config = GenerationConfig()
+        run_benchmark(load_dataset(demo / "problems.jsonl"), backend, modes, config, seeds=range(5))
+        assert sorted(scanned) == sorted({TOY_PROMPT, config.probe_prompt})
 
 
 class TestWriteReports:

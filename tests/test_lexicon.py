@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import csv
+import pickle
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from cgrs import lexicon
 from cgrs.lexicon import (
     TriggerCategory,
     TriggerTokenSet,
@@ -163,14 +169,106 @@ class TestVocabulary:
                 try:
                     expected = scan_encode(tokens, text)
                 except ValueError as oracle_exc:
-                    with pytest.raises(ValueError) as exc:
-                        vocab.encode(text)
-                    assert str(exc.value) == str(oracle_exc)
+                    for _ in range(2):  # a failure is not kept, so it fails the same again
+                        with pytest.raises(ValueError) as exc:
+                            vocab.encode(text)
+                        assert str(exc.value) == str(oracle_exc)
                     failed += 1
                 else:
-                    assert vocab.encode(text) == expected
+                    assert vocab.encode(text) == expected  # scanned
+                    assert vocab.encode(text) == expected  # looked up
                     encoded += 1
         assert encoded > 500 and failed > 200
+
+    @pytest.mark.parametrize(
+        "text, name", [(b"Solve 6*7. ", "bytes"), (None, "NoneType"), (["a"], "list")]
+    )
+    def test_encode_names_a_non_string(self, text, name):
+        with pytest.raises(TypeError, match=f"encode takes a str, got {name}"):
+            Vocabulary(["a"]).encode(text)
+
+    def test_encode_returns_a_list_the_caller_owns(self):
+        vocab = Vocabulary(["a", "ab", "b"])
+        ids = vocab.encode("aab")
+        ids.append(2)
+        ids[0] = 1
+        assert vocab.encode("aab") == [0, 1]
+        assert vocab.encode("aab") is not vocab.encode("aab")
+
+
+def counting_scans(monkeypatch) -> list[str]:
+    """Record the text of every run of the greedy loop behind ``encode``."""
+    scanned: list[str] = []
+    scan = Vocabulary._scan
+
+    def spy(self, text):
+        scanned.append(text)
+        return scan(self, text)
+
+    monkeypatch.setattr(Vocabulary, "_scan", spy)
+    return scanned
+
+
+class TestEncodeMemo:
+    def test_each_text_scanned_once(self, monkeypatch):
+        scanned = counting_scans(monkeypatch)
+        vocab = Vocabulary(["a", "ab", "b"])
+        for _ in range(3):
+            assert vocab.encode("aab") == [0, 1]
+            assert vocab.encode("b") == [2]
+        assert scanned == ["aab", "b"]
+
+    def test_unencodable_text_never_kept(self, monkeypatch):
+        scanned = counting_scans(monkeypatch)
+        vocab = Vocabulary(["a"])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape("text not encodable at offset 1: 'x'")):
+                vocab.encode("ax")
+        assert scanned == ["ax", "ax"]
+        assert "ax" not in vocab._memo
+
+    def test_bound_drops_the_oldest(self, monkeypatch):
+        scanned = counting_scans(monkeypatch)
+        monkeypatch.setattr(lexicon, "ENCODE_MEMO_SIZE", 3)
+        vocab = Vocabulary(["a", "b"])
+        texts = ["a", "b", "ab", "ba", "aa"]
+        for text in texts:
+            vocab.encode(text)
+            assert len(vocab._memo) <= 3
+        assert list(vocab._memo) == ["ab", "ba", "aa"]
+        assert vocab.encode("a") == [0]  # evicted: scanned again, to the same ids
+        assert vocab.encode("aa") == [0, 0]  # still kept
+        assert scanned == texts + ["a"]
+        assert len(vocab._memo) == 3
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        monkeypatch.setattr(lexicon, "ENCODE_MEMO_SIZE", 4)  # evictions race with lookups
+        tokens = ["a", "b", "c", "ab", "bc", "abc"]
+        vocab = Vocabulary(tokens)
+        rng = random.Random(5)
+        texts = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 9))) for _ in range(40)]
+        work = [rng.choice(texts) for _ in range(4000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside each encode
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(vocab.encode, work, chunksize=10, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [scan_encode(tokens, text) for text in work]
+        assert len(vocab._memo) <= 4
+
+    @pytest.mark.parametrize(
+        "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy]
+    )
+    def test_copies_encode_the_same(self, clone):
+        vocab = Vocabulary(["a", "ab", "b"])
+        assert vocab.encode("aab") == [0, 1]
+        twin = clone(vocab)
+        assert twin.encode("aab") == [0, 1]
+        assert twin.encode("bab") == [2, 1] == vocab.encode("bab")
+        with pytest.raises(ValueError, match="offset 1"):
+            twin.encode("ax")
 
     def test_from_json_file_formats(self, tmp_path):
         p1 = tmp_path / "list.json"
@@ -224,6 +322,24 @@ class TestMapToTokenIds:
         ts = build_trigger_set(["Wait"], vocab)
         with pytest.raises(AttributeError):
             ts.token_ids = frozenset()
+
+    def test_sorted_ids_kept_read_only(self):
+        ts = TriggerTokenSet(provenance={9: ("Hmm", "Hmm"), 4: (" but", "But"), 1: ("Wait", "Wait")})
+        assert ts.sorted_ids.dtype == np.int64
+        assert ts.sorted_ids.tolist() == sorted(ts.token_ids) == [1, 4, 9]
+        with pytest.raises(ValueError, match="read-only"):
+            ts.sorted_ids[0] = 2
+        for twin in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts)):
+            assert twin == ts and not twin.sorted_ids.flags.writeable
+        assert TriggerTokenSet(provenance={}).sorted_ids.tolist() == []
+
+    def test_sorted_ids_left_out_of_equality_and_repr(self):
+        a = TriggerTokenSet(provenance={4: (" but", "But"), 1: ("Wait", "Wait")})
+        b = TriggerTokenSet(provenance={1: ("Wait", "Wait"), 4: (" but", "But")})
+        assert a == b and a.sorted_ids is not b.sorted_ids
+        assert a != TriggerTokenSet(provenance={1: ("Wait", "Wait")})
+        assert a != TriggerTokenSet(provenance=dict(a.provenance), skipped_forms=("x",))
+        assert "sorted_ids" not in repr(a)
 
     def test_ids_are_the_provenance_keys(self):
         ts = TriggerTokenSet(provenance={4: (" but", "But"), 1: ("Wait", "Wait")})

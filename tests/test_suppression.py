@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import threading
 
@@ -11,6 +12,7 @@ import pytest
 
 from cgrs import suppression
 from cgrs.certainty import CertaintyScore
+from cgrs.lexicon import TriggerTokenSet
 from cgrs.rng import (
     DECISION_STREAM,
     SAMPLING_STREAM,
@@ -21,6 +23,7 @@ from cgrs.rng import (
 )
 from cgrs.suppression import (
     MASK_NEG_VALUE,
+    check_trigger_ids,
     mask_triggers,
     should_suppress,
     suppression_probability,
@@ -209,6 +212,35 @@ class TestMaskTriggers:
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(ValueError):
             mask_triggers(np.array([np.nan, 1.0]), {0})
+
+
+def kept_ids(*ids: int) -> np.ndarray:
+    return TriggerTokenSet(provenance={i: (f"t{i}", "t") for i in ids}).sorted_ids
+
+
+class TestCheckTriggerIds:
+    """The range test reads the ends of the kept sorted ids; its messages are fixed."""
+
+    @pytest.mark.parametrize("ids, bad", [((3, 99), 99), ((-1, 3), -1), ((11,), 11), ((-5,), -5)])
+    def test_out_of_range_message(self, ids, bad):
+        message = f"trigger id {bad} out of range for vocabulary of 11"
+        for form in (kept_ids(*ids), sorted(ids)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_trigger_ids(form, 11)
+
+    def test_full_vocabulary_message(self):
+        message = (
+            "trigger set covers the entire vocabulary of 11 tokens;"
+            " a mask would leave nothing to sample"
+        )
+        for form in (kept_ids(*range(11)), list(range(11))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_trigger_ids(form, 11)
+
+    def test_in_range_sets_pass(self):
+        for ids in ((), (0,), (10,), (0, 4, 10), tuple(range(10))):
+            check_trigger_ids(kept_ids(*ids), 11)
+            check_trigger_ids(sorted(ids), 11)
 
 
 def one_draw_uniform(seed: int, stream: int, index: int) -> float:
