@@ -195,6 +195,17 @@ class TestVocabulary:
         assert vocab.encode("aab") == [0, 1]
         assert vocab.encode("aab") is not vocab.encode("aab")
 
+    def test_from_json_file_formats(self, tmp_path):
+        p1 = tmp_path / "list.json"
+        p1.write_text('["x", "y"]')
+        p2 = tmp_path / "map.json"
+        p2.write_text('{"y": 1, "x": 0}')
+        p3 = tmp_path / "obj.json"
+        p3.write_text('{"tokens": ["x", "y"]}')
+        for p in (p1, p2, p3):
+            vocab = Vocabulary.from_json_file(p)
+            assert vocab.id_to_token == ("x", "y")
+
 
 def counting_scans(monkeypatch) -> list[str]:
     """Record the text of every run of the greedy loop behind ``encode``."""
@@ -269,17 +280,6 @@ class TestEncodeMemo:
         assert twin.encode("bab") == [2, 1] == vocab.encode("bab")
         with pytest.raises(ValueError, match="offset 1"):
             twin.encode("ax")
-
-    def test_from_json_file_formats(self, tmp_path):
-        p1 = tmp_path / "list.json"
-        p1.write_text('["x", "y"]')
-        p2 = tmp_path / "map.json"
-        p2.write_text('{"y": 1, "x": 0}')
-        p3 = tmp_path / "obj.json"
-        p3.write_text('{"tokens": ["x", "y"]}')
-        for p in (p1, p2, p3):
-            vocab = Vocabulary.from_json_file(p)
-            assert vocab.id_to_token == ("x", "y")
 
 
 class TestMapToTokenIds:
