@@ -18,6 +18,7 @@ from __future__ import annotations
 import abc
 import json
 import math
+import numbers
 import os
 import threading
 import time
@@ -363,6 +364,13 @@ API_KEY_ENV = "CGRS_API_KEY"
 MODEL_ENV = "CGRS_MODEL"
 
 
+def check_real(name: str, value) -> None:
+    """The one real-number rule for a setting: not a bool; the message names the setting."""
+    # a bool is an int to Python, and a range test on a string raises a bare TypeError
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 class RemoteBackend(ModelBackend):
     """Client for an OpenAI-compatible ``/v1/completions`` endpoint.
 
@@ -386,8 +394,13 @@ class RemoteBackend(ModelBackend):
         max_retries: int = 2,
         retry_backoff: float = 0.2,
     ):
-        if top_k < 1:
-            raise ValueError(f"top_k must be at least 1, got {top_k}")
+        for name, value in (
+            ("top_k", top_k), ("timeout", timeout), ("max_retries", max_retries),
+            ("retry_backoff", retry_backoff),
+        ):
+            check_real(name, value)
+        if not (isinstance(top_k, int) and top_k >= 1):
+            raise ValueError(f"top_k must be an integer of at least 1, got {top_k}")
         if not 0.0 < timeout < math.inf:
             raise ValueError(f"timeout must be finite and positive, got {timeout}")
         if not (isinstance(max_retries, int) and max_retries >= 0):

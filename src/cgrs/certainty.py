@@ -180,6 +180,11 @@ def _entropy_by_runs(p: np.ndarray, zeros: np.ndarray) -> float:
     return float(-np.add.reduce(terms))
 
 
+#: Terms from which ``np.add.reduce`` sums pairwise, in eight lanes; below it
+#: numpy adds left to right from 0.0, so the scoring loop's own sum has its bits.
+_PAIRWISE_TERMS = 8
+
+
 def certainty_score(
     distributions: Sequence[TokenDistribution],
     vocab_size: int,
@@ -196,23 +201,32 @@ def certainty_score(
             full-vocabulary distribution whose length differs from vocab_size.
         TypeError: an entry that is not a :class:`TokenDistribution`.
     """
-    if len(distributions) == 0:
+    n = len(distributions)
+    if n == 0:
         raise ValueError("cannot score an empty answer: no token distributions")
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be at least 2, got {vocab_size}")
     entropies = []
+    entropy_sum = 0.0
     truncated = False
     for d in distributions:
-        entropies.append(token_entropy(d))  # first: it names a raw array's type
-        if d.truncated:
+        entropy = token_entropy(d)  # first: it names a raw array's type
+        if d.outcome_token_ids is not None:
             truncated = True
         elif d.probs.size != vocab_size:
             raise ValueError(
                 f"distribution has {d.probs.size} outcomes, expected vocab_size {vocab_size}"
             )
+        entropies.append(entropy)
+        entropy_sum += entropy
     # the reduction and division np.mean makes, without its dispatch
-    mean_entropy = float(np.add.reduce(entropies)) / len(entropies)
+    if n >= _PAIRWISE_TERMS:
+        entropy_sum = float(np.add.reduce(entropies))
+    mean_entropy = entropy_sum / n
     value = 1.0 - mean_entropy / _log_vocab(vocab_size)
     # guard against fp drift just outside the closed interval
-    value = min(1.0, max(0.0, value))
-    return CertaintyScore(value=value, mean_entropy=mean_entropy, truncated=truncated)
+    if not value > 0.0:
+        value = 0.0
+    elif value > 1.0:
+        value = 1.0
+    return CertaintyScore(value, mean_entropy, truncated)

@@ -15,13 +15,12 @@ into the main stream.
 from __future__ import annotations
 
 import json
-import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .backend import ModelBackend, ban_bias
+from .backend import ModelBackend, ban_bias, check_real
 from .certainty import CertaintyScore, TokenDistribution, certainty_score
 from .lexicon import TriggerTokenSet, Vocabulary
 from .rng import derive_seed, sampling_uniform
@@ -34,12 +33,6 @@ from .suppression import mask_triggers  # noqa: F401
 
 class ProbeEmptyError(RuntimeError):
     """The probe produced no answer tokens; the caller keeps the previous p."""
-
-
-def _check_real(name: str, value) -> None:
-    # a bool is an int to Python, and a range test on a string raises a bare TypeError
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ class ModeSpec:
         if (self.kind == "fixed_p") != (self.fixed_p is not None):
             raise ValueError("fixed_p modes and only fixed_p modes carry a probability")
         if self.fixed_p is not None:
-            _check_real("fixed_p", self.fixed_p)
+            check_real("fixed_p", self.fixed_p)
             if not 0.0 <= self.fixed_p <= 1.0:
                 raise ValueError(f"fixed_p must lie in [0, 1], got {self.fixed_p}")
 
@@ -131,7 +124,7 @@ class GenerationConfig:
             if not isinstance(value, str):
                 raise TypeError(f"probe_stop_strings must all be strings, got {value!r}")
         for name in ("temperature", "top_p", "delta"):
-            _check_real(name, getattr(self, name))
+            check_real(name, getattr(self, name))
         if not isinstance(self.mode, ModeSpec):
             raise TypeError(f"mode must be a ModeSpec, got {self.mode!r}")
         check_temperature(self.temperature)
@@ -311,15 +304,15 @@ def run_probe(
     surfaces = vocab.id_to_token
     eos = backend.eos_token_id
     stop_strings = config.probe_stop_strings
-    ctx = list(context)
-    ctx.extend(probe_prompt_ids(vocab, config))
+    ctx = [*context, *probe_prompt_ids(vocab, config)]
+    next_distribution = backend.next_distribution
     answer_tokens: list[int] = []
     distributions: list[TokenDistribution] = []
     starts: list[int] = []  # where each answer token starts in answer_text
     answer_text = ""
     stop_reason = "max_tokens"
     for _ in range(config.probe_max_tokens):
-        dist = backend.next_distribution(ctx)
+        dist = next_distribution(ctx)
         token = dist.top_id
         if token == eos:
             stop_reason = "eos"
@@ -327,11 +320,15 @@ def run_probe(
         ctx.append(token)
         answer_tokens.append(token)
         distributions.append(dist)
-        starts.append(len(answer_text))
+        start = len(answer_text)
+        starts.append(start)
         answer_text += surfaces[token]
         cut = -1
         for stop in stop_strings:
-            hit = answer_text.find(stop)
+            # the text before this token held no stop string, so a new one ends
+            # in this token's surface and starts at most len(stop) - 1 before it
+            lo = start - len(stop) + 1
+            hit = answer_text.find(stop, lo if lo > 0 else 0)
             if hit != -1 and (cut == -1 or hit < cut):
                 cut = hit
         if cut != -1:
@@ -344,12 +341,7 @@ def run_probe(
     if not answer_tokens:
         raise ProbeEmptyError("probe produced no answer tokens before stopping")
     score = certainty_score(distributions, vocab.size)
-    return ProbeResult(
-        answer_tokens=tuple(answer_tokens),
-        answer_text=answer_text,
-        certainty=score,
-        stop_reason=stop_reason,
-    )
+    return ProbeResult(tuple(answer_tokens), answer_text, score, stop_reason)
 
 
 class GenerationSession:
@@ -471,8 +463,7 @@ class GenerationSession:
             if p != self._p:
                 self._p = p
                 self._run = None
-        event = CheckpointEvent(step=step, probe=probe, p_after=self._p)
-        self._trace.checkpoint_events.append(event)
+        self._trace.checkpoint_events.append(CheckpointEvent(step, probe, self._p))
 
     def run(self) -> DecodeTrace:
         """Decode to EOS or max_tokens; returns the record the session decoded into.

@@ -672,6 +672,7 @@ class TestRemoteBackend:
             {"base_url": "localhost:8000"},
             {"base_url": "http://localhost:8000/v1"},
             {"base_url": "http://localhost:8000/V1/"},
+            {"top_k": 1.5},
         ],
     )
     def test_broken_client_settings_rejected(self, kwargs):
@@ -681,6 +682,14 @@ class TestRemoteBackend:
         # and one ending in /v1 sent each request to /v1/v1/completions
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             RemoteBackend(vocab=Vocabulary(["<eos>"]), **{"base_url": "http://unused", **kwargs})
+
+    @pytest.mark.parametrize("field", ["top_k", "timeout", "max_retries", "retry_backoff"])
+    @pytest.mark.parametrize("value", [True, False, "2", None], ids=["true", "false", "str", "none"])
+    def test_non_number_client_settings_named(self, field, value):
+        # a bool is an int to Python, so True passed every range test, and a
+        # string or None raised a bare TypeError from the comparison
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got {value!r}$"):
+            RemoteBackend(vocab=Vocabulary(["<eos>"]), base_url="http://unused", **{field: value})
 
     def test_no_retries_and_no_backoff_accepted(self):
         remote = RemoteBackend(

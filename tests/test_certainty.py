@@ -552,11 +552,15 @@ class TestCertaintyScore:
     @pytest.mark.parametrize("vocab", [2, 11, 151_936])
     def test_bits_match_the_reference_formula(self, vocab):
         # full TokenDistributions (two kinds of draw) and truncated top-k ones,
-        # mixed, 1 to 12 tokens; the score must equal the reference to the last bit
+        # mixed, 1 to 33 tokens (probe_max_tokens is 32 by default); the score
+        # must equal the reference to the last bit.  numpy adds fewer than 8
+        # terms left to right and 8 or more pairwise, so 7 and 8 are always drawn.
         rng = np.random.default_rng(vocab)
-        for trial in range(12 if vocab > 1000 else 200):
+        trials = 12 if vocab > 1000 else 200
+        lengths = [7, 8] * 8 + [int(n) for n in rng.integers(1, 34, size=trials)]
+        for trial, length in enumerate(lengths):
             dists = []
-            for _ in range(int(rng.integers(1, 13))):
+            for _ in range(length):
                 kind = int(rng.integers(0, 3))
                 if kind == 2:
                     k = int(rng.integers(1, min(vocab, 20) + 1))

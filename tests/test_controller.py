@@ -11,6 +11,7 @@ import pytest
 
 from cgrs import controller
 from cgrs.backend import (
+    BackendCapabilities,
     EmissionRule,
     ModelBackend,
     RemoteBackend,
@@ -31,7 +32,7 @@ from cgrs.controller import (
     generate,
     run_probe,
 )
-from cgrs.lexicon import TriggerTokenSet, build_trigger_set, default_trigger_words
+from cgrs.lexicon import TriggerTokenSet, Vocabulary, build_trigger_set, default_trigger_words
 from cgrs.rng import decision_uniform, sampling_uniform
 
 from conftest import TOY_PROMPT
@@ -365,6 +366,55 @@ def reference_certainty(rows, vocab_size):
     return 1 - mean / float(np.log(vocab_size))
 
 
+class ScriptedBackend(ModelBackend):
+    """Greedy answer ``surfaces[script[i]]`` at probe step ``i``, EOS at step ``eos_at``.
+
+    Its vocabulary is ``("<eos>", "Q", "P") + surfaces``; ``ids`` maps a script
+    index to its token id.  The probe context is ``[Q, P]``.
+    """
+
+    def __init__(self, surfaces, script, eos_at=None):
+        self._vocab = Vocabulary(("<eos>", "Q", "P", *surfaces))
+        self.ids = [3 + i for i in range(len(surfaces))]
+        size = self._vocab.size
+        one_hot = [TokenDistribution(np.eye(size)[t]) for t in range(size)]
+        steps = [self.ids[i] for i in script]
+        if eos_at is not None:
+            steps[eos_at:] = [0]
+        self._steps = [one_hot[t] for t in steps]
+
+    @property
+    def vocabulary(self):
+        return self._vocab
+
+    @property
+    def capabilities(self):
+        return BackendCapabilities(full_distribution=True, logit_bias=False)
+
+    @property
+    def eos_token_id(self):
+        return 0
+
+    def next_distribution(self, context):
+        return self._steps[len(context) - 2]
+
+
+def whole_text_search(tokens, backend, stops, max_tokens, eos_at):
+    """(answer_tokens, answer_text, stop_reason) by a search of the whole text; None if empty."""
+    surfaces = backend.vocabulary.id_to_token
+    steps = tokens[:max_tokens] if eos_at is None else tokens[:min(eos_at, max_tokens)]
+    reason = "eos" if eos_at is not None and eos_at < max_tokens else "max_tokens"
+    text = ""
+    for n, token in enumerate(steps, 1):
+        text += surfaces[token]
+        hits = [text.find(stop) for stop in stops if stop in text]
+        if hits:
+            cut = min(hits)
+            kept = [t for i, t in enumerate(steps[:n]) if len("".join(surfaces[u] for u in steps[:i])) < cut]
+            return (tuple(kept), text[:cut], "stop_string") if kept else None
+    return (tuple(steps), text, reason) if steps else None
+
+
 class TestProbeLoop:
     """Where a probe stops, which tokens it keeps, and what it scores."""
 
@@ -403,6 +453,43 @@ class TestProbeLoop:
         assert probe.answer_text == "7"
         assert probe.stop_reason == "stop_string"
         assert probe.certainty.value == reference_certainty([[0, 0, 0, 0.6, 0.4, 0]], 6)
+
+    def test_stop_string_split_across_three_tokens(self):
+        # "END" ends in the third token: its search starts two characters back
+        backend = probe_backend(
+            ("7", "E", "N", "D"),
+            {"Q": {"P": 1.0}, "P": {"7": 0.6, "E": 0.4}, "7": {"E": 1.0}, "E": {"N": 1.0},
+             "N": {"D": 1.0}, "D": {"<eos>": 1.0}},
+        )
+        probe = self.probe(backend, probe_stop_strings=("}", "END"))
+        assert probe.answer_tokens == (3,)
+        assert probe.answer_text == "7"
+        assert probe.stop_reason == "stop_string"
+        assert probe.certainty.value == reference_certainty([[0, 0, 0, 0.6, 0.4, 0, 0]], 7)
+
+    def test_matches_a_whole_text_search(self):
+        # random surfaces over a small alphabet, so stop strings often span tokens,
+        # against a search of the whole answer text after every token
+        rng = np.random.default_rng(31)
+        alphabet = list("ab}\n")
+        for _ in range(400):
+            surfaces = sorted({"".join(rng.choice(alphabet, size=int(rng.integers(1, 4)))) for _ in range(12)})
+            stops = tuple(
+                "".join(rng.choice(alphabet, size=int(rng.integers(1, 5))))
+                for _ in range(int(rng.integers(1, 4)))
+            )
+            max_tokens = int(rng.integers(1, 13))
+            script = [int(i) for i in rng.integers(0, len(surfaces), size=max_tokens)]
+            eos = int(rng.integers(0, max_tokens + 1)) if rng.random() < 0.3 else None
+            backend = ScriptedBackend(surfaces, script, eos_at=eos)
+            cfg = toy_config(probe_prompt="P", probe_stop_strings=stops, probe_max_tokens=max_tokens)
+            expected = whole_text_search([backend.ids[i] for i in script], backend, stops, max_tokens, eos)
+            try:
+                probe = run_probe(backend, [1], cfg)
+            except ProbeEmptyError:
+                assert expected is None
+                continue
+            assert (probe.answer_tokens, probe.answer_text, probe.stop_reason) == expected
 
     def test_earliest_stop_string_wins_over_the_listing_order(self):
         # "\n}" completes both stop strings at once; "\n", listed second, starts first
@@ -970,3 +1057,81 @@ class TestBackendFactsReadOnce:
                 vocab=toy.vocabulary, base_url=base_url, eos_token="<eos>", top_k=11
             )
             self.check(remote, monkeypatch)
+
+
+def empty_probe_spec() -> ToyModelSpec:
+    """Its first checkpoint's probe answers ``A``; the one after a ``Wait`` is empty."""
+    return ToyModelSpec(
+        tokens=("<eos>", "Q", "\n\n", "Wait", "done", "P", "A", "}"),
+        eos_token="<eos>",
+        rules=(
+            EmissionRule("q", ("Q",), {"\n\n": 1.0}),
+            EmissionRule("reflect", ("Q", "\n\n"), {"Wait": 1.0}),
+            EmissionRule("w", ("Wait",), {"\n\n": 1.0}),
+            EmissionRule("end", ("Wait", "\n\n"), {"done": 1.0}),
+            EmissionRule("d", ("done",), {"<eos>": 1.0}),
+            EmissionRule("sure", ("Q", "\n\n", "P"), {"A": 1.0}),
+            EmissionRule("empty", ("Wait", "\n\n", "P"), {"<eos>": 1.0}),
+            EmissionRule("a", ("A",), {"}": 1.0}),
+        ),
+    )
+
+
+class TestWrappedCallSites:
+    """A session reaches each probe call through the module global a tracer wraps.
+
+    perfbench times ``run_probe``, ``certainty_score`` and ``update_state`` on
+    ``cgrs.controller``, and ``Vocabulary.encode`` inside ``run_probe``; a call
+    that bypassed them would read as zero calls there, with no error.
+    """
+
+    def count(self, monkeypatch, backend, prompt, config, seeds):
+        calls = Counter()
+        encodes_per_probe: list[int] = []
+        in_probe = []
+
+        def counted(name):
+            real = getattr(controller, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                if name != "run_probe":
+                    return real(*args)
+                encodes_per_probe.append(0)
+                in_probe.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    in_probe.pop()
+
+            monkeypatch.setattr(controller, name, wrapper)
+
+        real_encode = Vocabulary.encode
+
+        def encode(vocab, text):
+            if in_probe:
+                encodes_per_probe[-1] += 1
+            return real_encode(vocab, text)
+
+        for name in ("run_probe", "certainty_score", "update_state"):
+            counted(name)
+        monkeypatch.setattr(Vocabulary, "encode", encode)
+        triggers = build_trigger_set(["Wait"], backend.vocabulary)
+        events = []
+        for seed in seeds:
+            events += generate(backend, prompt, dataclasses.replace(config, seed=seed), triggers).checkpoint_events
+        scored = sum(e.probe is not None for e in events)
+        assert calls["run_probe"] == len(events)
+        assert calls["certainty_score"] == calls["update_state"] == scored
+        assert encodes_per_probe == [1] * len(events)
+        return len(events), scored
+
+    def test_demo_toy(self, monkeypatch):
+        backend = ToyBackend(overthinking_spec(trigger_prob=0.6))
+        events, scored = self.count(monkeypatch, backend, TOY_PROMPT, toy_config(), range(20))
+        assert events == scored > 20
+
+    def test_empty_probes_are_not_scored(self, monkeypatch):
+        cfg = toy_config(probe_prompt="P")
+        events, scored = self.count(monkeypatch, ToyBackend(empty_probe_spec()), "Q", cfg, range(3))
+        assert (events, scored) == (6, 3)
