@@ -182,6 +182,10 @@ def _entropy_by_runs(p: np.ndarray, zeros: np.ndarray) -> float:
 
 #: Terms from which ``np.add.reduce`` sums pairwise, in eight lanes; below it
 #: numpy adds left to right from 0.0, so the scoring loop's own sum has its bits.
+#: The 8 is the ``n < 8`` branch of ``pairwise_sum`` in numpy's
+#: ``_core/src/umath/loops_utils.h.src`` (``core/`` before numpy 2.0); a float
+#: reduction starts from add's identity, 0.0.  test_bits_match_the_reference_formula
+#: fails on a numpy that sums in another order.
 _PAIRWISE_TERMS = 8
 
 
@@ -211,7 +215,7 @@ def certainty_score(
     truncated = False
     for d in distributions:
         entropy = token_entropy(d)  # first: it names a raw array's type
-        if d.outcome_token_ids is not None:
+        if d.truncated:
             truncated = True
         elif d.probs.size != vocab_size:
             raise ValueError(
@@ -225,8 +229,5 @@ def certainty_score(
     mean_entropy = entropy_sum / n
     value = 1.0 - mean_entropy / _log_vocab(vocab_size)
     # guard against fp drift just outside the closed interval
-    if not value > 0.0:
-        value = 0.0
-    elif value > 1.0:
-        value = 1.0
-    return CertaintyScore(value, mean_entropy, truncated)
+    value = min(1.0, max(0.0, value))
+    return CertaintyScore(value=value, mean_entropy=mean_entropy, truncated=truncated)

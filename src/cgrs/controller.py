@@ -305,14 +305,13 @@ def run_probe(
     eos = backend.eos_token_id
     stop_strings = config.probe_stop_strings
     ctx = [*context, *probe_prompt_ids(vocab, config)]
-    next_distribution = backend.next_distribution
     answer_tokens: list[int] = []
     distributions: list[TokenDistribution] = []
     starts: list[int] = []  # where each answer token starts in answer_text
     answer_text = ""
     stop_reason = "max_tokens"
     for _ in range(config.probe_max_tokens):
-        dist = next_distribution(ctx)
+        dist = backend.next_distribution(ctx)
         token = dist.top_id
         if token == eos:
             stop_reason = "eos"
@@ -320,15 +319,11 @@ def run_probe(
         ctx.append(token)
         answer_tokens.append(token)
         distributions.append(dist)
-        start = len(answer_text)
-        starts.append(start)
+        starts.append(len(answer_text))
         answer_text += surfaces[token]
         cut = -1
         for stop in stop_strings:
-            # the text before this token held no stop string, so a new one ends
-            # in this token's surface and starts at most len(stop) - 1 before it
-            lo = start - len(stop) + 1
-            hit = answer_text.find(stop, lo if lo > 0 else 0)
+            hit = answer_text.find(stop)
             if hit != -1 and (cut == -1 or hit < cut):
                 cut = hit
         if cut != -1:
@@ -341,7 +336,12 @@ def run_probe(
     if not answer_tokens:
         raise ProbeEmptyError("probe produced no answer tokens before stopping")
     score = certainty_score(distributions, vocab.size)
-    return ProbeResult(tuple(answer_tokens), answer_text, score, stop_reason)
+    return ProbeResult(
+        answer_tokens=tuple(answer_tokens),
+        answer_text=answer_text,
+        certainty=score,
+        stop_reason=stop_reason,
+    )
 
 
 class GenerationSession:
@@ -463,7 +463,8 @@ class GenerationSession:
             if p != self._p:
                 self._p = p
                 self._run = None
-        self._trace.checkpoint_events.append(CheckpointEvent(step, probe, self._p))
+        event = CheckpointEvent(step=step, probe=probe, p_after=self._p)
+        self._trace.checkpoint_events.append(event)
 
     def run(self) -> DecodeTrace:
         """Decode to EOS or max_tokens; returns the record the session decoded into.
