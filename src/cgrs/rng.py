@@ -6,7 +6,7 @@ token sampling and the suppression Bernoulli decisions on independent streams:
 consuming a draw on one stream never perturbs the other, and replaying a run
 with the same seed reproduces every decision bit for bit.
 
-Draws are made 64 positions at a time: Philox is counter-based, so one
+Draws are made 16 positions at a time: Philox is counter-based, so one
 generator call yields a whole aligned block of consecutive positions, and a
 small cache keeps the blocks a decode loop is walking through.  Each thread
 keeps one Philox generator and, for every block it draws, resets that
@@ -28,7 +28,7 @@ DECISION_STREAM = 2
 _MASK64 = (1 << 64) - 1
 
 #: Stream positions drawn per generator call; blocks start at multiples of it.
-_BLOCK = 64
+_BLOCK = 16
 
 #: Per-thread ``gen``: the Philox generator this thread draws blocks from.
 _local = threading.local()
