@@ -32,7 +32,7 @@ from cgrs.controller import (
     run_probe,
 )
 from cgrs.lexicon import TriggerTokenSet, Vocabulary, build_trigger_set, default_trigger_words
-from cgrs.rng import decision_uniform, sampling_uniform
+from cgrs.rng import _BLOCK, _block, decision_uniform, sampling_uniform
 
 from conftest import TOY_PROMPT
 from remote_stub import toy_completion_server
@@ -1061,3 +1061,49 @@ class TestWrappedCallSites:
         cfg = toy_config(probe_prompt="P")
         events, scored = self.count(monkeypatch, ToyBackend(empty_probe_spec()), "Q", cfg, range(3))
         assert (events, scored) == (6, 3)
+
+
+class TestRefillTraffic:
+    """Philox block refills of a toy problem's vanilla, cgrs and fixed-p=1 sessions.
+
+    perfbench runs the three modes of a problem on one seed in that order;
+    the shared block cache lets the later two read vanilla's sampling blocks.
+    """
+
+    def test_refills_per_mode(self):
+        # a trigger probability of 0.6 makes some vanilla streams outrun one block
+        backend = ToyBackend(overthinking_spec(trigger_prob=0.6))
+        triggers = build_trigger_set(default_trigger_words(), backend.vocabulary)
+        longest = decision_blocks = 0
+        for seed in range(9100, 9140):
+            _block.cache_clear()
+            refills, traces = {}, {}
+            for mode in ("vanilla", "cgrs", "fixed-p=1"):
+                before = _block.cache_info().misses
+                cfg = toy_config(mode=ModeSpec.parse(mode), seed=seed)
+                traces[mode] = generate(backend, TOY_PROMPT, cfg, triggers)
+                refills[mode] = _block.cache_info().misses - before
+
+            def draws(trace):
+                return trace.token_count + (trace.finish_reason == "eos")
+
+            vanilla = draws(traces["vanilla"])
+            assert refills["vanilla"] == -(-vanilla // _BLOCK), seed
+            # no sampling refill: the later modes sample inside vanilla's blocks
+            assert draws(traces["cgrs"]) <= refills["vanilla"] * _BLOCK
+            assert draws(traces["fixed-p=1"]) <= refills["vanilla"] * _BLOCK
+            # cgrs refills once per decision block its drawn decisions touch;
+            # p = 1 draws nothing
+            touched = {
+                step // _BLOCK
+                for run in traces["cgrs"].decision_runs
+                if 0.0 < run.p < 1.0
+                for step in range(run.first_step, run.first_step + run.steps)
+            }
+            assert refills["cgrs"] == len(touched), seed
+            assert refills["fixed-p=1"] == 0, seed
+            longest = max(longest, vanilla)
+            decision_blocks += len(touched)
+        # the seeds reach a second sampling block and make decision draws
+        assert longest > _BLOCK and decision_blocks > 0
+

@@ -14,6 +14,7 @@ from cgrs import suppression
 from cgrs.certainty import CertaintyScore
 from cgrs.lexicon import TriggerTokenSet
 from cgrs.rng import (
+    _BLOCK,
     DECISION_STREAM,
     SAMPLING_STREAM,
     decision_uniform,
@@ -251,6 +252,12 @@ def one_draw_uniform(seed: int, stream: int, index: int) -> float:
     return np.random.Generator(np.random.Philox(key=key, counter=counter)).random()
 
 
+def block_edges() -> list[int]:
+    """Stream indices at and around the first block boundaries, and 63-65."""
+    b = _BLOCK
+    return sorted({0, b - 1, b, b + 1, 2 * b - 1, 2 * b, 4 * b + 1, 63, 64, 65})
+
+
 class TestRngStreams:
     @staticmethod
     def assert_matches_oracle(triples):
@@ -278,7 +285,7 @@ class TestRngStreams:
 
     def test_matches_one_draw_oracle_at_block_edges(self):
         top = 2**64
-        edges = [0, 63, 64, 65, *range(top - 65, top)]
+        edges = [*block_edges(), *range(top - 2 * _BLOCK, top)]
         self.assert_matches_oracle(
             (seed, stream, index)
             for seed in (0, 7, 2**64 - 1)
@@ -289,7 +296,7 @@ class TestRngStreams:
     def test_oversized_and_negative_inputs_are_masked(self):
         top = 2**64
         # indices at and above 2**64 wrap to their low 64 bits
-        wrapped = (top, top + 1, top + 64, 3 * top + 70)
+        wrapped = [top + edge for edge in block_edges()] + [3 * top + 70]
         self.assert_matches_oracle((5, SAMPLING_STREAM, index) for index in wrapped)
         assert stream_uniform(5, SAMPLING_STREAM, top + 3) == stream_uniform(5, SAMPLING_STREAM, 3)
         seeds = (top, top + 9, 2**80 + 1, -1, -2, -(2**70))
@@ -297,7 +304,7 @@ class TestRngStreams:
             (seed, stream, index)
             for seed in seeds
             for stream in (SAMPLING_STREAM, DECISION_STREAM)
-            for index in (0, 63, 64, 1000)
+            for index in (*block_edges(), 1000)
         )
         assert stream_uniform(-1, DECISION_STREAM, 9) == stream_uniform(top - 1, DECISION_STREAM, 9)
 
