@@ -114,7 +114,7 @@ def _log_vocab(vocab_size: int) -> float:
     return float(np.log(vocab_size))
 
 
-@dataclass(frozen=True)
+@dataclass
 class CertaintyScore:
     """Certainty of a probed answer, with the entropy evidence behind it.
 

@@ -182,7 +182,7 @@ class CheckpointDetector:
         return fired
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProbeResult:
     """Outcome of probing the tentative final answer at a checkpoint.
 
@@ -196,7 +196,7 @@ class ProbeResult:
     stop_reason: str  # "stop_string" | "max_tokens" | "eos"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckpointEvent:
     """A checkpoint probe; ``probe`` is None when it was empty and p held."""
 

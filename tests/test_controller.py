@@ -1106,4 +1106,3 @@ class TestRefillTraffic:
             decision_blocks += len(touched)
         # the seeds reach a second sampling block and make decision draws
         assert longest > _BLOCK and decision_blocks > 0
-
