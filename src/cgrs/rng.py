@@ -9,13 +9,15 @@ with the same seed reproduces every decision bit for bit.
 Draws are made 16 positions at a time: Philox is counter-based, so one
 generator call yields a whole aligned block of consecutive positions, and a
 small cache of 64 blocks, shared by every session, keeps the blocks a decode
-loop is walking through.  A toy generation reads about 9 positions of a
-stream, so one refill usually covers it; a 5,861-token stream, the paper's
-scale, refills 367 times, under a millisecond in all against the tens of
-milliseconds a real model takes per token.  Each thread keeps one
-refill kit (a Philox generator, the state dict that resets it and an output
-buffer) and rewrites the kit in place for every block it draws instead of
-building a new generator.
+loop is walking through.  Each thread keeps one refill kit (a Philox
+generator, the state dict that resets it and an output buffer) and rewrites
+the kit in place for every block it draws instead of building a new
+generator.  A refill takes about 2.3 us by ``timeit`` on a shared 2-vCPU
+host, against 4.9 us for a 64-position block without the kit.  A toy
+generation reads about 9 positions of a stream, so one refill usually covers
+it.  A 5,861-token stream, the paper's scale, refills 367 times instead of
+92, about 0.85 ms against 0.45 ms a stream, while a real model takes tens of
+milliseconds per token.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ def _new_kit() -> tuple[np.random.Generator, dict, np.ndarray]:
     initial one, an empty output buffer, once ``_block`` has written
     ``start``, ``seed`` and ``stream`` into its counter and key lists.
     """
-    # lists, not arrays: the state setter reads each word by index, and an
-    # array's element would be a numpy scalar
+    # lists, not uint64 arrays: the state setter reads each word by index,
+    # and an array's element is a numpy scalar, which made a refill slower
+    # than building a new dict
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -68,12 +71,14 @@ def _block(seed: int, stream: int, start: int) -> tuple[float, ...]:
     fourth value from counter ``start`` is the one-draw value at the next
     position: ``philox_next`` in numpy's ``random/src/philox/philox.h`` bumps
     the counter only when its buffer of ``PHILOX_BUFFER_SIZE`` (4) outputs is
-    spent, and ``random()`` fills through the bit generator's ``next_double``,
-    one 64-bit output per double.  An aligned block ends at or before position
-    2**64 - 1, so its counters carry into the upper words exactly as the
-    one-draw counters do.  The block's counter and key words are written into
-    the thread's kit in place, the kit's state resets its generator, and the
-    generator fills the kit's buffer.
+    spent, and ``random(out=...)`` fills through
+    ``random_standard_uniform_fill`` in
+    ``random/src/distributions/distributions.c``, one ``next_double``, that is
+    one 64-bit output, per double.  An aligned block ends at or before
+    position 2**64 - 1, so its counters carry into the upper words exactly as
+    the one-draw counters do.  The block's counter and key words are written
+    into the thread's kit in place, the kit's state resets its generator, and
+    the generator fills the kit's buffer.
     """
     kit = getattr(_local, "kit", None)
     if kit is None:
