@@ -1,30 +1,45 @@
-"""Exact-arithmetic oracle for :func:`cgrs.sampling.sample_from_probs`, at 50 digits.
+"""The sampler's rule, stated once, in float64 and at 50 digits.
 
-The oracle states the sampler's rule in stdlib ``decimal`` arithmetic, with
-no numpy on the decision path:
+:func:`cgrs.sampling.sample_from_probs` keeps the nucleus of Holtzman et
+al. (arXiv 1904.09751) of the tempered weights and draws from it by
+inverse CDF.  This module is the one home of that rule, in two arithmetics:
 
-- the weights are ``exp(ln p / T)`` for every id not banned, with ``T`` the
-  exact binary value of the float; a banned id weighs 0.  A ban that leaves
-  no positive probability is ignored, as the engine ignores it;
+- **The float64 rule** (:func:`tempered_argsort_nucleus` and
+  :func:`tempered_argsort_draw`) is the rule as the engine computes it: the
+  weights ``probs ** (1/T)``, a full stable argsort, the cumulative shares
+  of the weights' pairwise total and one ``searchsorted``.  The engine must
+  pick the same id for every ``u`` wherever the weights' total lies in
+  ``[_MIN_TOTAL, inf)``; outside that range the engine rebuilds the weights
+  relative to the largest probability, and only the 50-digit rule holds.
+- **The 50-digit rule** (:func:`exact_weights`, :func:`exact_nucleus` and
+  :func:`exact_draw`) states what the draw means, in stdlib ``decimal``
+  arithmetic.  numpy only groups and orders the ids; every weight, sum and
+  comparison is a ``Decimal``.  A float64 draw can be held to its id only
+  away from the rule's boundaries, so it names the ids allowed near them.
+
+Both rules read alike:
+
+- the weights are ``exp(ln p / T)`` (``p ** (1/T)`` in float64) for every
+  id not banned, with ``T`` the exact binary value of the float; a banned
+  id weighs 0.  A ban that leaves no positive probability is ignored, as
+  the engine ignores it;
 - ids are ranked by weight, stable on ties so the lower id comes first;
 - the nucleus is the shortest ranked prefix whose weight reaches ``top_p``
   of the total (every positive weight at ``top_p = 1``);
 - the draw walks the kept ids in id order and returns the first whose
   prefix weight exceeds ``u`` times the kept total.
 
-The engine works in float64, so it can only be held to the
-exact id away from the rule's boundaries.  :func:`exact_draw` reports when
-``u`` times the kept total, or ``top_p`` times the total, lies within
-``BAND`` of the total (or kept total) from a prefix weight, or when the
-last kept and the first dropped weights lie within ``BAND`` of each other
-(float64 rounding may rank them either way).  The engine's errors are far
-smaller: ``fl(1/T)`` and the float64 power err by at most about ``745 *
-2 ** -52`` relative on any weight that is not negligible next to the total
-(a ratio ``r`` with ``|ln r| / T`` above 745 underflows), about ``2e-13``,
-and 256 float64 additions by at most ``256 * 2 ** -53``, about ``3e-14``.
-A total that is bracketed (from two moments) is certified, and the settled
-top has a ``1e-9`` margin; so ``BAND = 1e-9`` leaves three orders of
-magnitude of room.
+:func:`exact_draw` reports when ``u`` times the kept total, or ``top_p``
+times the total, lies within ``BAND`` of the total (or kept total) from a
+prefix weight, or when the last kept and the first dropped weights lie
+within ``BAND`` of each other (float64 rounding may rank them either way).
+The engine's errors are far smaller: ``fl(1/T)`` and the float64 power err
+by at most about ``745 * 2 ** -52`` relative on any weight that is not
+negligible next to the total (a ratio ``r`` with ``|ln r| / T`` above 745
+underflows), about ``2e-13``, and 256 float64 additions by at most ``256 *
+2 ** -53``, about ``3e-14``.  A total that is bracketed (from two moments)
+is certified, and the settled top has a ``1e-9`` margin; so ``BAND =
+1e-9`` leaves three orders of magnitude of room.
 
 :func:`hard_cases` is a seeded generator of vectors at ``V <= 256`` that
 reach the sampler's edges: exact ties and zeros, subnormals, totals from
@@ -39,8 +54,10 @@ from __future__ import annotations
 
 import decimal
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -57,23 +74,57 @@ def _context() -> decimal.Context:
     return decimal.Context(prec=PRECISION, Emin=-10**6, Emax=10**6)
 
 
+def tempered_argsort_nucleus(
+    probs: np.ndarray, temperature: float, top_p: float, banned=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 rule's nucleus: the kept ids, in id order, and the weights ``probs ** (1/T)``.
+
+    The banned ids weigh 0, unless the ban leaves no positive probability.
+    The shares are the prefix sums of the stably ranked weights, each
+    divided by the weights' pairwise total, and the cutoff is the first
+    that reaches ``top_p``.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if banned is not None:
+        left = probs.copy()
+        left[np.asarray(banned, dtype=np.intp)] = 0.0
+        if left.any():
+            probs = left
+    w = probs ** (1.0 / temperature)
+    order = np.argsort(-w, kind="stable")[: np.count_nonzero(w)]
+    if top_p < 1.0:
+        order = order[: int(np.searchsorted(np.cumsum(w[order] / w.sum()), top_p)) + 1]
+    return np.sort(order), w
+
+
+def tempered_argsort_draw(keep: np.ndarray, w: np.ndarray, u):
+    """The float64 rule's draw: inverse CDF over :func:`tempered_argsort_nucleus`.
+
+    ``u`` is one uniform (an id is returned) or a sequence of them (a list
+    of ids).
+    """
+    csum = np.cumsum(w[keep])
+    idx = np.searchsorted(csum, np.multiply(u, csum[-1]), side="right")
+    return keep[np.minimum(idx, keep.size - 1)].tolist()
+
+
 @dataclass(frozen=True)
 class ExactNucleus:
     """The exact nucleus of one list of :func:`exact_weights`.
 
-    ``keep`` holds the kept ids in id order and ``weights`` their exact
-    weights.  ``ranked`` holds every id of positive weight in rank order.
-    ``near_top_p`` is True when ``top_p`` times the total lies within
-    ``BAND`` of the total from the prefix weight at the cutoff or the one
-    before it.  ``tie_block`` is the rank one past the last weight within
-    ``BAND`` of the cutoff's weight when that run of near-equal weights
-    crosses the cutoff and is not one exact tie, else 0: float64 weights
-    may then rank the run's ids in another order.
+    ``keep`` holds the kept ids in id order and ``prefix`` the prefix sums
+    of their exact weights.  ``ranked`` holds every id of positive weight
+    in rank order.  ``near_top_p`` is True when ``top_p`` times the total
+    lies within ``BAND`` of the total from the prefix weight at the cutoff
+    or the one before it.  ``tie_block`` is the rank one past the last
+    weight within ``BAND`` of the cutoff's weight when that run of
+    near-equal weights crosses the cutoff and is not one exact tie, else 0:
+    float64 weights may then rank the run's ids in another order.
     """
 
     keep: list[int]
-    weights: list[Decimal]
-    ranked: list[int]
+    prefix: list[Decimal]
+    ranked: np.ndarray
     near_top_p: bool
     tie_block: int
 
@@ -84,88 +135,94 @@ def exact_weights(probs: np.ndarray, temperature: float, banned) -> list[Decimal
     The ban is ignored when it leaves no positive probability.  The weight
     of each distinct probability is computed once.
     """
-    probs = [float(p) for p in np.asarray(probs, dtype=np.float64)]
-    banned_ids = set() if banned is None else {int(i) for i in np.asarray(banned).ravel()}
-    if not any(p > 0.0 for i, p in enumerate(probs) if i not in banned_ids):
-        banned_ids = set()
+    probs = np.asarray(probs, dtype=np.float64)
+    if banned is not None:
+        left = probs.copy()
+        left[np.asarray(banned, dtype=np.intp)] = 0.0
+        if (left > 0.0).any():
+            probs = left
+    values, inverse = np.unique(probs, return_inverse=True)
     ctx = _context()
     inverse_t = ctx.divide(1, Decimal(temperature))
-    cache: dict[float, Decimal] = {}
-    out = []
-    for i, p in enumerate(probs):
-        if p <= 0.0 or i in banned_ids:
-            out.append(Decimal(0))
-            continue
-        w = cache.get(p)
-        if w is None:
-            w = cache[p] = ctx.exp(ctx.multiply(ctx.ln(Decimal(p)), inverse_t))
-        out.append(w)
-    return out
+    level = np.empty(values.size, dtype=object)
+    for k, p in enumerate(values.tolist()):
+        level[k] = ctx.exp(ctx.multiply(ctx.ln(Decimal(p)), inverse_t)) if p > 0.0 else Decimal(0)
+    return level[inverse].tolist()
 
 
 def exact_nucleus(weights: list[Decimal], top_p: float, rest: Decimal = Decimal(0)) -> ExactNucleus:
     """The nucleus of the :func:`exact_weights` ``weights``; see :class:`ExactNucleus`.
 
-    ``rest`` is the mass of weights left out of ``weights``, each below
-    every positive weight in it (as :func:`exact_head` leaves them); the
-    cutoff must then lie inside ``weights``, or ValueError is raised.
+    The ids are grouped by distinct weight, so the mass of a run of equal
+    weights is one product.  ``rest`` is the mass of weights left out of
+    ``weights``, each below every positive weight in it (as
+    :func:`exact_head` leaves them); the cutoff must then lie inside
+    ``weights``, or ValueError is raised.
     """
-    ranked = sorted((i for i, w in enumerate(weights) if w > 0), key=lambda i: (-weights[i], i))
-    ranked_weights = [weights[i] for i in ranked]
+    distinct = set(weights)
+    levels = sorted((w for w in distinct if w > 0), reverse=True)
+    level_of = dict.fromkeys(distinct, len(levels))  # zero weights rank last
+    level_of.update(zip(levels, range(len(levels))))
+    dtype = np.min_scalar_type(len(levels))  # a short code sorts by radix
+    codes = np.fromiter(map(level_of.__getitem__, weights), dtype=dtype, count=len(weights))
+    counts = np.bincount(codes, minlength=len(levels) + 1).tolist()
+    ranked = np.argsort(codes, kind="stable")[: len(weights) - counts[-1]]
     ctx = _context()
-    total = ctx.add(_sum(ctx, ranked_weights), rest)
-    cutoff, near = len(ranked) - 1, False
+    total = rest
+    for w, n in zip(levels, counts):
+        total = ctx.add(total, ctx.multiply(w, n))
+    level, cutoff, near = len(levels) - 1, ranked.size - 1, False
     if top_p < 1.0 or rest > 0:
         target = ctx.multiply(Decimal(top_p), total)
         band = ctx.multiply(BAND, total)
-        mass = Decimal(0)
-        for k, w in enumerate(ranked_weights):
-            before, mass = mass, ctx.add(mass, w)
-            if mass >= target:
-                cutoff = k
-                near = abs(mass - target) <= band or abs(before - target) <= band
+        mass, start = Decimal(0), 0
+        for level, (w, n) in enumerate(zip(levels, counts)):
+            def mass_at(j):  # the prefix mass after j ids of this weight
+                return ctx.add(mass, ctx.multiply(w, j))
+
+            if mass_at(n) >= target:
+                # the fewest ids of this weight whose prefix reaches the target
+                j = bisect_left(range(n + 1), True, key=lambda j: mass_at(j) >= target)
+                cutoff = start + j - 1
+                near = min(abs(ctx.subtract(mass_at(k), target)) for k in (j, j - 1)) <= band
                 break
+            mass, start = mass_at(n), start + n
         else:
             raise ValueError("the cutoff lies past the weights given")
-    edge = ranked_weights[cutoff]
-    block = [k for k, w in enumerate(ranked_weights) if abs(w - edge) <= ctx.multiply(BAND, edge)]
-    distinct = len({ranked_weights[k] for k in block})
-    tie_block = block[-1] + 1 if block[-1] > cutoff and distinct > 1 else 0
-    keep = sorted(ranked[: cutoff + 1])
-    return ExactNucleus(keep, [weights[i] for i in keep], ranked, near, tie_block)
+    edge = levels[level]
+    tol = ctx.multiply(BAND, edge)
+    close = [k for k, w in enumerate(levels) if abs(ctx.subtract(w, edge)) <= tol]
+    end = sum(counts[: close[-1] + 1])
+    tie_block = end if end > cutoff + 1 and len(close) > 1 else 0
+    keep = np.sort(ranked[: cutoff + 1]).tolist()
+    prefix_sums = list(accumulate((weights[i] for i in keep), ctx.add))
+    return ExactNucleus(keep, prefix_sums, ranked, near, tie_block)
 
 
-def _sum(ctx: decimal.Context, values: list[Decimal]) -> Decimal:
-    total = Decimal(0)
-    for v in values:
-        total = ctx.add(total, v)
-    return total
-
-
-def draw_from(keep: list[int], weights: list[Decimal], u: float) -> tuple[int, set[int]]:
-    """The inverse-CDF draw over ``keep`` in id order, and every id drawn within ``BAND`` of it.
+def draw_from(nucleus: ExactNucleus, u: float) -> tuple[int, set[int]]:
+    """The inverse-CDF draw over the kept ids in id order, and every id drawn within ``BAND`` of it.
 
     The second is the set of kept ids whose share of the kept total meets
     ``[u - BAND, u + BAND]``: the exact id alone unless ``u`` lies within
     ``BAND`` of a boundary.
     """
     ctx = _context()
-    total = _sum(ctx, weights)
-    threshold = ctx.multiply(Decimal(u), total)
-    band = ctx.multiply(BAND, total)
-    token, window, mass = None, set(), Decimal(0)
-    for i, w in zip(keep, weights):
-        before, mass = mass, ctx.add(mass, w)
-        if token is None and mass > threshold:
-            token = i
-        if w > 0 and mass >= threshold - band and before <= threshold + band:
-            window.add(i)
-    assert token is not None, "u lies in [0, 1)"
-    return token, window
+    prefix = nucleus.prefix
+    threshold = ctx.multiply(Decimal(u), prefix[-1])
+    band = ctx.multiply(BAND, prefix[-1])
+    token = bisect_right(prefix, threshold)
+    assert token < len(prefix), "u lies in [0, 1)"
+    lo = bisect_left(prefix, ctx.subtract(threshold, band))
+    hi = bisect_right(prefix, ctx.add(threshold, band))
+    return nucleus.keep[token], set(nucleus.keep[lo: hi + 1])
 
 
 def exact_draw(
-    weights: list[Decimal], top_p: float, u: float, rest: Decimal = Decimal(0)
+    weights: list[Decimal],
+    top_p: float,
+    u: float,
+    rest: Decimal = Decimal(0),
+    nucleus: ExactNucleus | None = None,
 ) -> tuple[int, str, set[int]]:
     """The exact id, the boundaries it lies near ("" if none), and the ids allowed.
 
@@ -174,18 +231,19 @@ def exact_draw(
     drawn from the nuclei at ``top_p`` and ``2 * BAND`` either side of it.
     When near-equal weights straddle the cutoff (``"rank"``), any id ranked
     up to the end of their run is allowed.  ``rest`` is as in
-    :func:`exact_nucleus`.
+    :func:`exact_nucleus`, and ``nucleus``, the :func:`exact_nucleus` of
+    ``weights`` at ``top_p``, spares ranking them again for each ``u``.
     """
-    nucleus = exact_nucleus(weights, top_p, rest)
-    token, allowed = draw_from(nucleus.keep, nucleus.weights, u)
+    if nucleus is None:
+        nucleus = exact_nucleus(weights, top_p, rest)
+    token, allowed = draw_from(nucleus, u)
     near_u = len(allowed) > 1
     if nucleus.near_top_p:
         step = float(2 * BAND)
         for moved in (max(top_p - step, top_p / 2), min(1.0, top_p + step)):
-            other = exact_nucleus(weights, moved, rest)
-            allowed |= draw_from(other.keep, other.weights, u)[1]
+            allowed |= draw_from(exact_nucleus(weights, moved, rest), u)[1]
     if nucleus.tie_block:
-        allowed.update(nucleus.ranked[: nucleus.tie_block])
+        allowed.update(nucleus.ranked[: nucleus.tie_block].tolist())
     named = (("u", near_u), ("top_p", nucleus.near_top_p), ("rank", nucleus.tie_block))
     return token, "+".join(name for name, hit in named if hit), allowed
 
@@ -280,11 +338,9 @@ def hard_cases(seed: int, count: int) -> Iterator[HardCase]:
 def boundary_uniforms(nucleus: ExactNucleus, offsets: tuple[float, ...]) -> list[float]:
     """Uniforms ``offset`` away from each inner prefix share of the kept ids, for each offset."""
     ctx = _context()
-    total = _sum(ctx, nucleus.weights)
-    out, mass = [], Decimal(0)
-    for w in nucleus.weights[:-1]:
-        mass = ctx.add(mass, w)
-        edge = float(ctx.divide(mass, total))
+    out = []
+    for mass in nucleus.prefix[:-1]:
+        edge = float(ctx.divide(mass, nucleus.prefix[-1]))
         out.extend(edge + f for f in offsets if 0.0 <= edge + f < 1.0)
     return out
 
@@ -297,11 +353,10 @@ def boundary_top_ps(
     ``rest`` is as in :func:`exact_nucleus`.
     """
     ctx = _context()
-    ranked = sorted((w for w in weights if w > 0), reverse=True)
-    total = ctx.add(_sum(ctx, ranked), rest)
-    out, mass = [], Decimal(0)
-    for w in ranked[:-1]:
-        mass = ctx.add(mass, w)
+    masses = list(accumulate(sorted((w for w in weights if w > 0), reverse=True), ctx.add))
+    total = ctx.add(masses[-1], rest)
+    out = []
+    for mass in masses[:-1]:
         share = float(ctx.divide(mass, total))
         out.extend(share + f for f in offsets if 0.0 < share + f <= 1.0)
     return out

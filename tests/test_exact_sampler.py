@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from decimal import Decimal
 
@@ -13,9 +14,11 @@ from exact_sampler import (
     exact_nucleus,
     exact_weights,
     hard_cases,
+    tempered_argsort_draw,
+    tempered_argsort_nucleus,
 )
 
-from cgrs.sampling import sample_from_probs
+from cgrs.sampling import _MIN_TOTAL, sample_from_probs
 
 #: Hard cases drawn from :func:`exact_sampler.hard_cases`.
 CASES = 1400
@@ -46,7 +49,7 @@ class TestOracle:
         # ranked 3 (0.4), 0 (0.3), 2 (0.2), 1 (0.1); top_p 0.6 keeps 3 and 0
         w = exact_weights(np.array([0.3, 0.1, 0.2, 0.4]), 1.0, None)
         nucleus = exact_nucleus(w, 0.6)
-        assert nucleus.keep == [0, 3] and nucleus.ranked == [3, 0, 2, 1]
+        assert nucleus.keep == [0, 3] and nucleus.ranked.tolist() == [3, 0, 2, 1]
         # in id order: 0 holds [0, 3/7), 3 holds [3/7, 1)
         assert exact_draw(w, 0.6, 0.42)[:2] == (0, "")
         assert exact_draw(w, 0.6, 0.43)[:2] == (3, "")
@@ -72,9 +75,13 @@ def test_hard_vectors_draw_the_exact_id():
     # side of a ranked prefix share: all far outside BAND, so they must
     # draw the exact id unless near-equal weights straddle the cutoff.
     # Draws placed 1e-12 from a boundary, inside BAND, must be flagged and
-    # pick an allowed id.  Runs in about 10 s on a 2-vCPU host.
+    # pick an allowed id.  The float64 rule, which the engine must match id
+    # for id, must pick an allowed id at every uniform too, wherever it holds:
+    # outside [_MIN_TOTAL, inf) the engine rebuilds its weights.  Runs in
+    # about 10 s on a 2-vCPU host.
     rng = np.random.default_rng(1904)
     outside, inside, reasons, paths = Counter(), 0, Counter(), Counter()
+    float64_draws = 0
     for case in hard_cases(seed=27, count=CASES):
         weights = exact_weights(case.probs, case.temperature, case.banned)
         top_ps = [case.top_p]
@@ -83,6 +90,9 @@ def test_hard_vectors_draw_the_exact_id():
             top_ps += [float(x) for x in rng.choice(shares, min(2, len(shares)), replace=False)]
         for top_p in top_ps:
             nucleus = exact_nucleus(weights, top_p)
+            with np.errstate(all="ignore"):  # the float64 weights may overflow or underflow
+                rule = tempered_argsort_nucleus(case.probs, case.temperature, top_p, case.banned)
+            holds = _MIN_TOTAL <= rule[1].sum() < math.inf
             far = boundary_uniforms(nucleus, (-1e-6, 1e-6))
             near = boundary_uniforms(nucleus, (-1e-12, 1e-12))
             us = [float(u) for u in rng.random(3)]
@@ -93,6 +103,9 @@ def test_hard_vectors_draw_the_exact_id():
                 with np.errstate(over="ignore"):  # p ** (1/T) overflows at totals near 1e300
                     got = sample_from_probs(case.probs, case.temperature, top_p, u, case.banned)
                 where = (case.label, top_p, u, reason)
+                if holds:
+                    float64_draws += 1
+                    assert tempered_argsort_draw(*rule, u) in allowed, where
                 if u in placed:
                     inside += 1
                     assert "u" in reason, where
@@ -106,6 +119,7 @@ def test_hard_vectors_draw_the_exact_id():
                 else:
                     assert got == want, where
     assert outside[False] >= 5000 and outside[True] >= 1000 and inside >= 500, (outside, inside)
+    assert float64_draws >= 0.7 * (sum(outside.values()) + inside), float64_draws
     for near_ties, cap in ((False, AMBIGUOUS_SHARE), (True, NEAR_TIE_AMBIGUOUS_SHARE)):
         ambiguous = sum(n for (ties, _), n in reasons.items() if ties == near_ties)
         assert ambiguous <= cap * outside[near_ties], (near_ties, reasons, outside)

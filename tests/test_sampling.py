@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
+from exact_sampler import (
+    boundary_uniforms,
+    draw_from,
+    exact_draw,
+    exact_head,
+    exact_nucleus,
+    exact_weights,
+    tempered_argsort_draw,
+    tempered_argsort_nucleus,
+)
 
 from cgrs import sampling
 from cgrs.certainty import TokenDistribution
@@ -22,66 +31,16 @@ from cgrs.sampling import (
     sample_from_probs,
     softmax,
 )
-from cgrs.suppression import mask_triggers
 
 QWEN_VOCAB = 151_936
 LARGE_V_TOP_PS = (0.05, 0.5, 0.95, 0.999)
 
 
-def argsort_nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
-    """Oracle: the full-stable-argsort nucleus filter the engine replaced."""
-    if top_p == 1.0:
-        return probs
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    cutoff = int(np.searchsorted(csum, top_p, side="left"))
-    keep = order[: cutoff + 1]
+def kept_vector(probs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``probs`` zeroed outside ``keep`` and renormalized, the form :func:`nucleus_filter` returns."""
     out = np.zeros_like(probs)
     out[keep] = probs[keep]
     return out / out.sum()
-
-
-def argsort_cdf(
-    logits: np.ndarray, temperature: float, top_p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: :func:`argsort_nucleus_filter` of the tempered softmax, and its V-length CDF."""
-    probs = argsort_nucleus_filter(softmax(logits / temperature), top_p)
-    return probs, np.cumsum(probs)
-
-
-def argsort_draw(probs: np.ndarray, csum: np.ndarray, u: float) -> int:
-    """Oracle: the inverse-CDF draw over :func:`argsort_cdf`."""
-    idx = int(np.searchsorted(csum, u, side="right"))
-    if idx >= probs.size:
-        idx = int(np.flatnonzero(probs > 0)[-1])
-    return idx
-
-
-def tempered_argsort_nucleus(
-    probs: np.ndarray, temperature: float, top_p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: kept ids (in id order) of a full stable argsort of ``probs ** (1/T)``, and the weights."""
-    w = probs ** (1.0 / temperature)
-    order = np.argsort(-w, kind="stable")
-    cutoff = int(np.searchsorted(np.cumsum(w[order] / w.sum()), top_p, side="left"))
-    return np.sort(order[: cutoff + 1]), w
-
-
-def tempered_argsort_draw(keep: np.ndarray, w: np.ndarray, u: float) -> int:
-    """Oracle: the inverse-CDF draw over :func:`tempered_argsort_nucleus`."""
-    csum = np.cumsum(w[keep])
-    idx = int(np.searchsorted(csum, u * csum[-1], side="right"))
-    return int(keep[min(idx, keep.size - 1)])
-
-
-def argsort_sample_from_logits(
-    logits: np.ndarray, temperature: float, top_p: float, u: float
-) -> int:
-    """Oracle: inverse-CDF sampling over :func:`argsort_nucleus_filter`."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if temperature == 0.0:
-        return int(np.argmax(logits))
-    return argsort_draw(*argsort_cdf(logits, temperature, top_p), u)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +49,7 @@ def large_vectors() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(2025)
     # Zipf(1.1) with its ranks scattered over the ids, tempered at T=0.6
     zipf = (rng.permutation(QWEN_VOCAB) + 1.0) ** -1.1
-    zipf = softmax(distribution_to_logits(zipf / zipf.sum()) / 0.6)
+    zipf = softmax(np.log(zipf / zipf.sum()) / 0.6)
     # one head token, then 2000 exact ties holding the mass from 0.01 to
     # 0.9995: every cutoff in LARGE_V_TOP_PS lands inside the tie block
     ties = np.zeros(QWEN_VOCAB)
@@ -335,13 +294,14 @@ class TestSampleFromLogits:
 
 
 class TestLargeVocabularyExactness:
-    """The partial-selection nucleus equals the full-argsort one, bit for bit."""
+    """The partial-selection nucleus equals the float64 rule's full-argsort one at T = 1, bit for bit."""
 
     @pytest.mark.parametrize("name", ["zipf", "ties", "sparse", "uniform"])
     @pytest.mark.parametrize("top_p", LARGE_V_TOP_PS)
     def test_matches_argsort_oracle(self, large_vectors, name, top_p):
         probs = large_vectors[name]
-        assert np.array_equal(nucleus_filter(probs, top_p), argsort_nucleus_filter(probs, top_p))
+        keep, _ = tempered_argsort_nucleus(probs, 1.0, top_p)
+        assert np.array_equal(nucleus_filter(probs, top_p), kept_vector(probs, keep))
 
     def test_ties_at_cutoff_keep_lower_ids(self, large_vectors):
         probs = large_vectors["ties"]
@@ -355,11 +315,17 @@ class TestLargeVocabularyExactness:
     def test_sampled_ids_match_oracle(self, large_vectors):
         logits = {n: distribution_to_logits(p) for n, p in large_vectors.items()}
         names = sorted(logits)
+        # sample_from_logits is the rule at T = 1 over softmax(logits / T)
+        rules = {
+            (name, top_p): tempered_argsort_nucleus(softmax(logits[name] / 0.6), 1.0, top_p)
+            for name in names
+            for top_p in LARGE_V_TOP_PS
+        }
         for step in range(100):
             name = names[step % len(names)]
             top_p = LARGE_V_TOP_PS[(step // len(names)) % len(LARGE_V_TOP_PS)]
             u = sampling_uniform(7, step)
-            expected = argsort_sample_from_logits(logits[name], 0.6, top_p, u)
+            expected = tempered_argsort_draw(*rules[name, top_p], u)
             assert sample_from_logits(logits[name], 0.6, top_p, u) == expected, (name, top_p, step)
 
 
@@ -381,7 +347,8 @@ class TestNucleusSortsOnlyAHead:
         probs[rng.choice(probs.size, 6, replace=False)] = rng.dirichlet(np.ones(6))
         out = nucleus_filter(probs, 0.999999)
         assert argsort_sizes and max(argsort_sizes) <= 6
-        assert np.array_equal(out, argsort_nucleus_filter(probs, 0.999999))
+        keep, _ = tempered_argsort_nucleus(probs, 1.0, 0.999999)
+        assert np.array_equal(out, kept_vector(probs, keep))
 
     def test_near_uniform_head_grows_to_the_vocabulary(self, deadline, argsort_sizes):
         rng = np.random.default_rng(6)
@@ -392,7 +359,8 @@ class TestNucleusSortsOnlyAHead:
         # geometric growth: a handful of selections, the last nearly all of V
         assert len(argsort_sizes) <= 8
         assert argsort_sizes[-1] > 0.99 * QWEN_VOCAB
-        assert np.array_equal(out, argsort_nucleus_filter(probs, 0.999999))
+        keep, _ = tempered_argsort_nucleus(probs, 1.0, 0.999999)
+        assert np.array_equal(out, kept_vector(probs, keep))
 
     @pytest.mark.parametrize("temperature", [1.0, 0.6])
     def test_near_uniform_small_nucleus_sorts_a_bounded_head(
@@ -420,7 +388,7 @@ class TestNucleusSortsOnlyAHead:
 
 
 class TestSampleFromProbs:
-    """The probability-space core picks the oracle's ids and honours bans."""
+    """The probability-space core picks the float64 rule's ids and honours bans."""
 
     @pytest.mark.parametrize("banned", ["unmasked", "top5_banned", "top_banned"])
     @pytest.mark.parametrize("top_p", LARGE_V_TOP_PS + (1.0,))
@@ -428,16 +396,13 @@ class TestSampleFromProbs:
     @pytest.mark.parametrize("name", ["zipf", "ties", "sparse", "uniform"])
     def test_matches_argsort_oracle(self, large_vectors, name, temperature, top_p, banned):
         probs = large_vectors[name]
-        logits = distribution_to_logits(probs)
         ban = None
         if banned != "unmasked":
             ban = np.sort(np.argsort(-probs, kind="stable")[: 5 if banned == "top5_banned" else 1])
-            logits = mask_triggers(logits, ban)
-        oracle = argsort_cdf(logits, temperature, top_p)
-        for step in range(100):
-            u = sampling_uniform(7, step)
-            got = sample_from_probs(probs, temperature, top_p, u, ban)
-            assert got == argsort_draw(*oracle, u), step
+        keep, w = tempered_argsort_nucleus(probs, temperature, top_p, ban)
+        us = [sampling_uniform(7, step) for step in range(100)]
+        for step, want in enumerate(tempered_argsort_draw(keep, w, us)):
+            assert sample_from_probs(probs, temperature, top_p, us[step], ban) == want, step
 
     def test_temperature_zero_is_argmax_over_unbanned(self):
         probs = np.array([0.1, 0.5, 0.3, 0.1])
@@ -468,12 +433,15 @@ class TestSampleFromProbs:
 
     @pytest.mark.parametrize("name", ["zipf", "uniform"])
     def test_low_temperature_underflow_matches_oracle(self, large_vectors, name):
-        # at T = 0.01 the uniform vector's p ** 100 underflows to zero
+        # at T = 0.01 the uniform vector's p ** 100 underflows to zero, so
+        # the float64 rule does not hold and the draw is held to the 50-digit one
         probs = large_vectors[name]
-        oracle = argsort_cdf(distribution_to_logits(probs), 0.01, 0.95)
+        ids, weights, rest = exact_head(probs, 0.01, None)
+        nucleus = exact_nucleus(weights, 0.95, rest)
         for step in range(20):
             u = sampling_uniform(9, step)
-            assert sample_from_probs(probs, 0.01, 0.95, u) == argsort_draw(*oracle, u)
+            allowed = exact_draw(weights, 0.95, u, rest, nucleus)[2]
+            assert sample_from_probs(probs, 0.01, 0.95, u) in {int(ids[i]) for i in allowed}, step
 
     def test_underflowing_power_keeps_ratios(self):
         # 0.5 ** 1020 is barely normal and 0.49 ** 1020 subnormal: the weights
@@ -610,7 +578,7 @@ class TestDrawAtTopPOne:
             probs = np.zeros(n)
             ban = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
             probs[ban] = rng.dirichlet(np.ones(ban.size))
-            keep, w = tempered_argsort_nucleus(probs, temperature, 1.0)
+            keep, w = tempered_argsort_nucleus(probs, temperature, 1.0, ban)
             for step in range(10):
                 u = sampling_uniform(trial, step)
                 got = sample_from_probs(probs, temperature, 1.0, u, ban)
@@ -619,12 +587,19 @@ class TestDrawAtTopPOne:
     @pytest.mark.parametrize("name", ["zipf", "uniform"])
     def test_low_temperature_underflow_matches_oracle(self, large_vectors, name):
         # at T = 0.01 the uniform vector's p ** 100 underflows to zero, so
-        # the weights are rebuilt before the prefix sums are taken
+        # the weights are rebuilt before the prefix sums are taken.  Every id
+        # is kept, but the tail below the 50-digit head holds under 1e-40 of
+        # the mass: it moves no boundary of the head's draw by more than
+        # that, far inside BAND, and holds no u of 2 ** -53 or more
         probs = large_vectors[name]
-        oracle = argsort_cdf(distribution_to_logits(probs), 0.01, 1.0)
+        ids, weights, rest = exact_head(probs, 0.01, None)
+        assert rest <= Decimal("1e-40") * sum(weights)
+        nucleus = exact_nucleus(weights, 1.0)
         for step in range(20):
             u = sampling_uniform(10, step)
-            assert sample_from_probs(probs, 0.01, 1.0, u) == argsort_draw(*oracle, u)
+            assert u >= 2.0**-53
+            allowed = exact_draw(weights, 1.0, u, nucleus=nucleus)[2]
+            assert sample_from_probs(probs, 0.01, 1.0, u) in {int(ids[i]) for i in allowed}, step
 
 
 class TestDrawSumsOnlyTheNucleus:
@@ -660,11 +635,10 @@ class TestDrawSumsOnlyTheNucleus:
                 # the ties vector's top holds 0.01, so every top_p runs the head
                 assert argsort_sizes and cumsum_sizes, name
                 assert max(cumsum_sizes) <= max(argsort_sizes), name
-            if entry == "probs":
-                keep, w = tempered_argsort_nucleus(probs, 0.6, top_p)
-                assert token == tempered_argsort_draw(keep, w, 0.5), name
-            else:
-                assert token == argsort_sample_from_logits(logits, 0.6, top_p, 0.5), name
+            # sample_from_logits is the rule at T = 1 over softmax(logits / T)
+            rule = (probs, 0.6) if entry == "probs" else (softmax(logits / 0.6), 1.0)
+            keep, w = tempered_argsort_nucleus(*rule, top_p)
+            assert token == tempered_argsort_draw(keep, w, 0.5), name
 
 
 def tie_pair_below(x: float, temperature: float) -> tuple[float, float]:
@@ -704,62 +678,6 @@ def settle_boundary_vector(
     return np.insert(rest, top, p_top), top
 
 
-def exact_nucleus(
-    probs: np.ndarray, temperature: float, top_p: float, banned: np.ndarray
-) -> tuple[np.ndarray, list[Decimal]]:
-    """Oracle at 50 digits: the nucleus of ``probs ** (1/T)`` with ``banned`` zeroed.
-
-    Returns the kept ids, in id order, and their weights.
-
-    The weights are taken once per distinct probability, so a vector with few
-    distinct values costs a few powers.
-    """
-    masked = probs.copy()
-    masked[banned] = 0.0
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        a = 1 / Decimal(repr(temperature))
-        # ranked by weight, and within one value by id
-        groups = [
-            (Decimal(float(v)) ** a, np.flatnonzero(masked == v))
-            for v in np.unique(masked[masked > 0.0])[::-1]
-        ]
-        need = Decimal(top_p) * sum(w * ids.size for w, ids in groups)
-        kept, mass = [], Decimal(0)
-        for w, ids in groups:
-            if mass + w * ids.size >= need:
-                m = int(((need - mass) / w).to_integral_value(rounding=decimal.ROUND_CEILING))
-                kept.append((w, ids[: max(m, 1)]))
-                break
-            kept.append((w, ids))
-            mass += w * ids.size
-    ids = np.concatenate([i for _, i in kept])
-    weights = [w for w, i in kept for _ in range(i.size)]
-    order = np.argsort(ids)
-    return ids[order], [weights[k] for k in order]
-
-
-def exact_boundaries(weights: list[Decimal]) -> list[float]:
-    """Each kept id's upper edge in the exact CDF, as a share of the kept total, but the last."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        total = sum(weights)
-        return [float(edge / total) for edge in itertools.accumulate(weights[:-1])]
-
-
-def exact_draw(keep: np.ndarray, weights: list[Decimal], u: float) -> int:
-    """Oracle at 50 digits: the first kept id whose prefix sum exceeds ``u`` of the kept total."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        threshold = Decimal(u) * sum(weights)
-        mass = Decimal(0)
-        for token, w in zip(keep.tolist(), weights):
-            mass += w
-            if mass > threshold:
-                return token
-    raise AssertionError("u lies in [0, 1)")
-
-
 class TestThresholdHead:
     """A nucleus inside the threshold head is found without a partial selection."""
 
@@ -792,20 +710,18 @@ class TestThresholdHead:
         else:
             assert argsort_sizes and max(argsort_sizes) < QWEN_VOCAB // 30
         keep, w = tempered_argsort_nucleus(probs, 0.6, 0.95)
-        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert tokens == tempered_argsort_draw(keep, w, us)
 
     def test_banned_top_still_needs_no_partition(self, large_vectors, partition_sizes):
         # the banned most probable id weighs 0, so the head is measured
         # against the largest remaining weight, not against it
         probs = large_vectors["zipf"]
         ban = np.array([int(np.argmax(probs))])
-        masked = probs.copy()
-        masked[ban] = 0.0
-        keep, w = tempered_argsort_nucleus(masked, 0.6, 0.95)
+        keep, w = tempered_argsort_nucleus(probs, 0.6, 0.95, ban)
         us = [sampling_uniform(9, step) for step in range(20)]
         tokens = [sample_from_probs(probs, 0.6, 0.95, u, ban) for u in us]
         assert not partition_sizes
-        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert tokens == tempered_argsort_draw(keep, w, us)
 
     @pytest.fixture(scope="class")
     def zipf2(self) -> np.ndarray:
@@ -824,16 +740,14 @@ class TestThresholdHead:
         probs = zipf2
         assert probs.max() < 0.95
         if entry == "nucleus_filter":
-            assert np.array_equal(nucleus_filter(probs, 0.95), argsort_nucleus_filter(probs, 0.95))
+            keep, _ = tempered_argsort_nucleus(probs, 1.0, 0.95)
+            assert np.array_equal(nucleus_filter(probs, 0.95), kept_vector(probs, keep))
         else:
             ban = np.array([int(np.argmax(probs))]) if entry == "top_banned" else None
-            masked = probs.copy()
-            if ban is not None:
-                masked[ban] = 0.0
-            keep, w = tempered_argsort_nucleus(masked, 1.0, 0.95)
+            keep, w = tempered_argsort_nucleus(probs, 1.0, 0.95, ban)
             us = [sampling_uniform(20, step) for step in range(20)]
             tokens = [sample_from_probs(probs, 1.0, 0.95, u, ban) for u in us]
-            assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+            assert tokens == tempered_argsort_draw(keep, w, us)
         assert not partition_sizes
 
     @pytest.mark.parametrize("tail_mass", [1e-5, 0.05], ids=["light_tail", "heavy_tail"])
@@ -859,7 +773,7 @@ class TestThresholdHead:
         us = [sampling_uniform(4, step) for step in range(50)]
         us += [1.0 - sliver * (k + 0.5) / 50.0 for k in range(50)]
         tokens = [sample_from_probs(probs, temperature, top_p, u) for u in us]
-        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert tokens == tempered_argsort_draw(keep, w, us)
         assert 5 in tokens
 
     @pytest.mark.parametrize("temperature", [0.3, 0.6, 0.9, 1.0])
@@ -875,10 +789,7 @@ class TestThresholdHead:
             if trial % 2:
                 ban = rng.choice(n, int(rng.integers(1, n // 2 + 2)), replace=False)
             top_p = float(rng.choice([0.2, 0.9, 0.95, 0.999]))
-            masked = probs.copy()
-            if ban is not None and masked[ban].sum() < masked.sum():
-                masked[ban] = 0.0
-            keep, w = tempered_argsort_nucleus(masked, temperature, top_p)
+            keep, w = tempered_argsort_nucleus(probs, temperature, top_p, ban)
             for step in range(10):
                 u = sampling_uniform(trial, step)
                 got = sample_from_probs(probs, temperature, top_p, u, ban)
@@ -891,11 +802,8 @@ class TestThresholdHead:
         # total, over the whole vocabulary rather than one head-sized vector
         probs = large_vectors[name]
         banned = np.array([int(np.argmax(probs))]) if ban == "top_banned" else None
-        masked = probs.copy()
-        if banned is not None:
-            masked[banned] = 0.0
         for top_p in (0.5, 0.95):
-            keep, w = tempered_argsort_nucleus(masked, 1.5, top_p)
+            keep, w = tempered_argsort_nucleus(probs, 1.5, top_p, banned)
             for step in range(4):
                 u = sampling_uniform(21, step)
                 got = sample_from_probs(probs, 1.5, top_p, u, banned)
@@ -948,13 +856,10 @@ class TestSettledTop:
             ban = rng.choice(n, int(rng.integers(0, n // 2 + 1)), replace=False)
             ban = np.union1d(ban[ban != top], [top] if ban_top else [])
             ban = ban.astype(np.int64)
-            masked = probs.copy()
-            if masked[ban].sum() < masked.sum():
-                masked[ban] = 0.0
             share = probs[top] / probs.sum()
             below = not ban_top and temperature <= 1.0
             for top_p, settles in ((share * (1 - 1e-6), below), (share * (1 + 1e-6), False)):
-                keep, w = tempered_argsort_nucleus(masked, temperature, top_p)
+                keep, w = tempered_argsort_nucleus(probs, temperature, top_p, ban)
                 for step in range(5):
                     u = sampling_uniform(trial, step)
                     weights_sizes.clear()
@@ -971,8 +876,8 @@ class TestSettledTop:
         self, weights_sizes, certified_sizes, vocab, temperature, ban
     ):
         # the top holds within 1e-12 to 1e-8 of the settle test's bar, either
-        # side.  The kept einsum total and the pairwise sum may decide the
-        # test differently for the nearest; both must draw the exact id
+        # side.  With the kept total and without it, the draw must pick the
+        # exact id
         rng = np.random.default_rng([vocab, int(temperature * 10), ban])
         for top_p in (0.3, 0.95):
             bar = max(top_p, 0.5)
@@ -986,12 +891,13 @@ class TestSettledTop:
                         picks = rng.choice(others, 2, replace=False)
                         banned = np.union1d(picks, [first]).astype(np.int64)
                     dist = TokenDistribution(probs)
-                    keep, weights = exact_nucleus(probs, temperature, top_p, banned)
+                    nucleus = exact_nucleus(exact_weights(probs, temperature, banned), top_p)
                     # a u on either side of each edge draws every kept id
                     us = [sampling_uniform(vocab, step) for step in range(4)]
-                    us += [e * f for e in exact_boundaries(weights) for f in (1 - 1e-6, 1 + 1e-6)]
+                    edges = boundary_uniforms(nucleus, (0.0,))
+                    us += [e * f for e in edges for f in (1 - 1e-6, 1 + 1e-6)]
                     for u in us:
-                        want = exact_draw(keep, weights, u)
+                        want = draw_from(nucleus, u)[0]
                         args = (dist.probs, temperature, top_p, u, banned if ban else None)
                         weights_sizes.clear()
                         certified_sizes.clear()
@@ -999,7 +905,7 @@ class TestSettledTop:
                         assert sample_from_probs(*args, **kept) == want, (top_p, sign, offset)
                         settled = not (weights_sizes or certified_sizes)
                         assert sample_from_probs(*args) == want, (top_p, sign, offset)
-                        if offset >= 1e-10:  # far outside either sum's rounding
+                        if offset >= 1e-10:  # far outside the sum's rounding
                             assert settled == (sign > 0), (top_p, sign, offset)
 
     def test_settled_draw_never_tempers(self, weights_sizes, certified_sizes):
@@ -1095,7 +1001,7 @@ class TestCertifiedDraw:
             keep, w = tempered_argsort_nucleus(probs, temperature, 0.95)
             argsort_sizes.clear()
             tokens = [sample_from_probs(probs, temperature, 0.95, u) for u in us]
-            assert tokens == [tempered_argsort_draw(keep, w, u) for u in us], temperature
+            assert tokens == tempered_argsort_draw(keep, w, us), temperature
             assert max(argsort_sizes) < 100
         assert not weights_sizes
         assert len(band_sizes) == 60 and 0 < min(band_sizes) and max(band_sizes) < 1000
@@ -1106,13 +1012,11 @@ class TestCertifiedDraw:
         # first gather at the banned top's bar finds that id
         probs = large_vectors["zipf"]
         ban = np.array([int(np.argmax(probs))])
-        masked = probs.copy()
-        masked[ban] = 0.0
         us = [sampling_uniform(17, step) for step in range(20)]
         for temperature in (0.6, 0.3, 0.1):
-            keep, w = tempered_argsort_nucleus(masked, temperature, 0.95)
+            keep, w = tempered_argsort_nucleus(probs, temperature, 0.95, ban)
             tokens = [sample_from_probs(probs, temperature, 0.95, u, ban) for u in us]
-            assert tokens == [tempered_argsort_draw(keep, w, u) for u in us], temperature
+            assert tokens == tempered_argsort_draw(keep, w, us), temperature
         assert not weights_sizes
         assert len(band_sizes) == 120 and 0 < min(band_sizes) and max(band_sizes) < 1000
 
@@ -1141,10 +1045,10 @@ class TestCertifiedDraw:
             return head(v, bar, banned)
 
         monkeypatch.setattr(sampling, "_head", bar_spy)
-        keep, w = tempered_argsort_nucleus(masked, temperature, 0.95)
+        keep, w = tempered_argsort_nucleus(probs, temperature, 0.95, ban)
         us = [sampling_uniform(20, step) for step in range(40)]
         tokens = [sample_from_probs(probs, temperature, 0.95, u, ban) for u in us]
-        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert tokens == tempered_argsort_draw(keep, w, us)
         assert not weights_sizes
         share = sampling._BAND_RATIO ** (1.0 / (1.0 / temperature))
         assert bars[1::2] == [float(probs[hi_id] * share)] * len(us)
@@ -1161,14 +1065,12 @@ class TestCertifiedDraw:
         top = int(rng.integers(5000))
         probs[top] = 1e18
         ban = np.array([top])
-        masked = probs.copy()
-        masked[ban] = 0.0
-        keep, w = tempered_argsort_nucleus(masked, temperature, 0.9)
+        keep, w = tempered_argsort_nucleus(probs, temperature, 0.9, ban)
         us = [sampling_uniform(18, step) for step in range(20)]
         with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
             tokens = [sample_from_probs(probs, temperature, 0.9, u, ban) for u in us]
-        assert tokens == [tempered_argsort_draw(keep, w, u) for u in us]
+        assert tokens == tempered_argsort_draw(keep, w, us)
         assert weights_sizes == [5000] * len(us)
 
     def test_flat_vector_gives_up_before_the_bounds(
@@ -1210,11 +1112,11 @@ class TestCertifiedDraw:
         want = np.flatnonzero(masked**power >= p_ref**power * sampling._HEAD_RATIO)
         assert np.array_equal(ids[w >= p_ref**power * sampling._HEAD_RATIO], want)
         for top_p in (0.3, 0.6, 0.9):
-            keep, weights = tempered_argsort_nucleus(masked, temperature, top_p)
+            keep, weights = tempered_argsort_nucleus(probs, temperature, top_p, ban)
             us = [sampling_uniform(22, step) for step in range(20)]
             weights_sizes.clear()
             tokens = [sample_from_probs(probs, temperature, top_p, u, ban) for u in us]
-            assert tokens == [tempered_argsort_draw(keep, weights, u) for u in us], top_p
+            assert tokens == tempered_argsort_draw(keep, weights, us), top_p
             assert not weights_sizes, top_p  # every draw was certified
 
     @pytest.mark.parametrize("temperature", [0.1, 0.6, 0.9])
@@ -1278,12 +1180,10 @@ class TestCertifiedDraw:
             if top_banned:
                 probs = np.append(probs, 2.0 * p_ref)
                 ban = np.array([probs.size - 1])
-            masked = probs.copy()
-            if ban is not None:
-                masked[ban] = 0.0
-            ratios = masked / masked.max()  # the full path's rebuild when p ** a underflows
+            # the full path's rebuild when p ** a underflows: relative to the
+            # most probable id left, p_ref
             for top_p in (0.3, 0.8):
-                keep, weights = tempered_argsort_nucleus(ratios, temperature, top_p)
+                keep, weights = tempered_argsort_nucleus(probs / p_ref, temperature, top_p, ban)
                 for step in range(4):
                     u = sampling_uniform(24, step)
                     got = sample_from_probs(probs, temperature, top_p, u, ban)
@@ -1343,8 +1243,8 @@ class TestCertifiedDraw:
         keep, _ = tempered_argsort_nucleus(probs, temperature, top_p)
         wrong = np.sort(order[: sampling._cutoff(w[order[:64]], other[placement], top_p) + 1])
         us = [sampling_uniform(13, step) for step in range(100)]
-        expected = [tempered_argsort_draw(keep, w, u) for u in us]
-        assert expected != [tempered_argsort_draw(wrong, w, u) for u in us]
+        expected = tempered_argsort_draw(keep, w, us)
+        assert expected != tempered_argsort_draw(wrong, w, us)
         assert [sample_from_probs(probs, temperature, top_p, u) for u in us] == expected
         assert weights_sizes == [QWEN_VOCAB] * 100
 
