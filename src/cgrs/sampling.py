@@ -63,7 +63,7 @@ _MIN_TOTAL = np.finfo(np.float64).tiny * 2.0**60
 _prefix_sum = np.add.accumulate
 
 #: Relative slack of the settled-top test in :func:`_top_settles`, far above
-#: the rounding of the power, the sum (pairwise or einsum) and the division.
+#: the rounding of the power, the sum and the division.
 _SETTLE_MARGIN = 1.0 + 1e-9
 
 #: The band that :func:`_certified_nucleus` tempers holds every id whose
@@ -257,20 +257,15 @@ def _top_settles(
     probability below the bar cannot settle probabilities that sum to 1, so
     it is turned away before paying for the sum.
 
-    ``total`` is the sum of ``probs`` if the caller has it, else the pairwise
-    sum is taken here.  The caller's is :class:`~cgrs.certainty.TokenDistribution`'s
-    ``einsum`` total, within ``n * 2 ** -53`` of the pairwise sum (1.7e-11
-    at n = 151,936), two orders of magnitude inside the ``1e-9`` of
-    ``_SETTLE_MARGIN``.  So the two sums can only decide differently for a
-    top that holds ``max(top_p, 0.5)`` of the mass with room to spare; the
-    full path then keeps that top alone and draws it, the id the settled
-    path returns.
+    ``total`` is the sum of ``probs`` if the caller has it, else ``einsum``
+    takes it here, as :class:`~cgrs.certainty.TokenDistribution` and
+    :func:`_certified_nucleus` do.
     """
     bar = max(top_p, 0.5)
     if not probs[top] >= bar:  # argmax stops at a NaN, which fails too
         return False
     if total is None:
-        total = float(probs.sum())
+        total = float(np.einsum("i->", probs))
     if probs[top] < bar * total * _SETTLE_MARGIN:
         return False
     return banned is None or top not in banned
