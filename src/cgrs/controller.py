@@ -374,6 +374,7 @@ class GenerationSession:
         mode = config.mode
         if mode.probes:
             probe_prompt_ids(vocab, config)  # fail now, not at the first checkpoint
+        self._vocab = vocab
         self._surfaces = vocab.id_to_token
         self._eos = backend.eos_token_id
         # One sampler per session, with the ban in the form that sampler takes.
@@ -475,8 +476,7 @@ class GenerationSession:
         while len(trace.tokens) < self.config.max_tokens:
             if self.next_token() is None:
                 break
-        surfaces = self._surfaces
-        trace.text = "".join([surfaces[t] for t in trace.tokens])
+        trace.text = self._vocab.decode(trace.tokens)
         return trace
 
 
