@@ -265,23 +265,21 @@ def run_benchmark(
     if any(mode.probes for mode in modes):
         probe_prompt_ids(backend.vocabulary, config)
 
-    outcomes: dict[str, list[_ProblemOutcome]] = {}
-    for mode in modes:
-        tasks = [
-            (mode.apply(config, derive_seed(seed, pi)), problem)
-            for seed in seeds
-            for pi, problem in enumerate(problems)
-        ]
-        if parallelism == 1:
-            results = [_run_one(backend, prob, cfg, triggers) for cfg, prob in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                futures = [
-                    pool.submit(_run_one, backend, prob, cfg, triggers)
-                    for cfg, prob in tasks
-                ]
-                results = [f.result() for f in futures]  # original task order
-        outcomes[mode.label] = results
+    # a task's modes run back to back, so the later ones find the sampling
+    # blocks of the first in the Philox block cache at any run size
+    tasks = [
+        (mode.apply(config, derive_seed(seed, pi)), problem)
+        for seed in seeds
+        for pi, problem in enumerate(problems)
+        for mode in modes
+    ]
+    if parallelism == 1:
+        results = [_run_one(backend, prob, cfg, triggers) for cfg, prob in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            futures = [pool.submit(_run_one, backend, prob, cfg, triggers) for cfg, prob in tasks]
+            results = [f.result() for f in futures]  # original task order
+    outcomes = {mode.label: results[m :: len(modes)] for m, mode in enumerate(modes)}
 
     vanilla_mean: float | None = None
     if "vanilla" in outcomes and outcomes["vanilla"]:

@@ -31,6 +31,7 @@ from cgrs.harness import (
 
 from cgrs.backend import RemoteBackend, ToyBackend, ToyModelSpec, overthinking_spec
 from cgrs.lexicon import Vocabulary
+from cgrs.rng import _block
 
 from conftest import TOY_PROMPT
 from remote_stub import toy_completion_server
@@ -558,6 +559,20 @@ class TestRunBenchmark:
         config = GenerationConfig()
         run_benchmark(load_dataset(demo / "problems.jsonl"), backend, modes, config, seeds=range(5))
         assert sorted(scanned) == sorted({TOY_PROMPT, config.probe_prompt})
+
+    def test_later_modes_share_the_sampling_blocks(self):
+        # 30 seeds make 90 tasks a mode, more than the 64-block cache holds:
+        # fixed-p=1 must still read each task's sampling blocks from vanilla's
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        backend = ToyBackend(ToyModelSpec.from_json_file(demo / "toy_overthinking.json"))
+        problems = load_dataset(demo / "problems.jsonl")
+        misses = []
+        for labels in (["vanilla"], ["vanilla", "fixed-p=1"]):
+            _block.cache_clear()
+            modes = [ModeSpec.parse(m) for m in labels]
+            run_benchmark(problems, backend, modes, GenerationConfig(), seeds=range(30))
+            misses.append(_block.cache_info().misses)
+        assert misses[0] >= 90 and misses[1] == misses[0], misses
 
 
 class TestWriteReports:
