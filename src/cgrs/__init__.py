@@ -45,9 +45,7 @@ from .harness import (
     write_reports,
 )
 from .lexicon import (
-    TriggerCategory,
     TriggerTokenSet,
-    TriggerWord,
     Vocabulary,
     build_from_traces,
     build_trigger_set,
@@ -83,9 +81,7 @@ __all__ = [
     "TokenDistribution",
     "ToyBackend",
     "ToyModelSpec",
-    "TriggerCategory",
     "TriggerTokenSet",
-    "TriggerWord",
     "UnsupportedOperationError",
     "Vocabulary",
     "ban_bias",

@@ -137,7 +137,8 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     else:
         words = default_trigger_words()
         min_count = args.min_count if args.min_count is not None else DEFAULT_MIN_COUNT
-    trigger_set, counts = build_from_traces(traces, vocab, words, min_count)
+    candidates = build_trigger_set(words, vocab)
+    trigger_set, counts = build_from_traces(traces, candidates, min_count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     triggers_path = out / "triggers.json"
@@ -147,7 +148,7 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     )
     csv_path = out / "frequencies.csv"
     # report all candidates, not only the kept ones, so dropped words show why
-    write_frequency_csv(csv_path, build_trigger_set(words, vocab), counts)
+    write_frequency_csv(csv_path, candidates, counts)
     print(
         f"traces={len(traces)} candidates={len(counts)} kept={len(trigger_set)} "
         f"min_count={min_count}"
@@ -182,8 +183,8 @@ def _trace_table(trace: dict) -> tuple[list[str], list[tuple[str, int]]]:
     metrics.append(f"empty_probes,{len(events) - len(probed)}")
     metrics.append(f"decided_steps,{sum(run['steps'] for run in runs)}")
     metrics.append(f"masked_steps,{sum(len(run['masked']) for run in runs)}")
-    base_words = [w.base for w in default_trigger_words()]
-    return metrics, sorted(count_trigger_words([trace["text"]], base_words).items())
+    counts = count_trigger_words([trace["text"]], default_trigger_words())
+    return metrics, sorted(counts.items())
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -13,14 +13,13 @@ import json
 import math
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import BackendError, ModelBackend
 from .controller import DecodeTrace, GenerationConfig, ModeSpec, generate, probe_prompt_ids
-from .lexicon import TriggerTokenSet, TriggerWord, build_trigger_set, default_trigger_words
+from .lexicon import TriggerTokenSet, build_trigger_set, default_trigger_words
 from .rng import derive_seed
 
 
@@ -231,7 +230,7 @@ def run_benchmark(
     modes: Sequence[ModeSpec],
     config: GenerationConfig,
     seeds: Sequence[int],
-    trigger_words: Sequence[TriggerWord] | None = None,
+    trigger_words: Sequence[str] | None = None,
     dataset_name: str = "dataset",
     parallelism: int = 1,
 ) -> dict[str, RunReport]:
@@ -276,6 +275,10 @@ def run_benchmark(
     if parallelism == 1:
         results = [_run_one(backend, prob, cfg, triggers) for cfg, prob in tasks]
     else:
+        # imported here, as only a parallel run needs it: at module level it
+        # adds about 5 ms to every ``import cgrs``
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             futures = [pool.submit(_run_one, backend, prob, cfg, triggers) for cfg, prob in tasks]
             results = [f.result() for f in futures]  # original task order
@@ -305,9 +308,7 @@ def run_benchmark(
             mean_length=mean_length,
             length_reduction=reduction,
             length_distribution=tuple(o.token_count for o in results),
-            trigger_frequencies=count_trigger_words(
-                [o.text for o in results], [w.base for w in words]
-            ),
+            trigger_frequencies=count_trigger_words([o.text for o in results], words),
             unparsable=sum(1 for o in results if o.unparsable),
             backend_failures=sum(1 for o in results if o.failed),
         )

@@ -15,51 +15,22 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 
-class TriggerCategory(str, Enum):
-    """Behavioral family of a trigger word."""
-
-    HESITATION_TRANSITION = "hesitation_transition"
-    ALTERNATIVE_PROPOSAL = "alternative_proposal"
-    CONTEMPLATION_CUE = "contemplation_cue"
-
-
-#: Default trigger inventory: hesitation/transition words, alternative
-#: proposal markers, and colloquial contemplation cues.
-DEFAULT_BASE_WORDS: tuple[tuple[str, TriggerCategory], ...] = (
-    ("Wait", TriggerCategory.HESITATION_TRANSITION),
-    ("But", TriggerCategory.HESITATION_TRANSITION),
-    ("Alternatively", TriggerCategory.ALTERNATIVE_PROPOSAL),
-    ("Hmm", TriggerCategory.CONTEMPLATION_CUE),
-)
+#: Default trigger inventory, after the paper's three families: hesitation
+#: and transition words ("Wait", "But"), an alternative-proposal marker
+#: ("Alternatively") and a colloquial contemplation cue ("Hmm").
+DEFAULT_BASE_WORDS: tuple[str, ...] = ("Wait", "But", "Alternatively", "Hmm")
 
 DEFAULT_MIN_COUNT = 1
 
 #: Texts whose ids a :class:`Vocabulary` keeps; the oldest is dropped first.
 #: A MATH500-sized dataset plus the probe prompt fits.
 ENCODE_MEMO_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class TriggerWord:
-    """A base trigger word plus its category."""
-
-    base: str
-    category: TriggerCategory
-
-    def __post_init__(self) -> None:
-        if not self.base:
-            raise ValueError("trigger base word must be nonempty")
-        if self.base != self.base.strip():
-            raise ValueError(
-                f"trigger base word must carry no leading/trailing whitespace: {self.base!r}"
-            )
 
 
 @contextmanager
@@ -258,8 +229,10 @@ def expand_variants(word: str) -> set[str]:
     yields at most six distinct forms ("But" -> "But", " But", "but", " but",
     "BUT", " BUT"); fewer when case folding collapses them.
     """
-    if not word or word != word.strip():
-        raise ValueError(f"base word must be nonempty with no surrounding whitespace: {word!r}")
+    if not isinstance(word, str) or not word or word != word.strip():
+        raise ValueError(
+            f"base word must be a nonempty string with no surrounding whitespace: {word!r}"
+        )
     forms: set[str] = set()
     for cased in (word, word.lower(), word.upper()):
         forms.add(cased)
@@ -267,9 +240,7 @@ def expand_variants(word: str) -> set[str]:
     return forms
 
 
-def build_trigger_set(
-    words: Iterable[TriggerWord | str], vocab: Vocabulary
-) -> TriggerTokenSet:
+def build_trigger_set(words: Iterable[str], vocab: Vocabulary) -> TriggerTokenSet:
     """Expand base words and map every variant onto its vocabulary id.
 
     Only forms the vocabulary encodes as a single token are kept; absent forms
@@ -278,9 +249,8 @@ def build_trigger_set(
     """
     base_by_form: dict[str, str] = {}
     for word in words:
-        base = word.base if isinstance(word, TriggerWord) else word
-        for form in expand_variants(base):
-            base_by_form[form] = base
+        for form in expand_variants(word):
+            base_by_form[form] = word
     provenance: dict[int, tuple[str, str]] = {}
     skipped: list[str] = []
     for form in sorted(base_by_form):
@@ -293,17 +263,14 @@ def build_trigger_set(
 
 
 def build_from_traces(
-    traces: Sequence[Sequence[int]],
-    vocab: Vocabulary,
-    base_words: Iterable[TriggerWord | str],
-    min_count: int,
+    traces: Sequence[Sequence[int]], candidates: TriggerTokenSet, min_count: int
 ) -> tuple[TriggerTokenSet, dict[int, int]]:
-    """Build a trigger set from decoded traces by candidate frequency.
+    """Keep the ``candidates`` (a :func:`build_trigger_set`) that decoded traces use often enough.
 
-    Candidate ids come from the variant expansion of ``base_words``; an id is
-    kept when its total occurrence count across all traces reaches
-    ``min_count``.  ``min_count = 0`` keeps every candidate regardless of the
-    traces.  Returns the set plus the per-id frequency table over candidates.
+    A candidate id is kept when its total occurrence count across all traces
+    reaches ``min_count``.  ``min_count = 0`` keeps every candidate regardless
+    of the traces.  Returns the set plus the per-id frequency table over
+    candidates.
 
     Raises:
         ValueError: ``min_count > 0`` with no traces to count from.
@@ -312,7 +279,6 @@ def build_from_traces(
         raise ValueError(f"min_count must be nonnegative, got {min_count}")
     if min_count > 0 and not traces:
         raise ValueError("cannot apply a positive min_count to an empty trace set")
-    candidates = build_trigger_set(base_words, vocab)
     seen = Counter(token_id for trace in traces for token_id in trace)
     counts = {i: seen[i] for i in candidates.sorted_ids.tolist()}
     kept = {i: candidates.provenance[i] for i, c in counts.items() if c >= min_count}
@@ -320,34 +286,35 @@ def build_from_traces(
     return trigger_set, counts
 
 
-def load_trigger_config(path: str | Path) -> tuple[list[TriggerWord], int]:
-    """Read a trigger config file: {"base_words": [{"base", "category"}], "min_count"}.
+def load_trigger_config(path: str | Path) -> tuple[list[str], int]:
+    """Read a trigger config file: {"base_words": [{"base": word}, ...], "min_count": n}.
+
+    Each base word passes :func:`expand_variants`' check, and ``min_count``
+    (default :data:`DEFAULT_MIN_COUNT`) is a nonnegative integer.  Other keys
+    of the file or of an entry are ignored.
 
     Raises:
         ValueError: the file is malformed; the message names the path.
     """
     with file_errors(path, "trigger config"):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        words = [
-            TriggerWord(base=entry["base"], category=TriggerCategory(entry["category"]))
-            for entry in data["base_words"]
-        ]
-        min_count = int(data.get("min_count", DEFAULT_MIN_COUNT))
+        words = [entry["base"] for entry in data["base_words"]]
+        for word in words:
+            expand_variants(word)
+        min_count = data.get("min_count", DEFAULT_MIN_COUNT)
+        # bool is an int subclass: a JSON true would otherwise pass as 1
+        if isinstance(min_count, bool) or not isinstance(min_count, int) or min_count < 0:
+            raise ValueError(f"min_count must be a nonnegative integer, got {min_count!r}")
     return words, min_count
 
 
-def save_trigger_config(
-    path: str | Path, words: Sequence[TriggerWord], min_count: int
-) -> None:
-    data = {
-        "base_words": [{"base": w.base, "category": w.category.value} for w in words],
-        "min_count": min_count,
-    }
+def save_trigger_config(path: str | Path, words: Sequence[str], min_count: int) -> None:
+    data = {"base_words": [{"base": word} for word in words], "min_count": min_count}
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def default_trigger_words() -> list[TriggerWord]:
-    return [TriggerWord(base, cat) for base, cat in DEFAULT_BASE_WORDS]
+def default_trigger_words() -> list[str]:
+    return list(DEFAULT_BASE_WORDS)
 
 
 def write_frequency_csv(

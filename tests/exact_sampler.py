@@ -129,11 +129,24 @@ class ExactNucleus:
     tie_block: int
 
 
-def exact_weights(probs: np.ndarray, temperature: float, banned) -> list[Decimal]:
+class ExactWeights(list):
+    """The weights of :func:`exact_weights`, with the levels that :func:`exact_nucleus` ranks by.
+
+    ``levels`` holds the distinct positive weights, descending, and
+    ``codes`` each id's index into ``levels`` (``len(levels)`` for a zero
+    weight).
+    """
+
+    levels: list[Decimal]
+    codes: np.ndarray
+
+
+def exact_weights(probs: np.ndarray, temperature: float, banned) -> ExactWeights:
     """``exp(ln p / T)`` per id, 0 for a banned id or a zero probability, at 50 digits.
 
     The ban is ignored when it leaves no positive probability.  The weight
-    of each distinct probability is computed once.
+    of each distinct probability is computed once, and ranks as that
+    probability does.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if banned is not None:
@@ -147,24 +160,26 @@ def exact_weights(probs: np.ndarray, temperature: float, banned) -> list[Decimal
     level = np.empty(values.size, dtype=object)
     for k, p in enumerate(values.tolist()):
         level[k] = ctx.exp(ctx.multiply(ctx.ln(Decimal(p)), inverse_t)) if p > 0.0 else Decimal(0)
-    return level[inverse].tolist()
+    weights = ExactWeights(level[inverse].tolist())
+    weights.levels = level[values > 0.0][::-1].tolist()
+    levels = weights.levels
+    assert all(a > b for a, b in zip(levels, levels[1:] + [0])), "two values, one weight"
+    # the values ascend, so the k-th has code values.size - 1 - k, and a zero
+    # (the first value when there is one) len(levels); a short code sorts by radix
+    weights.codes = (values.size - 1 - inverse).astype(np.min_scalar_type(values.size))
+    return weights
 
 
-def exact_nucleus(weights: list[Decimal], top_p: float, rest: Decimal = Decimal(0)) -> ExactNucleus:
+def exact_nucleus(weights: ExactWeights, top_p: float, rest: Decimal = Decimal(0)) -> ExactNucleus:
     """The nucleus of the :func:`exact_weights` ``weights``; see :class:`ExactNucleus`.
 
-    The ids are grouped by distinct weight, so the mass of a run of equal
-    weights is one product.  ``rest`` is the mass of weights left out of
-    ``weights``, each below every positive weight in it (as
+    The ids are ranked by the codes of their weight levels, so the mass of a
+    run of equal weights is one product.  ``rest`` is the mass of weights
+    left out of ``weights``, each below every positive weight in it (as
     :func:`exact_head` leaves them); the cutoff must then lie inside
     ``weights``, or ValueError is raised.
     """
-    distinct = set(weights)
-    levels = sorted((w for w in distinct if w > 0), reverse=True)
-    level_of = dict.fromkeys(distinct, len(levels))  # zero weights rank last
-    level_of.update(zip(levels, range(len(levels))))
-    dtype = np.min_scalar_type(len(levels))  # a short code sorts by radix
-    codes = np.fromiter(map(level_of.__getitem__, weights), dtype=dtype, count=len(weights))
+    levels, codes = weights.levels, weights.codes
     counts = np.bincount(codes, minlength=len(levels) + 1).tolist()
     ranked = np.argsort(codes, kind="stable")[: len(weights) - counts[-1]]
     ctx = _context()
@@ -218,7 +233,7 @@ def draw_from(nucleus: ExactNucleus, u: float) -> tuple[int, set[int]]:
 
 
 def exact_draw(
-    weights: list[Decimal],
+    weights: ExactWeights,
     top_p: float,
     u: float,
     rest: Decimal = Decimal(0),
@@ -346,7 +361,7 @@ def boundary_uniforms(nucleus: ExactNucleus, offsets: tuple[float, ...]) -> list
 
 
 def boundary_top_ps(
-    weights: list[Decimal], offsets: tuple[float, ...], rest: Decimal = Decimal(0)
+    weights: ExactWeights, offsets: tuple[float, ...], rest: Decimal = Decimal(0)
 ) -> list[float]:
     """``top_p`` values ``offset`` away from each ranked prefix share of the total, for each offset.
 
@@ -373,7 +388,7 @@ TAIL_CHUNK = 8192
 
 def exact_head(
     probs: np.ndarray, temperature: float, banned
-) -> tuple[np.ndarray, list[Decimal], Decimal]:
+) -> tuple[np.ndarray, ExactWeights, Decimal]:
     """The head of a long vector at 50 digits, and the rest of its tempered mass.
 
     The head is every id not banned whose probability reaches ``p_ref * 2 **

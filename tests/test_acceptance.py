@@ -24,8 +24,6 @@ from cgrs.cli import main as cli_main
 from cgrs.controller import DecodeTrace, GenerationConfig, ModeSpec, generate
 from cgrs.harness import RunReport, length_reduction, write_reports
 from cgrs.lexicon import (
-    TriggerCategory,
-    TriggerWord,
     Vocabulary,
     build_from_traces,
     build_trigger_set,
@@ -461,6 +459,7 @@ def test_criterion_10_lexicon_suite(capsys, tmp_path):
         vocab = Vocabulary(
             ["Wait", " wait", "WAIT", "But", "but", "Hmm", "step", "x", "y"]
         )
+        candidates = build_trigger_set(["Wait", "But", "Hmm"], vocab)
         for _ in range(50):
             traces = [
                 [int(t) for t in rng.integers(0, vocab.size, size=rng.integers(0, 40))]
@@ -468,14 +467,12 @@ def test_criterion_10_lexicon_suite(capsys, tmp_path):
             ]
             previous = None
             for mc in range(0, 7):
-                kept, _ = build_from_traces(traces, vocab, ["Wait", "But", "Hmm"], mc)
+                kept, _ = build_from_traces(traces, candidates, mc)
                 if previous is not None:
                     assert kept.token_ids <= previous  # monotone shrinking
                 previous = kept.token_ids
 
-        words = default_trigger_words() + [
-            TriggerWord("Perhaps", TriggerCategory.ALTERNATIVE_PROPOSAL)
-        ]
+        words = default_trigger_words() + ["Perhaps"]
         path = tmp_path / "triggers.json"
         save_trigger_config(path, words, min_count=3)
         loaded_words, loaded_min = load_trigger_config(path)

@@ -18,9 +18,9 @@ from cgrs.backend import EmissionRule, ToyBackend, ToyModelSpec
 from cgrs.cli import main
 from cgrs.controller import GenerationConfig, ModeSpec, generate
 from cgrs.lexicon import (
-    TriggerCategory,
-    TriggerWord,
     build_trigger_set,
+    default_trigger_words,
+    load_trigger_config,
     save_trigger_config,
 )
 
@@ -28,6 +28,17 @@ from conftest import TOY_PROMPT
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_DIR = REPO_ROOT / "demo"
+
+#: demo/triggers.json as it was written while each base word carried a category
+_TRIGGERS_WITH_CATEGORIES = {
+    "base_words": [
+        {"base": "Wait", "category": "hesitation_transition"},
+        {"base": "But", "category": "hesitation_transition"},
+        {"base": "Alternatively", "category": "alternative_proposal"},
+        {"base": "Hmm", "category": "contemplation_cue"},
+    ],
+    "min_count": 1,
+}
 
 
 @pytest.fixture
@@ -215,11 +226,7 @@ class TestRunCommand:
     def test_custom_trigger_config(self, toy_assets, tmp_path):
         spec_path, dataset_path = toy_assets
         config_path = tmp_path / "triggers.json"
-        save_trigger_config(
-            config_path,
-            [TriggerWord("Wait", TriggerCategory.HESITATION_TRANSITION)],
-            min_count=1,
-        )
+        save_trigger_config(config_path, ["Wait"], min_count=1)
         out = tmp_path / "out"
         run_cli(
             [
@@ -237,6 +244,29 @@ class TestRunCommand:
         )
         data = json.loads((out / "vanilla.json").read_text())
         assert set(data["trigger_frequencies"]) == {"Wait"}
+
+    def test_demo_trigger_config(self, tmp_path):
+        demo = DEMO_DIR / "triggers.json"
+        with_categories = tmp_path / "with_categories.json"
+        with_categories.write_text(json.dumps(_TRIGGERS_WITH_CATEGORIES, indent=2) + "\n")
+        # a file that still names categories loads as the demo file does
+        assert load_trigger_config(demo) == load_trigger_config(with_categories)
+        assert load_trigger_config(demo) == (default_trigger_words(), 1)
+        # and the demo file is what save_trigger_config writes for its contents
+        save_trigger_config(tmp_path / "saved.json", *load_trigger_config(demo))
+        assert (tmp_path / "saved.json").read_text() == demo.read_text()
+        args = [
+            "run",
+            "--dataset", DEMO_DIR / "problems.jsonl",
+            "--backend", f"toy:{DEMO_DIR / 'toy_overthinking.json'}",
+            "--seeds", "0,1",
+        ]
+        run_cli(args + ["--out", tmp_path / "default"])
+        for name, config in (("demo", demo), ("with_categories", with_categories)):
+            run_cli(args + ["--trigger-config", config, "--out", tmp_path / name])
+            for report in ("vanilla.json", "cgrs.json", "summary.csv"):
+                got = (tmp_path / name / report).read_bytes()
+                assert got == (tmp_path / "default" / report).read_bytes()
 
     def test_default_seed_list(self, toy_assets, tmp_path):
         spec_path, dataset_path = toy_assets
@@ -292,14 +322,7 @@ class TestLexiconBuild:
         traces_dir.mkdir()
         (traces_dir / "t.json").write_text(json.dumps([0, 0, 1]))
         config_path = tmp_path / "cfg.json"
-        save_trigger_config(
-            config_path,
-            [
-                TriggerWord("Wait", TriggerCategory.HESITATION_TRANSITION),
-                TriggerWord("But", TriggerCategory.HESITATION_TRANSITION),
-            ],
-            min_count=2,
-        )
+        save_trigger_config(config_path, ["Wait", "But"], min_count=2)
         out = tmp_path / "lex"
         run_cli(
             [
@@ -500,8 +523,9 @@ class TestBadInput:
              "vocabulary file {tmp}/vocab_ints.json: malformed: vocabulary token 0 is not a string"),
             (_RUN + ["--trigger-config", "{tmp}/not_json.json"],
              "trigger config {tmp}/not_json.json: not JSON"),
-            (_RUN + ["--trigger-config", "{tmp}/no_category.json"],
-             "trigger config {tmp}/no_category.json: missing key 'category'"),
+            (_RUN + ["--trigger-config", "{tmp}/bad_base.json"],
+             "trigger config {tmp}/bad_base.json: malformed: base word must be a nonempty "
+             "string with no surrounding whitespace: ' Wait'"),
             (_BUILD + ["--min-count", "-1"],
              "cgrs lexicon build: min_count must be nonnegative, got -1"),
             (["lexicon", "build", "--traces", "{tmp}/absent", "--vocab", "{tmp}/vocab.json"],
@@ -509,7 +533,8 @@ class TestBadInput:
             (["lexicon", "build", "--traces", "{tmp}/bad_traces", "--vocab", "{tmp}/vocab.json"],
              "{tmp}/bad_traces/floats.json: not a token-id trace file"),
             (_BUILD + ["--config", "{tmp}/config.json"],
-             "trigger config {tmp}/config.json: malformed: 'no_such_category'"),
+             "trigger config {tmp}/config.json: malformed: "
+             "min_count must be a nonnegative integer, got 2.7"),
             (_BUILD + ["--config", "{tmp}/no_base_words.json"],
              "trigger config {tmp}/no_base_words.json: missing key 'base_words'"),
             (["lexicon", "build", "--traces", "{tmp}/traces", "--vocab", "{tmp}/not_json.json"],
@@ -542,11 +567,11 @@ class TestBadInput:
             "run_spec_without_rules",
             "run_remote_vocab_bad_token",
             "run_trigger_config_not_json",
-            "run_trigger_config_without_category",
+            "run_trigger_config_bad_base",
             "lexicon_min_count",
             "lexicon_traces_not_a_directory",
             "lexicon_bad_trace_file",
-            "lexicon_unknown_category",
+            "lexicon_config_bad_min_count",
             "lexicon_config_without_base_words",
             "lexicon_vocab_not_json",
             "analyze_missing_trace",
@@ -564,14 +589,14 @@ class TestBadInput:
         (tmp_path / "bad_traces").mkdir()
         (tmp_path / "bad_traces" / "floats.json").write_text(json.dumps([0.5]))
         (tmp_path / "config.json").write_text(
-            json.dumps({"base_words": [{"base": "Wait", "category": "no_such_category"}]})
+            json.dumps({"base_words": [{"base": "Wait"}], "min_count": 2.7})
         )
         (tmp_path / "not_json.json").write_text("not json")
         (tmp_path / "vocab_ints.json").write_text(json.dumps([1, 2]))
         spec = json.loads(spec_path.read_text())
         del spec["rules"]
         (tmp_path / "no_rules.json").write_text(json.dumps(spec))
-        (tmp_path / "no_category.json").write_text(json.dumps({"base_words": [{"base": "Wait"}]}))
+        (tmp_path / "bad_base.json").write_text(json.dumps({"base_words": [{"base": " Wait"}]}))
         (tmp_path / "no_base_words.json").write_text(json.dumps({"min_count": 1}))
         report = {"mode": "cgrs", "length_distribution": "12", "trigger_frequencies": {}}
         (tmp_path / "report_string_lengths.json").write_text(json.dumps(report))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import json
 import pickle
 import random
 import re
@@ -15,9 +16,8 @@ import pytest
 
 from cgrs import lexicon
 from cgrs.lexicon import (
-    TriggerCategory,
+    DEFAULT_MIN_COUNT,
     TriggerTokenSet,
-    TriggerWord,
     Vocabulary,
     build_from_traces,
     build_trigger_set,
@@ -353,22 +353,26 @@ class TestBuildFromTraces:
     def vocab(self):
         return Vocabulary(["Wait", " wait", "But", "step", "x"])
 
-    def test_min_count_zero_keeps_all_candidates(self, vocab):
-        ts, counts = build_from_traces([], vocab, ["Wait", "But"], min_count=0)
+    @pytest.fixture
+    def candidates(self, vocab):
+        return build_trigger_set(["Wait", "But"], vocab)
+
+    def test_min_count_zero_keeps_all_candidates(self, candidates):
+        ts, counts = build_from_traces([], candidates, min_count=0)
         assert ts.token_ids == frozenset({0, 1, 2})
         assert counts == {0: 0, 1: 0, 2: 0}
 
     def test_positive_min_count_requires_traces(self, vocab):
         with pytest.raises(ValueError, match="empty"):
-            build_from_traces([], vocab, ["Wait"], min_count=1)
+            build_from_traces([], build_trigger_set(["Wait"], vocab), min_count=1)
 
-    def test_counts_and_threshold(self, vocab):
+    def test_counts_and_threshold(self, candidates):
         traces = [[0, 3, 0, 1], [2, 3, 3]]
-        ts, counts = build_from_traces(traces, vocab, ["Wait", "But"], min_count=2)
+        ts, counts = build_from_traces(traces, candidates, min_count=2)
         assert counts == {0: 2, 1: 1, 2: 1}
         assert ts.token_ids == frozenset({0})
 
-    def test_min_count_monotonicity(self, vocab):
+    def test_min_count_monotonicity(self, vocab, candidates):
         rng = random.Random(11)
         for _ in range(30):
             traces = [
@@ -377,14 +381,13 @@ class TestBuildFromTraces:
             ]
             previous = None
             for mc in range(0, 6):
-                ts, _ = build_from_traces(traces, vocab, ["Wait", "But"], min_count=mc)
+                ts, _ = build_from_traces(traces, candidates, min_count=mc)
                 if previous is not None:
                     assert ts.token_ids <= previous
                 previous = ts.token_ids
 
-    def test_frequency_csv_covers_dropped_candidates(self, vocab, tmp_path):
-        _, counts = build_from_traces([[0, 0, 2]], vocab, ["Wait", "But"], min_count=2)
-        candidates = build_trigger_set(["Wait", "But"], vocab)
+    def test_frequency_csv_covers_dropped_candidates(self, candidates, tmp_path):
+        _, counts = build_from_traces([[0, 0, 2]], candidates, min_count=2)
         path = tmp_path / "freq.csv"
         write_frequency_csv(path, candidates, counts)
         rows = list(csv.reader(path.open()))
@@ -396,9 +399,7 @@ class TestBuildFromTraces:
 
 class TestTriggerConfig:
     def test_round_trip_lossless(self, tmp_path):
-        words = default_trigger_words() + [
-            TriggerWord("Maybe", TriggerCategory.ALTERNATIVE_PROPOSAL)
-        ]
+        words = default_trigger_words() + ["Maybe"]
         path = tmp_path / "triggers.json"
         save_trigger_config(path, words, min_count=4)
         loaded_words, loaded_min = load_trigger_config(path)
@@ -406,19 +407,43 @@ class TestTriggerConfig:
         assert loaded_min == 4
 
     def test_default_inventory(self):
-        words = default_trigger_words()
-        assert [w.base for w in words] == ["Wait", "But", "Alternatively", "Hmm"]
-        by_base = {w.base: w.category for w in words}
-        assert by_base["Wait"] == TriggerCategory.HESITATION_TRANSITION
-        assert by_base["But"] == TriggerCategory.HESITATION_TRANSITION
-        assert by_base["Alternatively"] == TriggerCategory.ALTERNATIVE_PROPOSAL
-        assert by_base["Hmm"] == TriggerCategory.CONTEMPLATION_CUE
+        assert default_trigger_words() == ["Wait", "But", "Alternatively", "Hmm"]
+        # each call hands out a new list
+        default_trigger_words().append("Maybe")
+        assert default_trigger_words() == ["Wait", "But", "Alternatively", "Hmm"]
 
-    def test_trigger_word_validation(self):
-        with pytest.raises(ValueError):
-            TriggerWord("", TriggerCategory.CONTEMPLATION_CUE)
-        with pytest.raises(ValueError):
-            TriggerWord(" Wait", TriggerCategory.CONTEMPLATION_CUE)
+    def test_trigger_word_validation(self, tmp_path):
+        vocab = Vocabulary(["Wait"])
+        for bad in ("", " Wait", "Wait\n", 5, None):
+            with pytest.raises(ValueError, match="base word must be a nonempty string"):
+                build_trigger_set([bad], vocab)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"base_words": [{"base": bad}]}))
+            with pytest.raises(ValueError, match=f"trigger config {re.escape(str(path))}: "):
+                load_trigger_config(path)
+
+    def test_min_count_default_and_zero(self, tmp_path):
+        path = tmp_path / "triggers.json"
+        path.write_text(json.dumps({"base_words": [{"base": "Wait"}]}))
+        assert load_trigger_config(path) == (["Wait"], DEFAULT_MIN_COUNT)
+        path.write_text(json.dumps({"base_words": [], "min_count": 0}))
+        assert load_trigger_config(path) == ([], 0)
+
+    @pytest.mark.parametrize(
+        "value", [2.7, 2.0, True, False, "3", -2, None, [1]],
+        ids=["fraction", "integral_float", "true", "false", "string", "negative", "null", "list"],
+    )
+    def test_min_count_must_be_a_nonnegative_integer(self, tmp_path, value):
+        # int() used to turn 2.7 into 2, true into 1 and "3" into 3, and let -2 through
+        path = tmp_path / "triggers.json"
+        path.write_text(json.dumps({"base_words": [{"base": "Wait"}], "min_count": value}))
+        message = (
+            f"trigger config {path}: malformed: "
+            f"min_count must be a nonnegative integer, got {value!r}"
+        )
+        with pytest.raises(ValueError) as info:
+            load_trigger_config(path)
+        assert str(info.value) == message
 
     def test_trigger_set_json_round_trip(self):
         # the exact form ``cgrs lexicon build`` writes to triggers.json
